@@ -5,13 +5,10 @@ linearized spectra, closed-form singular energies, and the rescaled flow."""
 from .core import (ParameterError, Parameters, RadialProfile,
                    constant_profile, default_grid, kappa, make_params,
                    singular_profile, tabulated_profile)
-from .quadrature import (QuadratureRule, angular_rule, composite_rule,
-                         offset_integral, offset_integral_many, radial_rule,
-                         weighted_integral)
-from .specfun import digamma, log_gamma, log_gamma_stirling, trigamma
-from .shooting import (OdeTrajectory, classify, find_brackets,
-                       integrate_radial, ode_residual, scan_initial_values,
-                       shoot)
+from .quadrature import (QuadratureRule, composite_rule, offset_integral_many,
+                         radial_rule, weighted_integral)
+from .shooting import (OdeTrajectory, find_brackets, integrate_radial,
+                       ode_residual, scan_initial_values, shoot)
 from .functionals import (EntropyResult, FunctionalReport, density, energy,
                           entropy, f_functional, identities)
 from .variations import (Variation, first_variation, gaussian_bump,

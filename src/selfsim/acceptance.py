@@ -178,8 +178,7 @@ def check_identities():
             rep = identities(prof)
             res = {"pohozaev": rep.pohozaev_residual,
                    "mass_balance": rep.mass_balance_residual,
-                   "moment_balance": rep.moment_balance_residual,
-                   "direction": rep.direction_residual}
+                   "moment_balance": rep.moment_balance_residual}
             tol = 1e-13 if prof.is_constant else 1e-5
             ok &= all(abs(v) <= tol for v in res.values())
             details[name] = res

@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -97,7 +96,6 @@ def _jsonable(x):
 
 def _params_from(cfg: dict):
     return make_params(int(cfg.get("n", 3)), float(cfg.get("p", 7.0)),
-                       m=cfg.get("m"),
                        require_supercritical=bool(cfg.get("supercritical",
                                                           False)))
 
@@ -244,7 +242,6 @@ def cmd_stability(cfg):
         "margin": rep.margin,
         "second_variation_along_ground_state": rep.second_variation_value,
         "orthogonality_scaling_mode": rep.orthogonality_scale,
-        "orthogonality_translation_mode": rep.orthogonality_translation,
         "details": rep.details,
     }
     return True, summary, None
@@ -281,8 +278,7 @@ def cmd_flow(cfg):
         "boundary_condition": report.bc,
         "flags": report.flags,
     }
-    series = {k: v for k, v in report.series.items()
-              if k != "reaction_ratio_min"}
+    series = report.series
     ok = summary_d.energy_monotone and not (
         report.criterion_exceeded and report.outcome != OUTCOME_BLEWUP)
     return ok, summary, series
@@ -353,13 +349,12 @@ def cmd_identities(cfg):
         "pohozaev_residual": rep.pohozaev_residual,
         "mass_balance_residual": rep.mass_balance_residual,
         "moment_balance_residual": rep.moment_balance_residual,
-        "direction_residual": rep.direction_residual,
         "scale": rep.scale,
     }
     tol = 1e-5 if prof.is_solution else math.inf
     ok = all(abs(summary[k]) <= tol for k in
              ("pohozaev_residual", "mass_balance_residual",
-              "moment_balance_residual", "direction_residual"))
+              "moment_balance_residual"))
     return ok, summary, None
 
 
@@ -406,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = [("--n", dict(type=int, default=None)),
               ("--p", dict(type=float, default=None)),
-              ("--m", dict(type=float, default=None)),
               ("--supercritical", dict(action="store_const", const=True,
                                        default=None))]
     prof_arg = [("--profile", dict(default=None,
@@ -447,11 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("SELFSIM_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.special import digamma, polygamma
 
 from .core import ParameterError, Parameters, make_params
-from .specfun import digamma, log_gamma, trigamma
 
 
 def _gamma_argument(params: Parameters) -> float:
@@ -45,7 +45,7 @@ def singular_energy(params: Parameters) -> float:
     alpha = 2.0 / (p - 1.0)
     log_val = ((-2.0 - 2.0 * alpha) * math.log(2.0)
                + (p + 1.0) / (p - 1.0) * math.log(params.beta)
-               + log_gamma(g) - log_gamma(params.n / 2.0))
+               + math.lgamma(g) - math.lgamma(params.n / 2.0))
     return (0.5 - 1.0 / (p + 1.0)) * math.exp(log_val)
 
 
@@ -68,7 +68,7 @@ def gap_inequality(params: Parameters) -> float:
     p = params.p
     base = 0.5 * (params.n - 2.0) - 1.0 / (p - 1.0)
     log_lhs = ((p + 1.0) / (p - 1.0) * math.log(base)
-               + log_gamma(g) - log_gamma(params.n / 2.0))
+               + math.lgamma(g) - math.lgamma(params.n / 2.0))
     return math.exp(log_lhs) - 1.0
 
 
@@ -86,9 +86,9 @@ def phi_diagnostics(x: float, alpha: float):
         raise ValueError(f"need x > 1 + alpha, got x={x}, alpha={alpha}")
     shift = x - 1.0 - alpha
     half = x - 1.0 - 0.5 * alpha
-    phi = log_gamma(shift) - log_gamma(x) + (1.0 + alpha) * math.log(half)
+    phi = math.lgamma(shift) - math.lgamma(x) + (1.0 + alpha) * math.log(half)
     dphi = digamma(shift) - digamma(x) + (1.0 + alpha) / half
-    d2phi = trigamma(shift) - trigamma(x) - (1.0 + alpha) / half**2
+    d2phi = polygamma(1, shift) - polygamma(1, x) - (1.0 + alpha) / half**2
     return phi, dphi, d2phi
 
 

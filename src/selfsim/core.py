@@ -18,7 +18,7 @@ from scipy.interpolate import BPoly, CubicHermiteSpline
 
 
 class ParameterError(ValueError):
-    """Raised for inadmissible (n, p, m) combinations."""
+    """Raised for inadmissible (n, p) combinations."""
 
 
 def sobolev_critical(n: int) -> float:
@@ -30,11 +30,10 @@ def sobolev_critical(n: int) -> float:
 
 @dataclass(frozen=True)
 class Parameters:
-    """Dimension n, nonlinearity exponent p and optional sup bound m."""
+    """Dimension n and nonlinearity exponent p."""
 
     n: int
     p: float
-    m: Optional[float] = None
     require_supercritical: bool = False
 
     @property
@@ -56,25 +55,23 @@ class Parameters:
         return self.p > sobolev_critical(self.n)
 
 
-def make_params(n: int, p: float, m: Optional[float] = None,
+def make_params(n: int, p: float,
                 require_supercritical: bool = False) -> Parameters:
     """Validate and build a Parameters value.
 
-    Raises ParameterError if p <= 1, n < 1, p is not supercritical while the
-    flag demands it, or m is present but not above kappa.
+    Raises ParameterError if p <= 1, n < 1, or p is not supercritical while
+    the flag demands it.
     """
     if int(n) != n or n < 1:
         raise ParameterError(f"dimension must be a positive integer, got {n}")
     n = int(n)
     if not p > 1.0:
         raise ParameterError(f"exponent p must exceed 1, got {p}")
-    params = Parameters(n=n, p=float(p), m=m,
+    params = Parameters(n=n, p=float(p),
                         require_supercritical=require_supercritical)
     if require_supercritical and not params.is_supercritical:
         raise ParameterError(
             f"p={p} is not above the critical exponent {sobolev_critical(n)} for n={n}")
-    if m is not None and not m > params.kappa:
-        raise ParameterError(f"sup bound m={m} must exceed kappa={params.kappa}")
     return params
 
 
@@ -166,46 +163,39 @@ class RadialProfile:
                                                   self.derivs)
             self._dspline = self._spline.derivative()
 
-    def value(self, r) -> np.ndarray:
+    def _eval(self, r, order: int) -> np.ndarray:
+        """Value (order 0) or first derivative (order 1) at arbitrary radii."""
         r = np.asarray(r, dtype=float)
         if self.is_constant:
-            return np.full_like(r, self.constant_value)
-        q = self.params.decay_power
+            return np.full_like(r, 0.0 if order else self.constant_value)
         if self.kind == KIND_SINGULAR:
-            return self.decay_coeff * np.maximum(r, 1e-300) ** (-q)
+            return self._power_law(np.maximum(r, 1e-300), order)
         self._ensure_spline()
         r0, r1 = self.grid[0], self.grid[-1]
-        out = np.asarray(self._spline(np.clip(r, r0, r1)), dtype=float)
+        spline = self._dspline if order else self._spline
+        out = np.asarray(spline(np.clip(r, r0, r1)), dtype=float)
         if self.decay_coeff is not None:
-            tail = r > r1
-            out = np.where(tail, self.decay_coeff * np.maximum(r, r1) ** (-q), out)
+            out = np.where(r > r1, self._power_law(np.maximum(r, r1), order), out)
         # below the stored grid: quadratic continuation from the axis value
         head = r < r0
         if np.any(head):
             w0 = self.meta.get("axis_value", self.values[0])
             curv = 2.0 * (self.values[0] - w0) / r0**2 if r0 > 0 else 0.0
-            out = np.where(head, w0 + 0.5 * curv * r**2, out)
+            out = np.where(head, curv * r if order else w0 + 0.5 * curv * r**2,
+                           out)
         return out
 
-    def deriv(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self.is_constant:
-            return np.zeros_like(r)
+    def _power_law(self, r: np.ndarray, order: int) -> np.ndarray:
         q = self.params.decay_power
-        if self.kind == KIND_SINGULAR:
-            return -q * self.decay_coeff * np.maximum(r, 1e-300) ** (-q - 1.0)
-        self._ensure_spline()
-        r0, r1 = self.grid[0], self.grid[-1]
-        out = np.asarray(self._dspline(np.clip(r, r0, r1)), dtype=float)
-        if self.decay_coeff is not None:
-            tail = r > r1
-            out = np.where(tail, -q * self.decay_coeff * np.maximum(r, r1) ** (-q - 1.0), out)
-        head = r < r0
-        if np.any(head):
-            w0 = self.meta.get("axis_value", self.values[0])
-            curv = 2.0 * (self.values[0] - w0) / r0**2 if r0 > 0 else 0.0
-            out = np.where(head, curv * r, out)
-        return out
+        if order:
+            return -q * self.decay_coeff * r ** (-q - 1.0)
+        return self.decay_coeff * r ** (-q)
+
+    def value(self, r) -> np.ndarray:
+        return self._eval(r, 0)
+
+    def deriv(self, r) -> np.ndarray:
+        return self._eval(r, 1)
 
 
 def constant_profile(params: Parameters, sign: int | str = "+",

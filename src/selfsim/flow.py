@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .core import Parameters, RadialProfile
+from .core import ParameterError, Parameters, RadialProfile
 from .numerics import fornberg_weights
 
 OUTCOME_BLEWUP = "blew_up"
@@ -31,6 +31,13 @@ OUTCOME_MAXTIME = "reached_max_time"
 BC_NOFLUX = "noflux"
 BC_DIRICHLET = "dirichlet"
 
+DT_MIN = 1e-13
+BLOWUP_CAP_MULT = 1e3     # in units of kappa
+ENERGY_SLACK = 1e-7       # tolerated per-step energy increase
+REACTION_SAFETY = 0.25    # fraction of scalar time-to-blow-up
+DIAG_R_FRAC = 0.6         # dtau diagnostics mask beyond this fraction of
+                          # r_max under Dirichlet
+
 
 @dataclass
 class FlowConfig:
@@ -38,14 +45,12 @@ class FlowConfig:
     r_max: float = 20.0
     bc: str = BC_NOFLUX
     dt_max: float = 0.01
-    dt_min: float = 1e-13
-    blowup_cap_mult: float = 1e3       # in units of kappa
     conv_tol: float = 1e-7
-    energy_slack: float = 1e-7
-    reaction_safety: float = 0.25      # fraction of scalar time-to-blow-up
-    positivity_monitor: bool = False
-    diag_r_frac: float = 0.6           # dtau diagnostics mask beyond this
-                                       # fraction of r_max under Dirichlet
+
+    def __post_init__(self):
+        if self.bc not in (BC_NOFLUX, BC_DIRICHLET):
+            raise ParameterError(f"boundary condition must be {BC_NOFLUX!r} "
+                                 f"or {BC_DIRICHLET!r}, got {self.bc!r}")
 
 
 @dataclass
@@ -147,8 +152,6 @@ def init_flow(initial: RadialProfile, cfg: Optional[FlowConfig] = None,
     w = initial.value(r).copy()
     if eigenfunction is not None and amplitude != 0.0:
         w = w + amplitude * np.asarray(eigenfunction(r), dtype=float)
-    if cfg.positivity_monitor and np.any(w < 0):
-        raise ValueError("positivity monitor enabled but initial data is negative")
     state = FlowState(params=initial.params, cfg=cfg, tau=0.0, r=r, w=w,
                       dt=cfg.dt_max, machinery=mach)
     state.history.append((0.0, w.copy()))
@@ -190,18 +193,17 @@ def _try_step(state: FlowState, dt: float) -> Optional[np.ndarray]:
 def step(state: FlowState, enforce_energy: bool = True) -> FlowState:
     """One adaptive step; halves dt on in-step blow-up or energy increase."""
     p = state.params.p
-    kap = state.params.kappa
     sup = float(np.abs(state.w).max())
     dt = state.cfg.dt_max
     if sup > 0.0:
         v_sup = sup ** (1.0 - p)
-        dt = min(dt, state.cfg.reaction_safety * v_sup / (p - 1.0))
+        dt = min(dt, REACTION_SAFETY * v_sup / (p - 1.0))
     e_before = energy_of_state(state) if enforce_energy else 0.0
-    while dt >= state.cfg.dt_min:
+    while dt >= DT_MIN:
         w_new = _try_step(state, dt)
         if w_new is not None and np.all(np.isfinite(w_new)):
             if not enforce_energy or \
-                    energy_of_state(state, w_new) <= e_before + state.cfg.energy_slack:
+                    energy_of_state(state, w_new) <= e_before + ENERGY_SLACK:
                 state.w = w_new
                 state.tau += dt
                 state.dt = dt
@@ -230,7 +232,7 @@ def dtau_estimate(state: FlowState) -> Optional[np.ndarray]:
     wts = fornberg_weights(taus[-1], taus, 1)[1]
     out = wts[0] * ws[0] + wts[1] * ws[1] + wts[2] * ws[2]
     if state.cfg.bc == BC_DIRICHLET:
-        keep = state.r <= state.cfg.diag_r_frac * state.cfg.r_max
+        keep = state.r <= DIAG_R_FRAC * state.cfg.r_max
         out = out[keep]
     return out
 
@@ -239,17 +241,15 @@ def run(state: FlowState, tau_max: float, max_steps: int = 200000) -> FlowReport
     """Step until blow-up, convergence, or tau_max; collects diagnostics."""
     params, cfg = state.params, state.cfg
     p, kap = params.p, params.kappa
-    cap = cfg.blowup_cap_mult * kap
+    cap = BLOWUP_CAP_MULT * kap
     cols = {k: [] for k in ("tau", "sup_norm", "weighted_avg", "energy",
                             "dt", "min_dtau_w")}
     criterion_exceeded = False
     min_dtau_overall = math.inf
     outcome, tau1 = OUTCOME_MAXTIME, None
 
-    reaction_ratio = math.inf   # a-posteriori min of dtau_w / w^p (w > 0)
-
     def record():
-        nonlocal criterion_exceeded, min_dtau_overall, reaction_ratio
+        nonlocal criterion_exceeded, min_dtau_overall
         cols["tau"].append(state.tau)
         cols["sup_norm"].append(float(np.abs(state.w).max()))
         avg = weighted_average(state)
@@ -261,11 +261,6 @@ def run(state: FlowState, tau_max: float, max_steps: int = 200000) -> FlowReport
         cols["min_dtau_w"].append(mval)
         if not math.isnan(mval):
             min_dtau_overall = min(min_dtau_overall, mval)
-            w_free = state.w[:len(dtau)]
-            pos = w_free > 1e-8
-            if np.any(pos):
-                ratio = float(np.min(dtau[pos] / w_free[pos] ** p))
-                reaction_ratio = min(reaction_ratio, ratio)
         if avg > kap + 1e-12:
             criterion_exceeded = True
 
@@ -304,8 +299,6 @@ def run(state: FlowState, tau_max: float, max_steps: int = 200000) -> FlowReport
                         min_dtau_w=None if math.isinf(min_dtau_overall)
                         else min_dtau_overall,
                         bc=cfg.bc, flags=flags)
-    report.series["reaction_ratio_min"] = np.array(
-        [reaction_ratio if not math.isinf(reaction_ratio) else math.nan])
     if outcome == OUTCOME_BLEWUP:
         report.blowup_location = float(state.r[int(np.argmax(np.abs(state.w)))])
         sup = report.series["sup_norm"]
@@ -345,7 +338,7 @@ class FlowSummary:
     max_energy_increase: float
 
 
-def flow_diagnostics(report: FlowReport, energy_slack: float = 1e-7) -> FlowSummary:
+def flow_diagnostics(report: FlowReport) -> FlowSummary:
     """Post-run summary: monotonicity, type-I data, compactness check."""
     e = report.series["energy"]
     increases = np.diff(e)
@@ -357,7 +350,7 @@ def flow_diagnostics(report: FlowReport, energy_slack: float = 1e-7) -> FlowSumm
                        type1_indicator=report.type1_indicator,
                        blowup_location=report.blowup_location,
                        outer_sup=outer_sup,
-                       energy_monotone=bool(max_inc <= energy_slack),
+                       energy_monotone=bool(max_inc <= ENERGY_SLACK),
                        max_energy_increase=max_inc)
 
 
@@ -377,9 +370,7 @@ class PerturbationReport:
 def entropy_perturbation_experiment(profile: RadialProfile,
                                     s_values=(0.01, -0.01, 0.05, -0.05),
                                     run_flow_for: Optional[float] = 0.05,
-                                    eig_resolution: int = 4000,
-                                    flow_cfg: Optional[FlowConfig] = None,
-                                    normalization: str = "sup"
+                                    flow_cfg: Optional[FlowConfig] = None
                                     ) -> PerturbationReport:
     """Entropy drop along the ground-state direction, plus the blow-up run.
 
@@ -388,25 +379,18 @@ def entropy_perturbation_experiment(profile: RadialProfile,
     from the perturbed data and its outcome recorded together with the final
     resolved Lyapunov energy against the constant's energy.
 
-    normalization: "sup" rescales the direction to unit sup norm so s is a
-    direct amplitude relative to the profile (the ground state of a strongly
-    unstable profile is sharply concentrated, so unit-L2 perturbations at
-    finite s can leave the small-perturbation regime entirely); "l2" keeps
-    the eigenfunction's unit weighted-L2 normalization.
+    The direction is rescaled to unit sup norm so s is a direct amplitude
+    relative to the profile (the ground state of a strongly unstable profile
+    is sharply concentrated, so unit-L2 perturbations at finite s can leave
+    the small-perturbation regime entirely).
     """
     from .core import KIND_TABULATED
     from .functionals import energy, entropy
     from .spectrum import first_eigenfunction
 
     params = profile.params
-    lam1, f_raw, _ = first_eigenfunction(profile, resolution=eig_resolution)
-    if normalization == "sup":
-        probe = np.linspace(0.0, 20.0, 4001)
-        scale = float(np.abs(f_raw(probe)).max())
-    elif normalization == "l2":
-        scale = 1.0
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
+    lam1, f_raw, _ = first_eigenfunction(profile, resolution=4000)
+    scale = float(np.abs(f_raw(np.linspace(0.0, 20.0, 4001))).max())
     df_raw = f_raw.derivative()
     f = lambda r: f_raw(r) / scale
     df = lambda r: df_raw(r) / scale

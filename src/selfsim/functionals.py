@@ -35,7 +35,6 @@ class FunctionalReport:
     pohozaev_residual: float = math.nan
     mass_balance_residual: float = math.nan   # multiply by w rho, integrate
     moment_balance_residual: float = math.nan  # |y|^2-weighted balance
-    direction_residual: float = math.nan       # odd first-moment balance
     scale: float = math.nan
     flags: list = field(default_factory=list)
 
@@ -211,11 +210,11 @@ def entropy(profile: RadialProfile, search: Optional[EntropySearch] = None,
 
 def identities(profile: RadialProfile,
                rule: Optional[QuadratureRule] = None) -> FunctionalReport:
-    """Residuals of the four stationary integral identities.
+    """Residuals of the three stationary integral identities.
 
     All residuals are reported relative to the largest constituent integral.
-    The odd-moment (direction) identity vanishes termwise for radial
-    profiles; it is still assembled from its three moments.
+    (The odd first-moment identity holds termwise for radial profiles, so it
+    is not reported.)
     """
     if rule is None:
         rule = default_rule(profile)
@@ -233,10 +232,6 @@ def identities(profile: RadialProfile,
     moment_balance = ((2.0 - n) / 2.0 * grad2 - n / (2.0 * (p - 1.0)) * mass
                       + n / (p + 1.0) * pot + 0.25 * y2grad2
                       + y2mass / (4.0 * (p - 1.0)) - y2pot / (2.0 * (p + 1.0)))
-    # first angular moment of y.e vanishes identically on radial profiles
-    odd_moment = 0.0
-    direction = 0.5 * grad2 * odd_moment - pot * odd_moment / (p + 1.0) \
-        + mass * odd_moment / (2.0 * (p - 1.0))
 
     e3 = 0.5 * grad2 + mass / (2.0 * (p - 1.0)) - pot / (p + 1.0)
     return FunctionalReport(
@@ -246,7 +241,6 @@ def identities(profile: RadialProfile,
         pohozaev_residual=pohozaev / scale,
         mass_balance_residual=mass_balance / scale,
         moment_balance_residual=moment_balance / scale,
-        direction_residual=direction / scale,
         scale=scale)
 
 

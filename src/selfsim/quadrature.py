@@ -23,13 +23,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ive, roots_genlaguerre, roots_jacobi
-
-from .specfun import log_gamma
+from scipy.special import ive, roots_genlaguerre
 
 RADIAL_GAUSS = "radial_gauss"
 RADIAL_COMPOSITE = "radial_composite"
-ANGULAR_LEGENDRE = "angular_legendre"
 
 
 class QuadratureError(ValueError):
@@ -43,7 +40,6 @@ class QuadratureRule:
     kind: str
     nodes: np.ndarray
     weights: np.ndarray
-    n_dim: int
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -55,7 +51,7 @@ class QuadratureRule:
 
 def _sphere_area(n: int) -> float:
     """Surface area of the unit sphere in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / math.exp(log_gamma(n / 2.0))
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def radial_rule(n: int, N: int) -> QuadratureRule:
@@ -64,8 +60,8 @@ def radial_rule(n: int, N: int) -> QuadratureRule:
         raise QuadratureError("radial_rule needs n >= 1 and N >= 2")
     s, ws = roots_genlaguerre(N, n / 2.0 - 1.0)
     nodes = 2.0 * np.sqrt(s)
-    weights = ws / math.exp(log_gamma(n / 2.0))
-    return QuadratureRule(RADIAL_GAUSS, nodes, weights, n,
+    weights = ws / math.gamma(n / 2.0)
+    return QuadratureRule(RADIAL_GAUSS, nodes, weights,
                           meta={"exact_even_degree": 4 * N - 2, "n_nodes": N})
 
 
@@ -89,24 +85,8 @@ def composite_rule(n: int, N: int = 1600, r_min: float = 1e-16,
     w[-1] *= 0.5
     # the trapezoid endpoint weights underflow harmlessly; keep them positive
     w = np.maximum(w, 1e-300)
-    return QuadratureRule(RADIAL_COMPOSITE, r, w, n,
+    return QuadratureRule(RADIAL_COMPOSITE, r, w,
                           meta={"r_min": r_min, "r_max": r_max, "n_nodes": N})
-
-
-def angular_rule(n: int, M: int = 48) -> QuadratureRule:
-    """Gauss-Jacobi rule in u = cos(theta) with the sphere Jacobian absorbed.
-
-    Integrates g against (1-u^2)^{(n-3)/2} on (-1, 1); used as the
-    quadrature-based validation route for the angular reduction (the
-    production path for offset integrals is the exact Bessel reduction).
-    """
-    if n < 2:
-        raise QuadratureError("angular reduction needs n >= 2")
-    alpha = (n - 3.0) / 2.0
-    u, w = roots_jacobi(M, alpha, alpha)
-    order = np.argsort(u)
-    return QuadratureRule(ANGULAR_LEGENDRE, u[order], w[order], n,
-                          meta={"n_nodes": M})
 
 
 def weighted_integral(rule: QuadratureRule, f: Callable) -> float:
@@ -120,30 +100,33 @@ def weighted_integral(rule: QuadratureRule, f: Callable) -> float:
     return float(np.dot(rule.weights, vals))
 
 
-def _angular_factor(n: int, c: np.ndarray) -> np.ndarray:
-    """S(c) = int_{-1}^{1} (1-u^2)^{(n-3)/2} e^{c (u-1)} du, for c >= 0."""
-    nu = (n - 2.0) / 2.0
-    s0 = math.sqrt(math.pi) * math.exp(log_gamma((n - 1) / 2.0) - log_gamma(n / 2.0))
-    c = np.asarray(c, dtype=float)
-    out = np.full_like(c, s0)
-    big = c > 1e-8
-    if np.any(big):
-        cb = c[big]
-        pref = math.sqrt(math.pi) * math.exp(log_gamma((n - 1) / 2.0))
-        out[big] = pref * (2.0 / cb) ** nu * ive(nu, cb)
-    return out
+def _offset_weights(nodes: np.ndarray, gw: np.ndarray, b: float, a: float,
+                    n: int) -> np.ndarray:
+    """Weights of int f(|y|) G(y - x0, -a) dy on radial nodes, |x0| = b.
 
-
-def _angular_factor_rule(rule_ang: QuadratureRule, c: np.ndarray) -> np.ndarray:
-    u = rule_ang.nodes[None, :]
-    return np.sum(rule_ang.weights[None, :] * np.exp(np.asarray(c)[:, None] * (u - 1.0)),
-                  axis=1)
+    r^{n-1} times the Gaussian in |y| - b times the angular average
+    S(c) = int_{-1}^{1} (1-u^2)^{(n-3)/2} e^{c (u-1)} du, c = r b / (2a),
+    which is a scaled modified Bessel function; below c = 1e-8 it is
+    S(0) e^{-c} up to a relative c^2/(2n).  In one dimension the "sphere" is
+    the two points u = +-1.
+    """
+    c = nodes * b / (2.0 * a)
+    if n == 1:
+        ang, coef = 1.0 + np.exp(-2.0 * c), 1.0
+    else:
+        nu = (n - 2.0) / 2.0
+        pref = math.sqrt(math.pi) * math.gamma((n - 1) / 2.0)
+        small = c <= 1e-8
+        cb = np.where(small, 1.0, c)
+        ang = np.where(small, pref / math.gamma(n / 2.0) * np.exp(-c),
+                       pref * (2.0 / cb) ** nu * ive(nu, cb))
+        coef = _sphere_area(n - 1)
+    return ((4.0 * math.pi * a) ** (-n / 2.0) * coef * gw * nodes ** (n - 1)
+            * np.exp(-(nodes - b) ** 2 / (4.0 * a)) * ang)
 
 
 def offset_integral_many(fs: Sequence[Callable], x0_norm: float, t0: float,
                          n: int, rule_r: QuadratureRule | None = None,
-                         rule_ang: QuadratureRule | None = None,
-                         angular: str = "bessel",
                          n_panel: int = 16, n_gl: int = 24) -> np.ndarray:
     """Batched int f(|y|) G(y-x0, t0) dy for radial integrands fs.
 
@@ -162,26 +145,9 @@ def offset_integral_many(fs: Sequence[Callable], x0_norm: float, t0: float,
         rule = rule_r if rule_r is not None else composite_rule(n)
         return np.array([weighted_integral(rule, lambda r, f=f: f(sa * r))
                          for f in fs])
-    if n == 1:
-        # two half-lines collapse the angular direction
-        grid, gw = _panel_nodes(max(0.0, b - 16 * sa), b + 16 * sa, n_panel, n_gl)
-        kern = (np.exp(-(grid - b) ** 2 / (4 * a)) + np.exp(-(grid + b) ** 2 / (4 * a)))
-        base = gw * kern / math.sqrt(4 * math.pi * a)
-        return np.array([float(np.dot(base, f(grid))) for f in fs])
-    r_lo = max(0.0, b - 16.0 * sa)
-    r_hi = b + 16.0 * sa
-    grid, gw = _panel_nodes(r_lo, r_hi, n_panel, n_gl)
-    c = grid * b / (2.0 * a)
-    if angular == "bessel":
-        S = _angular_factor(n, c)
-    elif angular == "rule":
-        if rule_ang is None:
-            rule_ang = angular_rule(n)
-        S = _angular_factor_rule(rule_ang, c)
-    else:
-        raise QuadratureError(f"unknown angular mode {angular!r}")
-    coef = (4.0 * math.pi * a) ** (-n / 2.0) * _sphere_area(n - 1)
-    base = coef * gw * grid ** (n - 1) * np.exp(-(grid - b) ** 2 / (4.0 * a)) * S
+    grid, gw = _panel_nodes(max(0.0, b - 16.0 * sa), b + 16.0 * sa,
+                            n_panel, n_gl)
+    base = _offset_weights(grid, gw, b, a, n)
     out = np.empty(len(fs))
     for i, f in enumerate(fs):
         vals = np.asarray(f(grid), dtype=float)
@@ -189,15 +155,6 @@ def offset_integral_many(fs: Sequence[Callable], x0_norm: float, t0: float,
             raise QuadratureError("offset integrand is not finite on the window")
         out[i] = float(np.dot(base, vals))
     return out
-
-
-def offset_integral(rule_r: QuadratureRule, rule_ang: QuadratureRule | None,
-                    f: Callable, x0_norm: float, t0: float,
-                    angular: str = "bessel") -> float:
-    """int f(|y|) G(y - x0, t0) dy; see offset_integral_many."""
-    n = rule_r.n_dim
-    return float(offset_integral_many([f], x0_norm, t0, n, rule_r=rule_r,
-                                      rule_ang=rule_ang, angular=angular)[0])
 
 
 def _gl_panels(edges: np.ndarray, n_gl: int):
@@ -212,12 +169,3 @@ def _gl_panels(edges: np.ndarray, n_gl: int):
 
 def _panel_nodes(lo: float, hi: float, n_panel: int, n_gl: int):
     return _gl_panels(np.linspace(lo, hi, n_panel + 1), n_gl)
-
-
-def convergence_certificate(make_rule: Callable[[int], QuadratureRule],
-                            f: Callable, N: int) -> dict:
-    """Relative change of the integral when the node count doubles."""
-    v1 = weighted_integral(make_rule(N), f)
-    v2 = weighted_integral(make_rule(2 * N), f)
-    denom = max(abs(v1), abs(v2), 1e-300)
-    return {"value": v2, "coarse": v1, "rel_change": abs(v2 - v1) / denom}

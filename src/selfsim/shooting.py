@@ -172,11 +172,6 @@ def _tail_label(params: Parameters, r_end: float, dense, a: float) -> str:
     return INCONCLUSIVE
 
 
-def classify(traj: OdeTrajectory) -> str:
-    """Classification of a trajectory (assigned during integration)."""
-    return traj.classification
-
-
 def scan_initial_values(params: Parameters, a_values,
                         r_max: float = 30.0, tol: float = 1e-10) -> list:
     """Classify a grid of initial heights; returns (a, label, departure) rows."""

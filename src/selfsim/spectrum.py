@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -26,7 +26,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .core import KIND_SINGULAR, RadialProfile
 from .numerics import derivative_on_grid
-from .specfun import log_gamma
+from .quadrature import _sphere_area
 
 
 class SpectrumError(RuntimeError):
@@ -73,12 +73,6 @@ class EigenResult:
     meta: dict = field(default_factory=dict)
 
 
-def _volume_normalizer(n: int) -> float:
-    """(4 pi)^{-n/2} * area(S^{n-1})."""
-    return (4.0 * math.pi) ** (-n / 2.0) * 2.0 * math.pi ** (n / 2.0) \
-        / math.exp(log_gamma(n / 2.0))
-
-
 def build_sector(profile: RadialProfile, ell: int, resolution: int = 3000,
                  r_max: float = 20.0) -> SectorOperator:
     """Symmetric tridiagonal discretization of -L restricted to sector l."""
@@ -104,9 +98,10 @@ def build_sector(profile: RadialProfile, ell: int, resolution: int = 3000,
     diag_flux = -(m_face[:-1] + m_face[1:]) / h**2
     d_sym = -(diag_flux / m_cell + V)
     e_sym = -lower / np.sqrt(m_cell[:-1] * m_cell[1:])
-    # rho-weighted cell measure in the original dimension (u = r^l v absorbs
-    # the r^{2l} factor, so the n_eff measure is exactly the sector measure)
-    measure = _volume_normalizer(n) * m_cell * h
+    # rho-weighted cell measure in the original dimension n: it weighs the
+    # sector function u = r^l v, so it lacks the r^{2l} of the n_eff weight
+    measure = (4.0 * math.pi) ** (-n / 2.0) * _sphere_area(n) \
+        * r ** (n - 1) * np.exp(-r**2 / 4.0) * h
     return SectorOperator(ell=ell, params=params, r=r, h=h, d_sym=d_sym,
                           e_sym=e_sym, sqrt_measure=np.sqrt(m_cell),
                           measure=measure, potential=pot, n_eff=n_eff,

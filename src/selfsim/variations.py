@@ -22,9 +22,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import RadialProfile
-from .quadrature import (QuadratureRule, _angular_factor, _gl_panels,
-                         _sphere_area, weighted_integral)
-from .functionals import default_rule
+from .quadrature import (QuadratureRule, _gl_panels, _offset_weights,
+                         weighted_integral)
+from .functionals import _core_integrals, default_rule
 from .shooting import ode_residual
 
 
@@ -51,7 +51,7 @@ def gaussian_bump(c: float, r0: float, sigma: float) -> Variation:
     return Variation(phi=phi, dphi=dphi)
 
 
-def random_variations(count: int, seed: int = 0, with_path: bool = True) -> list:
+def random_variations(count: int, seed: int = 0) -> list:
     """Seeded batch of bump variations with randomized path data."""
     rng = np.random.default_rng(seed)
     out = []
@@ -60,11 +60,10 @@ def random_variations(count: int, seed: int = 0, with_path: bool = True) -> list
         r0 = rng.uniform(0.0, 4.0)
         sigma = rng.uniform(0.5, 2.0)
         v = gaussian_bump(c, r0, sigma)
-        if with_path:
-            v.h = rng.uniform(-1.0, 1.0)
-            v.y0 = rng.uniform(-1.5, 1.5)
-            v.h2 = rng.uniform(-0.5, 0.5)
-            v.y02 = rng.uniform(-0.5, 0.5)
+        v.h = rng.uniform(-1.0, 1.0)
+        v.y0 = rng.uniform(-1.5, 1.5)
+        v.h2 = rng.uniform(-0.5, 0.5)
+        v.y02 = rng.uniform(-0.5, 0.5)
         out.append(v)
     return out
 
@@ -95,22 +94,20 @@ def first_variation(profile: RadialProfile, var: Variation,
     phi, dphi = var.phi, var.dphi
     h = var.h
 
-    grad2 = weighted_integral(rule, lambda r: dw(r) ** 2)
-    pot = weighted_integral(rule, lambda r: np.abs(w(r)) ** (p + 1.0))
-    mass = weighted_integral(rule, lambda r: w(r) ** 2)
+    grad2, mass, pot = _core_integrals(profile, rule)
     cross_grad = weighted_integral(rule, lambda r: dw(r) * dphi(r))
     cross_pot = weighted_integral(rule, lambda r: np.abs(w(r)) ** (p - 1.0) * w(r) * phi(r))
     cross_mass = weighted_integral(rule, lambda r: w(r) * phi(r))
     # moment kernel nh/2 + (y.y0)/2 - h|y|^2/4; odd part drops on radial pairs
-    mom = lambda f: h * (0.5 * n * weighted_integral(rule, f)
-                         - 0.25 * weighted_integral(rule, lambda r: r**2 * f(r)))
+    mom = lambda total, f: h * (0.5 * n * total - 0.25 * weighted_integral(
+        rule, lambda r: r**2 * f(r)))
     out = (-(p + 1.0) / (2.0 * (p - 1.0)) * h * grad2
            + h / (p - 1.0) * pot
            - h / (p - 1.0) ** 2 * mass
            + cross_grad - cross_pot + cross_mass / (p - 1.0)
-           + 0.5 * mom(lambda r: dw(r) ** 2)
-           - mom(lambda r: np.abs(w(r)) ** (p + 1.0)) / (p + 1.0)
-           + 0.5 * mom(lambda r: w(r) ** 2) / (p - 1.0))
+           + 0.5 * mom(grad2, lambda r: dw(r) ** 2)
+           - mom(pot, lambda r: np.abs(w(r)) ** (p + 1.0)) / (p + 1.0)
+           + 0.5 * mom(mass, lambda r: w(r) ** 2) / (p - 1.0))
     return float(out)
 
 
@@ -181,15 +178,10 @@ def general_second_variation_fd(profile: RadialProfile, var: Variation,
     nodes, gw = _gl_panels(edges, 24)
     wv, dwv = profile.value(nodes), profile.deriv(nodes)
     ph, dph = var.phi(nodes), var.dphi(nodes)
-    geo = nodes ** (n - 1)
-    coef_ang = _sphere_area(n - 1)
 
     def F(s: float) -> float:
         b, a = b_of(s), -t_of(s)
-        c = nodes * b / (2.0 * a)
-        S = _angular_factor(n, c)
-        base = ((4.0 * math.pi * a) ** (-n / 2.0) * coef_ang * gw * geo
-                * np.exp(-(nodes - b) ** 2 / (4.0 * a)) * S)
+        base = _offset_weights(nodes, gw, b, a, n)
         W, DW = wv + s * ph, dwv + s * dph
         grad2 = float(np.dot(base, DW**2))
         pot = float(np.dot(base, np.abs(W) ** (p + 1.0)))
@@ -209,19 +201,19 @@ class StabilityReport:
     margin: float
     second_variation_value: float = math.nan
     orthogonality_scale: float = math.nan
-    orthogonality_translation: float = math.nan
     details: dict = field(default_factory=dict)
 
 
-def stability_report(profile: RadialProfile, eig0, eig1=None,
+def stability_report(profile: RadialProfile, eig0,
                      rule: Optional[QuadratureRule] = None,
                      tol: float = 1e-6) -> StabilityReport:
     """Stability verdict from the radial ground state.
 
     Nonconstant profiles with lambda_1 < -1 (beyond tol) get the
-    destabilizing direction f with the orthogonality certificates
-    <f, Lam(w)> = 0 and <f, w' (l=1)> = 0 and the resulting negative second
-    variation.  The positive constant is stable modulo translations after
+    destabilizing direction f with the orthogonality certificate
+    <f, Lam(w)> = 0 and the resulting negative second variation (f is
+    radial, so it is orthogonal to the l = 1 translation mode w' by
+    symmetry).  The positive constant is stable modulo translations after
     removing the mean mode with the optimal time reparametrization; zero is
     stable outright.
     """
@@ -253,13 +245,10 @@ def stability_report(profile: RadialProfile, eig0, eig1=None,
     f = eig0.funcs[0]
     lam_call = _lambda_call(profile)
     ortho_scale = weighted_integral(rule, lambda r: f(r) * lam_call(r))
-    # f is radial (l=0) and dw.y0 lives in the l=1 sector: exactly orthogonal
-    ortho_trans = 0.0
     var = Variation(phi=f, dphi=f.derivative(), h=0.3, y0=0.7)
     sv = second_variation(profile, var, rule=rule)
     return StabilityReport(verdict="unstable", lambda_1=lam1,
                            margin=-(lam1 + 1.0),
                            second_variation_value=sv,
                            orthogonality_scale=float(ortho_scale),
-                           orthogonality_translation=ortho_trans,
                            details={"direction": "radial ground state"})

@@ -79,6 +79,14 @@ def test_subcritical_flag_rejected(tmp_path):
     assert rc == 2
 
 
+def test_flow_rejects_unknown_boundary_condition(tmp_path, capsys):
+    rc = main(["--out", str(tmp_path), "flow", "--n", "3", "--p", "3",
+               "--init", "const:1.0", "--bc", "bogus"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "flow.json").exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 3, "p": 3.0, "bogus_key": 1}))

@@ -77,6 +77,29 @@ def test_phi_convex_decreasing_positive():
         assert np.all(np.diff(phis) < 1e-12)
 
 
+def test_phi_diagnostics_against_mpmath():
+    # phi, phi', phi'' from 40-digit log-Gamma and polygamma; the terms are
+    # compared at the scale of the largest constituent (phi -> 0 at large x
+    # by cancellation between log-Gamma values of size x ln x)
+    with mp.workdps(40):
+        for alpha in (0.3, 1.0, 2.6):
+            for x in (1.05 + alpha, 1.5 + alpha, 4.0, 17.3, 150.0):
+                if not x > 1.0 + alpha:
+                    continue
+                shift = mp.mpf(x) - 1 - alpha
+                half = mp.mpf(x) - 1 - mp.mpf(alpha) / 2
+                exact = (mp.loggamma(shift) - mp.loggamma(x)
+                         + (1 + alpha) * mp.log(half),
+                         mp.psi(0, shift) - mp.psi(0, x) + (1 + alpha) / half,
+                         mp.psi(1, shift) - mp.psi(1, x) - (1 + alpha) / half**2)
+                scales = (max(1.0, abs(float(mp.loggamma(x)))),
+                          max(1.0, abs(float(mp.psi(0, shift)))),
+                          max(1.0, float(mp.psi(1, shift))))
+                for got, want, scale in zip(phi_diagnostics(x, alpha), exact,
+                                            scales):
+                    assert abs(got - float(want)) <= 1e-13 * scale
+
+
 def test_phi_vanishes_at_infinity():
     phi, _, _ = phi_diagnostics(200.0, 1.0)
     assert abs(phi) <= 1e-2

@@ -18,9 +18,6 @@ def test_make_params_rejects_bad_inputs():
         make_params(0, 3.0)
     with pytest.raises(ParameterError):
         make_params(3, 1.0)
-    with pytest.raises(ParameterError):
-        make_params(3, 3.0, m=0.5)  # below kappa = 0.7071
-    make_params(3, 3.0, m=1.5)
 
 
 def test_kappa_values():

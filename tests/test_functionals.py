@@ -122,7 +122,6 @@ def test_identities_kappa_all_zero():
     assert abs(rep.pohozaev_residual) < 1e-13
     assert abs(rep.mass_balance_residual) < 1e-13
     assert abs(rep.moment_balance_residual) < 1e-13
-    assert rep.direction_residual == 0.0
 
 
 def test_identities_singular_profile():

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from selfsim.core import make_params, singular_profile
-from selfsim.quadrature import (QuadratureError, angular_rule, composite_rule,
-                                convergence_certificate, offset_integral,
+from selfsim.quadrature import (QuadratureError, composite_rule,
                                 offset_integral_many, radial_rule,
                                 weighted_integral)
 
@@ -67,6 +67,30 @@ def test_composite_rule_handles_singular_profile_energy_integrand():
     assert val == pytest.approx(16.0 / 60.0, rel=1e-11)
 
 
+def convergence_certificate(make_rule, f, N: int) -> dict:
+    """Relative change of the integral when the node count doubles."""
+    v1 = weighted_integral(make_rule(N), f)
+    v2 = weighted_integral(make_rule(2 * N), f)
+    return {"rel_change": abs(v2 - v1) / max(abs(v1), abs(v2), 1e-300)}
+
+
+def offset_by_angular_rule(f, b: float, t0: float, n: int, M: int = 64) -> float:
+    """int f(|y|) G(y - x0, t0) dy with the angular direction done by a
+    Gauss-Jacobi rule in u = cos(theta) (weight (1-u^2)^{(n-3)/2}) and the
+    radial one by one Gauss-Legendre rule on the kernel window."""
+    a = -t0
+    u, wu = roots_jacobi(M, (n - 3.0) / 2.0, (n - 3.0) / 2.0)
+    lo, hi = max(0.0, b - 16.0 * math.sqrt(a)), b + 16.0 * math.sqrt(a)
+    x, wx = np.polynomial.legendre.leggauss(400)
+    r = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    wr = 0.5 * (hi - lo) * wx
+    ang = np.exp(np.outer(r * b / (2.0 * a), u - 1.0)) @ wu
+    area = 2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
+    kern = (4.0 * math.pi * a) ** (-n / 2.0) * area * r ** (n - 1) \
+        * np.exp(-(r - b) ** 2 / (4.0 * a)) * ang
+    return float(np.dot(wr * kern, f(r)))
+
+
 def test_doubling_certificate_smooth_integrand():
     cert = convergence_certificate(lambda N: composite_rule(3, N=N),
                                    lambda r: np.exp(-r) * (1 + r**2), 1600)
@@ -101,26 +125,27 @@ def test_offset_reduces_to_weighted_at_zero_offset():
     for _ in range(20):
         c0, c1, s = rng.uniform(0.2, 2.0, size=3)
         f = lambda r, c0=c0, c1=c1, s=s: c0 * np.exp(-s * r) + c1 / (1.0 + r**2)
-        direct = offset_integral(rule, None, f, 0.0, -1.0)
+        direct = offset_integral_many([f], 0.0, -1.0, n, rule_r=rule)[0]
         ref = weighted_integral(rule, f)
         assert direct == pytest.approx(ref, rel=1e-12)
     # scale consistency at t0 != -1: weighted integral with rescaled radius
     t0 = -0.37
     f = lambda r: np.exp(-r)
-    direct = offset_integral(rule, None, f, 0.0, t0)
+    direct = offset_integral_many([f], 0.0, t0, n, rule_r=rule)[0]
     ref = weighted_integral(rule, lambda r: f(math.sqrt(-t0) * r))
     assert direct == pytest.approx(ref, rel=1e-12)
 
 
 def test_offset_nonzero_matches_bessel_free_route():
-    # angular reduction via the Gauss-Jacobi rule agrees with the Bessel path
-    # (valid where the exponent c = r b / (2a) stays moderate)
+    # angular reduction via a Gauss-Jacobi rule agrees with the Bessel path
+    # (valid where the exponent c = r b / (2a) stays moderate); the tiny
+    # offset puts the inner nodes below the c = 1e-8 switch to S(0) e^{-c}
+    f = lambda r: np.exp(-0.8 * r)
     for n in (2, 3, 4, 7):
-        rule_ang = angular_rule(n, 64)
-        f = lambda r: np.exp(-0.8 * r)
-        v_b = offset_integral_many([f], 0.7, -1.0, n, angular="bessel")[0]
-        v_r = offset_integral_many([f], 0.7, -1.0, n, rule_ang=rule_ang, angular="rule")[0]
-        assert v_b == pytest.approx(v_r, rel=1e-11)
+        for b in (0.7, 1e-7):
+            v_b = offset_integral_many([f], b, -1.0, n)[0]
+            assert v_b == pytest.approx(offset_by_angular_rule(f, b, -1.0, n),
+                                        rel=1e-11)
 
 
 def test_offset_smooth_function_random_cross_checks():
@@ -131,8 +156,8 @@ def test_offset_smooth_function_random_cross_checks():
     for _ in range(20):
         amp, scale, shift = rng.uniform(0.3, 1.5, size=3)
         f = lambda r, a=amp, s=scale, c=shift: a * np.exp(-s * (r - c) ** 2 / (1 + r))
-        assert offset_integral(rule, None, f, 0.0, -1.0) == pytest.approx(
-            weighted_integral(rule, f), rel=1e-9)
+        assert offset_integral_many([f], 0.0, -1.0, n, rule_r=rule)[0] \
+            == pytest.approx(weighted_integral(rule, f), rel=1e-9)
 
 
 def test_offset_rejects_bad_t0():

@@ -6,7 +6,7 @@ from selfsim.fixtures import (A_STAR_REFERENCE, REGRESSION_LABELS,
                               SHOOTING_BRACKETS, SUBCRITICAL_SCAN,
                               supercritical_scan_grid)
 from selfsim.shooting import (DECAYING, GROWING, INCONCLUSIVE_CONSTANT,
-                              SIGN_CHANGING, ShootingError, classify,
+                              SIGN_CHANGING, ShootingError,
                               find_brackets, integrate_radial, ode_residual,
                               scan_initial_values, shoot)
 
@@ -21,7 +21,7 @@ def profile37():
 
 def test_constant_start_is_inconclusive_constant():
     traj = integrate_radial(make_params(3, 3.0), (0.5) ** 0.5, tol=1e-10)
-    assert classify(traj) == INCONCLUSIVE_CONSTANT
+    assert traj.classification == INCONCLUSIVE_CONSTANT
     assert traj.departure == 0
 
 
@@ -33,7 +33,7 @@ def test_zero_start_stays_zero():
 def test_regression_label_midrange_height():
     a = 1.5 * P37.kappa
     traj = integrate_radial(P37, a, tol=1e-12)
-    assert classify(traj) == REGRESSION_LABELS[(3, 7.0, "a=1.5kappa")]
+    assert traj.classification == REGRESSION_LABELS[(3, 7.0, "a=1.5kappa")]
     assert traj.departure == -1
 
 
@@ -41,8 +41,8 @@ def test_departure_flip_across_recorded_bracket():
     a_lo, a_hi = SHOOTING_BRACKETS[(3, 7.0)]
     lo = integrate_radial(P37, a_lo, tol=1e-12)
     hi = integrate_radial(P37, a_hi, tol=1e-12)
-    assert classify(lo) == SIGN_CHANGING and lo.departure == -1
-    assert classify(hi) == GROWING and hi.departure == +1
+    assert lo.classification == SIGN_CHANGING and lo.departure == -1
+    assert hi.classification == GROWING and hi.departure == +1
 
 
 def test_shoot_finds_decaying_profile(profile37):

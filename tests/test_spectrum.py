@@ -50,11 +50,18 @@ def test_doubling_certificate_small():
 
 
 def test_eigenfunctions_orthonormal():
+    # int u_j u_k rho = delta_jk in every sector, with rho the n-dimensional
+    # weight (sector functions u = r^l v, not v, are normalized)
     prof = constant_profile(P33, "+")
-    op = build_sector(prof, 0, resolution=2000)
-    res = eigen_smallest(op, 4, refine=True, profile=prof)
-    G = res.samples @ (op.measure[None, :] * res.samples).T
-    assert np.max(np.abs(G - np.eye(4))) < 1e-8
+    rho = composite_rule(P33.n)
+    for ell in (0, 1):
+        op = build_sector(prof, ell, resolution=2000)
+        res = eigen_smallest(op, 4, refine=True, profile=prof)
+        G = res.samples @ (op.measure[None, :] * res.samples).T
+        assert np.max(np.abs(G - np.eye(4))) < 1e-8
+        norms = [weighted_integral(rho, lambda r, f=f: f(r) ** 2)
+                 for f in res.funcs]
+        assert np.allclose(norms, 1.0, atol=1e-6)
 
 
 def test_rayleigh_quotient_matches_lambda1():
