@@ -1,7 +1,8 @@
 """Experiment runner: every module behind one subcommand, with JSON
 summaries and CSV series for plotting.
 
-Exit codes: 0 success, 1 a numerical check failed, 2 usage/config error.
+Exit codes: 0 success, 1 a numerical check failed (a failed shot prints
+`error: ...`), 2 usage/config error.
 Config files are JSON with the same keys as the flags; flags override file
 values; unknown keys are rejected.  Every JSON summary embeds the config
 hash and a stable quantity identifier for each reported number.
@@ -28,7 +29,7 @@ from .flow import (BC_NOFLUX, OUTCOME_BLEWUP, FlowConfig,
                    entropy_perturbation_experiment, flow_diagnostics,
                    init_flow, run as flow_run)
 from .functionals import energy, entropy, f_functional, identities
-from .shooting import find_brackets, integrate_radial, shoot
+from .shooting import ShootingError, shoot
 from .spectrum import build_sector, eigen_smallest, first_eigenfunction
 from .variations import stability_report
 
@@ -455,6 +456,9 @@ def main(argv=None) -> int:
     except (UsageError, ParameterError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except ShootingError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     summary["config"] = {k: v for k, v in cfg.items() if k != "out"}
     summary["config_hash"] = _config_hash(summary["config"])
     out = _emit(cfg.get("out", "selfsim_out"), args.command.replace("-", "_"),

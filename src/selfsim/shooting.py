@@ -5,20 +5,32 @@ The initial value problem
     w'' + ((n-1)/r - r/2) w' - w/(p-1) + |w|^{p-1} w = 0,
     w(0) = a,  w'(0) = 0
 
-is integrated with an adaptive Dormand-Prince scheme from a second-order
+is integrated with scipy's adaptive DOP853 scheme from a second-order
 Taylor start at r = eps.  Away from a discrete set of initial heights a the
 trajectory leaves the decaying envelope w ~ C r^{-2/(p-1)} either downward
 (it crosses zero) or upward (positive local minimum in the tail regime,
-followed by a large excursion).  Bisecting between the two departure
+followed by a large excursion).  Multisection between the two departure
 directions pins the bounded positive profile.
+
+Departures alone are decided by a private lane kernel that integrates a
+vector of heights at once as numpy arrays.  Each lane repeats
+``solve_ivp(method="DOP853")``'s steps: the same tableau and initial step,
+the same error norm and step-size controller, the same two-phase
+``max_step`` schedule and the same event rule at accepted-step ends.  It
+stores no trajectory.  Lanes whose label needs the tail (no event by
+``r_max``), lanes where the solver fails, lanes where two events fire in one
+step, zero heights and exact equilibria go through ``integrate_radial``,
+the one trajectory and dense-output path.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
+# private scipy module: the DOP853 tableau and controller factors that
+# solve_ivp itself steps with, so the lane kernel cannot drift from it
+from scipy.integrate._ivp.rk import DOP853, MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .core import (KIND_SHOOTING, Parameters, RadialProfile)
 from .numerics import derivative_on_grid
@@ -28,6 +40,21 @@ SIGN_CHANGING = "sign_changing"
 GROWING = "growing"
 INCONCLUSIVE = "inconclusive"
 INCONCLUSIVE_CONSTANT = "inconclusive_constant"
+
+R_START = 1e-6     # radius of the Taylor start
+# step schedule: a small max_step through the core keeps the dense-output
+# interpolant accurate enough to difference (residual checks amplify
+# interpolation noise by 1/h); the tail tolerates a coarser cap
+R_SPLIT = 2.0
+MAX_STEP_CORE = 0.01
+MAX_STEP_TAIL = 0.05
+# events: a rebound is a local minimum of w below this fraction of kappa;
+# the cap is this multiple of max(|a|, kappa)
+REBOUND_FRACTION = 0.75
+CAP_MULT = 10.0
+EVENT_DIRECTIONS = np.array([0, 0, 1])    # zero, cap, rebound (EVENTS)
+# heights tried per multisection round of shoot
+SECTIONS = 15
 
 
 class ShootingError(RuntimeError):
@@ -56,6 +83,7 @@ class OdeTrajectory:
 
 
 def _rhs(n: int, p: float):
+    """Right-hand side for one state (2,) or a lane array (2, L)."""
     def rhs(r, y):
         w, dw = y
         return (dw,
@@ -64,57 +92,92 @@ def _rhs(n: int, p: float):
     return rhs
 
 
-def integrate_radial(params: Parameters, a: float, r_max: float = 30.0,
-                     tol: float = 1e-12, eps: float = 1e-6,
-                     rebound_threshold: float = 0.75,
-                     cap_mult: float = 10.0) -> OdeTrajectory:
-    """Integrate one shot and classify its departure from the decaying tail."""
-    if not np.isfinite(a):
+# terminal events, for one state or a lane array: w crosses zero, |w| reaches
+# the cap, or w has a local minimum inside the sub-kappa tail regime (rebound)
+EVENTS = (
+    lambda w, dw, cap, kap: w,
+    lambda w, dw, cap, kap: np.abs(w) - cap,
+    lambda w, dw, cap, kap: np.where((0.0 < w) & (w < REBOUND_FRACTION * kap),
+                                     dw, -1.0),
+)
+
+
+def _event_values(y, cap, kap):
+    """EVENTS at lane states y (2, L): one row per event."""
+    return np.array([ev(y[0], y[1], cap, kap) for ev in EVENTS])
+
+
+def _fired(g, g_new):
+    """solve_ivp's rule for events that fire between two accepted steps.
+
+    g, g_new: event values, one row per event and one column per lane.
+    """
+    up = (g <= 0) & (g_new >= 0)
+    down = (g >= 0) & (g_new <= 0)
+    d = EVENT_DIRECTIONS[:, None]
+    return up & (d >= 0) | down & (d <= 0)
+
+
+def _cap(a, kap):
+    return CAP_MULT * np.maximum(np.abs(a), kap)
+
+
+def _taylor_start(a, n, p, eps):
+    w2 = (a / (p - 1.0) - np.abs(a) ** (p - 1.0) * a) / n
+    return np.array([a + 0.5 * w2 * eps**2, w2 * eps])
+
+
+def _is_equilibrium(a: float, p: float) -> bool:
+    return (abs(a / (p - 1.0) - np.abs(a) ** (p - 1.0) * a)
+            <= 1e-13 * max(abs(a), 1e-30))
+
+
+def _check_inputs(a, tol: float) -> None:
+    if not np.all(np.isfinite(a)):
         raise ShootingError("initial height must be finite")
     if not (1e-14 < tol < 1e-4):
         raise ShootingError(f"tolerance {tol} outside the supported range")
+
+
+def _atol(tol: float) -> float:
+    return min(tol * 1e-2, 1e-14)
+
+
+def integrate_radial(params: Parameters, a: float, r_max: float = 30.0,
+                     tol: float = 1e-12, eps: float = R_START) -> OdeTrajectory:
+    """Integrate one shot and classify its departure from the decaying tail."""
+    _check_inputs(a, tol)
     n, p = params.n, params.p
     kap = params.kappa
-    # exact equilibria: label analytically instead of amplifying roundoff
-    if abs(a / (p - 1.0) - np.abs(a) ** (p - 1.0) * a) <= 1e-13 * max(abs(a), 1e-30):
+    # exact equilibria (a = 0 included): label analytically instead of
+    # amplifying roundoff
+    if _is_equilibrium(a, p):
         r = np.linspace(eps, r_max, 256)
         dense = lambda rr: (np.full_like(np.asarray(rr, float), a),
                             np.zeros_like(np.asarray(rr, float)))
         return OdeTrajectory(a, params, r, np.full_like(r, a), np.zeros_like(r),
                              INCONCLUSIVE_CONSTANT, r_max, tol, 0,
                              meta={"equilibrium": True}, dense=dense)
-    w2 = (a / (p - 1.0) - np.abs(a) ** (p - 1.0) * a) / n
-    y0 = [a + 0.5 * w2 * eps**2, w2 * eps]
-    cap = cap_mult * max(abs(a), kap)
+    y0 = _taylor_start(a, n, p, eps)
+    cap = _cap(a, kap)
 
-    def ev_zero(r, y):
-        return y[0]
-    ev_zero.terminal = True
+    def event(k):
+        ev = lambda r, y: float(EVENTS[k](y[0], y[1], cap, kap))
+        ev.terminal = True
+        ev.direction = EVENT_DIRECTIONS[k]
+        return ev
 
-    def ev_cap(r, y):
-        return abs(y[0]) - cap
-    ev_cap.terminal = True
-
-    def ev_rebound(r, y):
-        # local minimum of w inside the sub-kappa tail regime
-        return y[1] if 0.0 < y[0] < rebound_threshold * kap else -1.0
-    ev_rebound.terminal = True
-    ev_rebound.direction = 1
-
-    events = [ev_zero, ev_cap, ev_rebound] if a != 0.0 else [ev_cap]
-    # two phases: a small max_step through the core keeps the dense-output
-    # interpolant accurate enough to difference (residual checks amplify
-    # interpolation noise by 1/h); the tail tolerates a coarser cap
-    r_split = min(2.0, r_max)
+    events = [event(k) for k in range(len(EVENTS))]
+    r_split = min(R_SPLIT, r_max)
     sol1 = solve_ivp(_rhs(n, p), (eps, r_split), y0, method="DOP853",
-                     rtol=tol, atol=min(tol * 1e-2, 1e-14), events=events,
-                     dense_output=True, max_step=0.01)
+                     rtol=tol, atol=_atol(tol), events=events,
+                     dense_output=True, max_step=MAX_STEP_CORE)
     pieces = [sol1]
     if sol1.success and sol1.status == 0 and r_split < r_max:
         sol2 = solve_ivp(_rhs(n, p), (r_split, r_max), sol1.y[:, -1],
-                         method="DOP853", rtol=tol,
-                         atol=min(tol * 1e-2, 1e-14), events=events,
-                         dense_output=True, max_step=0.05)
+                         method="DOP853", rtol=tol, atol=_atol(tol),
+                         events=events, dense_output=True,
+                         max_step=MAX_STEP_TAIL)
         pieces.append(sol2)
     last = pieces[-1]
     r_all = np.concatenate([s.t for s in pieces])
@@ -137,9 +200,7 @@ def integrate_radial(params: Parameters, a: float, r_max: float = 30.0,
     ev = [np.concatenate([s.t_events[k] for s in pieces])
           for k in range(len(events))]
     departure, hit_cap = 0, False
-    if a == 0.0:
-        label = INCONCLUSIVE_CONSTANT
-    elif ev[0].size:
+    if ev[0].size:
         label, departure = SIGN_CHANGING, -1
     elif ev[1].size:
         label, departure, hit_cap = GROWING, +1, True
@@ -172,14 +233,140 @@ def _tail_label(params: Parameters, r_end: float, dense, a: float) -> str:
     return INCONCLUSIVE
 
 
+# ------------------------------------------------------------- lane kernel
+_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+_STAGES = DOP853.n_stages
+_A = [DOP853.A[s, :s] for s in range(_STAGES)]
+_B, _C, _E3, _E5 = DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
+
+
+def _rms(x):
+    """scipy's RMS norm over the two components of every lane."""
+    return np.sqrt(np.sum(x * x, axis=0)) / x.shape[0] ** 0.5
+
+
+def _initial_step(rhs, r, y, f, bound, max_step, rtol, atol):
+    """scipy's select_initial_step, lane by lane."""
+    interval = bound - r
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, interval)
+    f1 = np.array(rhs(r + h0, y + h0 * f))
+    d2 = _rms((f1 - f) / scale) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.maximum(d1, d2)) ** -_ERROR_EXPONENT)
+    return np.minimum(np.minimum(100 * h0, h1), np.minimum(interval, max_step))
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _departures(params: Parameters, heights, r_max: float,
+                tol: float) -> np.ndarray:
+    """Departure signs of many shots at once, without trajectories.
+
+    Every lane takes the steps integrate_radial's solve_ivp calls take and
+    stops at its first accepted step where an event fires.  Returns -1
+    (zero crossing) or +1 (cap or rebound) per lane, and 0 where the lane
+    needs integrate_radial: no event by r_max, a failed step, or two events
+    in one step.
+    """
+    n, p, kap = params.n, params.p, params.kappa
+    rhs = _rhs(n, p)
+    rtol = max(tol, 100 * np.finfo(float).eps)    # solve_ivp's rtol floor
+    atol = _atol(tol)
+    a = np.asarray(heights, dtype=float)
+    out = np.zeros(a.size, dtype=int)
+    r_split = min(R_SPLIT, r_max)
+
+    lane = np.arange(a.size)
+    r = np.full(a.size, R_START)
+    y = _taylor_start(a, n, p, R_START)
+    f = np.array(rhs(r, y))
+    cap = _cap(a, kap)
+    g = _event_values(y, cap, kap)
+    bound = np.full(a.size, r_split)
+    max_step = np.full(a.size, MAX_STEP_CORE)
+    h = _initial_step(rhs, r, y, f, bound, max_step, rtol, atol)
+    retry = np.zeros(a.size, dtype=bool)
+    while lane.size:
+        min_step = 10 * np.abs(np.nextafter(r, np.inf) - r)
+        h = np.where(retry, h, np.minimum(np.maximum(h, min_step), max_step))
+        failed = h < min_step
+        r_new = np.minimum(r + h, bound)
+        h = r_new - r
+        m = lane.size
+        K = np.empty((_STAGES + 1, 2 * m))     # stage s holds (w', w'') lanes
+        K3 = K.reshape(_STAGES + 1, 2, m)
+        K3[0] = f
+        for s in range(1, _STAGES):
+            dy = (_A[s] @ K[:s]).reshape(2, m) * h
+            K3[s] = rhs(r + _C[s] * h, y + dy)
+        y_new = y + h * (_B @ K[:-1]).reshape(2, m)
+        f_new = np.array(rhs(r_new, y_new))
+        K3[-1] = f_new
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        x5 = (_E5 @ K).reshape(2, m) / scale
+        x3 = (_E3 @ K).reshape(2, m) / scale
+        e5 = x5[0] * x5[0] + x5[1] * x5[1]
+        e3 = x3[0] * x3[0] + x3[1] * x3[1]
+        err = np.where((e5 == 0) & (e3 == 0), 0.0,
+                       h * e5 / np.sqrt((e5 + 0.01 * e3) * 2))
+        gain = SAFETY * err ** _ERROR_EXPONENT
+        ok = (err < 1) & ~failed
+        grow = np.where(err == 0, MAX_FACTOR, np.minimum(MAX_FACTOR, gain))
+        grow = np.where(retry, np.minimum(1, grow), grow)
+        h = h * np.where(ok, grow, np.maximum(MIN_FACTOR, gain))
+        retry = ~ok
+
+        r = np.where(ok, r_new, r)
+        y = np.where(ok, y_new, y)
+        f = np.where(ok, f_new, f)
+        g_new = _event_values(y, cap, kap)
+        fired = _fired(g, g_new) & ok
+        g = g_new
+        count = fired.sum(axis=0)
+        at_bound = ok & (count == 0) & (r >= bound)
+        switch = at_bound & (bound < r_max)
+        if switch.any():
+            # second solve_ivp call: fresh initial step, tail step cap
+            bound[switch] = r_max
+            max_step[switch] = MAX_STEP_TAIL
+            h[switch] = _initial_step(rhs, r[switch], y[:, switch], f[:, switch],
+                                      bound[switch], max_step[switch], rtol, atol)
+        done = failed | (count > 0) | (at_bound & ~switch)
+        if done.any():
+            out[lane[done]] = np.where(count == 1, np.where(fired[0], -1, 1), 0)[done]
+            keep = ~done
+            lane, r, h, retry, bound, max_step, cap = (
+                v[keep] for v in (lane, r, h, retry, bound, max_step, cap))
+            y, f, g = y[:, keep], f[:, keep], g[:, keep]
+    return out
+
+
+def _classify(params: Parameters, heights, r_max: float,
+              tol: float) -> list[tuple[str, int]]:
+    """(label, departure) per height: the lane kernel, else integrate_radial."""
+    a = np.asarray(heights, dtype=float)
+    _check_inputs(a, tol)
+    lanes = np.array([not _is_equilibrium(x, params.p) for x in a], dtype=bool)
+    dep = np.zeros(a.size, dtype=int)
+    dep[lanes] = _departures(params, a[lanes], r_max, tol)
+    rows = []
+    for x, d in zip(a, dep):
+        if d == 0:
+            traj = integrate_radial(params, x, r_max=r_max, tol=tol)
+            rows.append((traj.classification, traj.departure))
+        else:
+            rows.append((SIGN_CHANGING if d < 0 else GROWING, int(d)))
+    return rows
+
+
 def scan_initial_values(params: Parameters, a_values,
                         r_max: float = 30.0, tol: float = 1e-10) -> list:
     """Classify a grid of initial heights; returns (a, label, departure) rows."""
-    rows = []
-    for a in np.asarray(a_values, dtype=float):
-        traj = integrate_radial(params, a, r_max=r_max, tol=tol)
-        rows.append((float(a), traj.classification, traj.departure))
-    return rows
+    a = np.asarray(a_values, dtype=float)
+    return [(float(x), label, dep)
+            for x, (label, dep) in zip(a, _classify(params, a, r_max, tol))]
 
 
 def find_brackets(params: Parameters, a_values, r_max: float = 30.0,
@@ -197,31 +384,33 @@ def shoot(params: Parameters, a_lo: float, a_hi: float,
           bisect_tol: float = 5e-14, r_max: float = 30.0,
           tol: float = 1e-12, residual_tol: float = 1e-7,
           grid_step: float = 0.004) -> RadialProfile:
-    """Bisect a bracket to the bounded decaying profile.
+    """Multisect a bracket to the bounded decaying profile.
 
-    The two bracket trajectories sandwich the decaying orbit; the returned
-    profile is the midpoint shot truncated where the sandwich width exceeds
-    1e-9, with the tail coefficient fitted from q = r^{2/(p-1)} w.
+    Each round shoots SECTIONS equally spaced heights inside the bracket and
+    keeps the lowest departure flip.  The two final bracket trajectories
+    sandwich the decaying orbit; the returned profile is the midpoint shot
+    truncated where the sandwich width exceeds 1e-9, with the tail
+    coefficient fitted from q = r^{2/(p-1)} w.
     """
-    lo = integrate_radial(params, a_lo, r_max=r_max, tol=tol)
-    hi = integrate_radial(params, a_hi, r_max=r_max, tol=tol)
-    if lo.departure == 0 or hi.departure == 0 or lo.departure == hi.departure:
+    (_, lo_dep), (_, hi_dep) = _classify(params, [a_lo, a_hi], r_max, tol)
+    if lo_dep == 0 or hi_dep == 0 or lo_dep == hi_dep:
         raise ShootingError(
-            f"no bracket: departures are {lo.departure} at a={a_lo} "
-            f"and {hi.departure} at a={a_hi}")
-    lo_a, hi_a = lo.a, hi.a
-    lo_dep = lo.departure
+            f"no bracket: departures are {lo_dep} at a={a_lo} "
+            f"and {hi_dep} at a={a_hi}")
+    lo_a, hi_a = a_lo, a_hi
+    fractions = np.arange(1, SECTIONS + 1) / (SECTIONS + 1)
     while hi_a - lo_a > bisect_tol * max(1.0, abs(hi_a)):
-        mid = 0.5 * (lo_a + hi_a)
-        if mid in (lo_a, hi_a):
+        inner = np.unique(lo_a + (hi_a - lo_a) * fractions)
+        inner = inner[(inner > lo_a) & (inner < hi_a)]
+        if inner.size == 0:
             break
-        traj = integrate_radial(params, mid, r_max=r_max, tol=tol)
-        if traj.departure == 0:
-            raise ShootingError(f"inconclusive trajectory at a={mid}")
-        if traj.departure == lo_dep:
-            lo_a = mid
-        else:
-            hi_a = mid
+        heights = [lo_a, *inner.tolist(), hi_a]
+        deps = [lo_dep, *(d for _, d in _classify(params, inner, r_max, tol)),
+                hi_dep]
+        flip = next(k for k, d in enumerate(deps) if d != lo_dep)
+        if deps[flip] == 0:
+            raise ShootingError(f"inconclusive trajectory at a={heights[flip]}")
+        lo_a, hi_a = heights[flip - 1], heights[flip]
     a_star = 0.5 * (lo_a + hi_a)
 
     lo = integrate_radial(params, lo_a, r_max=r_max, tol=tol)

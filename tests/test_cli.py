@@ -155,6 +155,15 @@ def test_shoot_without_bracket_for_unknown_pair(tmp_path):
     assert rc == 2
 
 
+def test_shoot_reports_a_non_bracket(tmp_path, capsys):
+    rc = main(["--out", str(tmp_path), "shoot", "--n", "3", "--p", "7",
+               "--a-lo", "1", "--a-hi", "1.1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no bracket")
+    assert "Traceback" not in err
+
+
 def test_perturb_subcommand(tmp_path):
     rc = main(["--out", str(tmp_path), "perturb", "--n", "3", "--p", "7",
                "--profile", "shoot", "--s", "0.05"])

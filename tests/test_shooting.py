@@ -5,12 +5,21 @@ from selfsim.core import constant_profile, make_params, singular_profile
 from selfsim.fixtures import (A_STAR_REFERENCE, REGRESSION_LABELS,
                               SHOOTING_BRACKETS, SUBCRITICAL_SCAN,
                               supercritical_scan_grid)
-from selfsim.shooting import (DECAYING, GROWING, INCONCLUSIVE_CONSTANT,
-                              SIGN_CHANGING, ShootingError,
-                              find_brackets, integrate_radial, ode_residual,
+from selfsim.shooting import (DECAYING, GROWING, INCONCLUSIVE,
+                              INCONCLUSIVE_CONSTANT, SIGN_CHANGING,
+                              ShootingError, _departures, find_brackets,
+                              integrate_radial, ode_residual,
                               scan_initial_values, shoot)
 
 P37 = make_params(3, 7.0, require_supercritical=True)
+P45 = make_params(4, 5.0, require_supercritical=True)
+BISECT_TOL = 5e-14     # shoot's default
+# a* from one-bit bisection (the method before multisection), per bracket
+A_STAR_BISECTED = {
+    ((3, 7.0), "recorded"): 2.302521411739617,
+    ((3, 7.0), "scan"): 2.302521411739656,
+    ((4, 5.0), "scan"): 2.3655797613161464,
+}
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +120,77 @@ def test_subcritical_scan_finds_no_profile():
     rows = scan_initial_values(params, grid, tol=1e-10)
     assert all(label == SIGN_CHANGING for _, label, _ in rows)
     assert find_brackets(params, grid, tol=1e-10) == []
+
+
+@pytest.mark.parametrize("n, p, grid", [
+    (3, 7.0, None), (4, 5.0, None),
+    (3, 2.0, SUBCRITICAL_SCAN[(3, 2.0)]), (4, 2.5, SUBCRITICAL_SCAN[(3, 2.0)]),
+])
+def test_kernel_departures_match_integrate_radial_on_scan_grids(n, p, grid):
+    params = make_params(n, p)
+    if grid is None:
+        grid = supercritical_scan_grid(params.kappa)
+    dep = _departures(params, grid, 30.0, 1e-10)
+    ref = [integrate_radial(params, a, tol=1e-10).departure for a in grid]
+    assert np.all(dep != 0)
+    assert dep.tolist() == ref
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_kernel_departures_match_integrate_radial_near_a_star(tol):
+    ref = A_STAR_REFERENCE[(3, 7.0)]
+    heights = [ref + s * d for d in (1e-9, 1e-10, 1e-11) for s in (-1, 1)]
+    dep = _departures(P37, heights, 30.0, tol)
+    assert np.all(dep != 0)
+    assert dep.tolist() == [integrate_radial(P37, a, tol=tol).departure
+                            for a in heights]
+
+
+def test_scan_rows_with_zero_and_equilibria():
+    k = P37.kappa
+    rows = scan_initial_values(P37, [-1.5 * k, -k, 0.0, k, 1.5 * k, 2.30, 2.31])
+    assert rows == [(-1.5 * k, SIGN_CHANGING, -1), (-k, INCONCLUSIVE_CONSTANT, 0),
+                    (0.0, INCONCLUSIVE_CONSTANT, 0), (k, INCONCLUSIVE_CONSTANT, 0),
+                    (1.5 * k, SIGN_CHANGING, -1), (2.30, SIGN_CHANGING, -1),
+                    (2.31, GROWING, 1)]
+
+
+@pytest.mark.parametrize("r_max", [1.5, 5.0])
+def test_scan_without_event_falls_back_to_trajectory_label(r_max):
+    # near a* no event fires by a short r_max; the label needs the trajectory
+    heights = [A_STAR_REFERENCE[(3, 7.0)], 1.5 * P37.kappa]
+    rows = scan_initial_values(P37, heights, r_max=r_max)
+    assert rows[0][1:] == (INCONCLUSIVE, 0)
+    assert rows == [(a, t.classification, t.departure) for a, t in
+                    ((a, integrate_radial(P37, a, r_max=r_max, tol=1e-10))
+                     for a in heights)]
+
+
+def test_shoot_matches_bisection_from_both_brackets(profile37):
+    a_rec = profile37.meta["a"]
+    assert abs(a_rec - A_STAR_BISECTED[((3, 7.0), "recorded")]) \
+        <= BISECT_TOL * max(1.0, a_rec)
+    lo, hi = profile37.meta["bracket"]
+    assert 0 < hi - lo <= BISECT_TOL * max(1.0, hi)
+    a_lo, a_hi = min(find_brackets(P37, supercritical_scan_grid(P37.kappa)))
+    a_scan = shoot(P37, a_lo, a_hi).meta["a"]
+    assert abs(a_scan - A_STAR_BISECTED[((3, 7.0), "scan")]) \
+        <= BISECT_TOL * max(1.0, a_scan)
+
+
+def test_shoot_matches_bisection_at_4_5():
+    a_lo, a_hi = min(find_brackets(P45, supercritical_scan_grid(P45.kappa)))
+    a = shoot(P45, a_lo, a_hi).meta["a"]
+    assert abs(a - A_STAR_BISECTED[((4, 5.0), "scan")]) <= BISECT_TOL * max(1.0, a)
+
+
+def test_shoot_resolves_the_lowest_flip():
+    # at (4, 7) the departures flip three times in (1.61, 2.83); the lowest
+    # flip lies in the lowest scan bracket
+    params = make_params(4, 7.0, require_supercritical=True)
+    brackets = find_brackets(params, supercritical_scan_grid(params.kappa))
+    (b0, b1), _, (c0, c1) = brackets[:3]
+    prof = shoot(params, b0, c1)
+    lo, hi = prof.meta["bracket"]
+    assert b0 < lo < hi < b1
+    assert _departures(params, [lo, hi], 30.0, 1e-12).tolist() == [-1, 1]
