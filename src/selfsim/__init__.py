@@ -2,7 +2,7 @@
 semilinear heat equation: profiles, Gaussian-weighted functionals, entropy,
 linearized spectra, closed-form singular energies, and the rescaled flow."""
 
-from .core import (ParameterError, Parameters, RadialProfile,
+from .core import (ParameterError, Parameters, RadialProfile, SelfsimError,
                    constant_profile, default_grid, kappa, make_params,
                    singular_profile, tabulated_profile)
 from .quadrature import (QuadratureRule, composite_rule, offset_integral_many,

@@ -18,7 +18,7 @@ from .core import constant_profile, make_params, singular_profile
 from .fixtures import SUBCRITICAL_SCAN, reference_profile
 from .flow import (BC_NOFLUX, FlowConfig, OUTCOME_BLEWUP, init_flow, run,
                    entropy_perturbation_experiment, step)
-from .functionals import density, energy, entropy, f_functional, identities
+from .functionals import energy, entropy, f_functional, identities
 from .quadrature import composite_rule, radial_rule, weighted_integral
 from .shooting import SIGN_CHANGING, find_brackets, scan_initial_values
 from .spectrum import (apply_L, build_sector, eigen_smallest,

@@ -1,11 +1,15 @@
 """Experiment runner: every module behind one subcommand, with JSON
 summaries and CSV series for plotting.
 
-Exit codes: 0 success, 1 a numerical check failed (a failed shot prints
-`error: ...`), 2 usage/config error.
-Config files are JSON with the same keys as the flags; flags override file
-values; unknown keys are rejected.  Every JSON summary embeds the config
-hash and a stable quantity identifier for each reported number.
+Each setting is one SUBCOMMANDS entry, key -> default (a type as default:
+unset unless given).  Key ``x0_max`` is flag ``--x0-max`` and config-file
+key ``x0_max``; ``out`` may be set either way.  Values resolve as defaults,
+then the ``--config`` JSON file, then flags, converted to the default's type
+alike; unknown file keys are rejected.  Every JSON summary records the
+resolved settings, their hash and a stable identifier per quantity.
+
+Exit codes: 0 success; 1 a numerical failure or a failed check; 2 a bad or
+out-of-scope request.  Failures print ``error: ...`` to stderr.
 """
 from __future__ import annotations
 
@@ -21,24 +25,21 @@ import numpy as np
 
 from . import acceptance
 from .closedform import (gap_inequality, gap_scan, kappa_energy,
-                         singular_energy, sphere_constant, write_gap_scan_csv)
-from .core import (ParameterError, constant_profile, make_params,
+                         singular_energy, sphere_constant)
+from .core import (ParameterError, SelfsimError, constant_profile, make_params,
                    singular_profile)
 from .fixtures import SHOOTING_BRACKETS, reference_profile
-from .flow import (BC_NOFLUX, OUTCOME_BLEWUP, FlowConfig,
-                   entropy_perturbation_experiment, flow_diagnostics,
-                   init_flow, run as flow_run)
+from .flow import (OUTCOME_BLEWUP, FlowConfig, entropy_perturbation_experiment,
+                   flow_diagnostics, init_flow, run as flow_run)
 from .functionals import energy, entropy, f_functional, identities
-from .shooting import ShootingError, shoot
-from .spectrum import build_sector, eigen_smallest, first_eigenfunction
+from .shooting import shoot
+from .spectrum import build_sector, eigen_smallest
 from .variations import stability_report
 
-COMMANDS = ("energy", "f-scan", "entropy", "shoot", "spectrum", "stability",
-            "flow", "perturb", "gamma", "gap-scan", "identities", "verify-all")
-
-
-class UsageError(ValueError):
-    pass
+GLOBAL = {"out": "selfsim_out"}
+HELP = {"profile": "kappa | -kappa | zero | singular | shoot ",
+        "init": "const:<level> | kappa | shoot "}
+CONSTANTS = {"kappa": "+", "zero": "0", "-kappa": "-"}
 
 
 def _config_hash(cfg: dict) -> str:
@@ -46,28 +47,48 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _load_config(path: str | None, args_ns, parser_keys: set) -> dict:
+def _convert(key: str, value, default):
+    """value as the type of the key's default; an int must be integral."""
+    kind = default if isinstance(default, type) else type(default)
+    if value is None and isinstance(default, type):
+        return None
+    try:
+        if (kind is bool) != isinstance(value, bool) or \
+                kind is int and not float(value).is_integer():
+            raise ValueError
+        return int(float(value)) if kind is int else kind(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{key} must be {kind.__name__}, "
+                             f"got {value!r}") from None
+
+
+def _read_config(path: str | None) -> dict:
+    if path is None:
+        return {}
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        raise ParameterError(f"cannot read config {path}: {err}") from None
+    if not isinstance(data, dict):
+        raise ParameterError(f"config {path} must hold a JSON object")
+    return data
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """Defaults, then the config file, then flags, each converted alike."""
+    table = {**GLOBAL, **SUBCOMMANDS[args.command][1]}
+    from_file = _read_config(args.config)
+    unknown = set(from_file) - set(table)
+    if unknown:
+        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+    from_flags = vars(args)
     cfg = {}
-    if path:
-        try:
-            with open(path) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            raise UsageError(f"cannot read config {path}: {err}")
-        unknown = set(cfg) - parser_keys
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, val in cfg.items():
-            if isinstance(val, (int, float)) and not isinstance(val, bool) \
-                    and val <= 0 and key.endswith("tol"):
-                raise UsageError(f"tolerance {key} must be positive")
-    merged = dict(cfg)
-    for key, val in vars(args_ns).items():
-        if key in ("config", "command"):
-            continue
-        if val is not None:
-            merged[key] = val
-    return merged
+    for key, default in table.items():
+        unset = None if isinstance(default, type) else default
+        value = from_flags.get(key, from_file.get(key, unset))
+        cfg[key] = _convert(key, value, default)
+    return cfg
 
 
 def _emit(out_dir: str, name: str, summary: dict, series: dict | None = None):
@@ -96,28 +117,23 @@ def _jsonable(x):
 
 
 def _params_from(cfg: dict):
-    return make_params(int(cfg.get("n", 3)), float(cfg.get("p", 7.0)),
-                       require_supercritical=bool(cfg.get("supercritical",
-                                                          False)))
+    return make_params(cfg["n"], cfg["p"],
+                       require_supercritical=cfg["supercritical"])
 
 
-def _profile_from(cfg: dict, params):
-    choice = str(cfg.get("profile", "kappa"))
-    if choice == "kappa":
-        return constant_profile(params, "+")
-    if choice == "zero":
-        return constant_profile(params, "0")
-    if choice == "-kappa":
-        return constant_profile(params, "-")
+def _profile_from(choice: str, params):
+    if choice in CONSTANTS:
+        return constant_profile(params, CONSTANTS[choice])
     if choice == "singular":
         return singular_profile(params)
     if choice == "shoot":
         key = (params.n, params.p)
         if key in SHOOTING_BRACKETS:
             return reference_profile(params.n, params.p)
-        raise UsageError(f"no recorded shooting bracket for (n, p) = {key}; "
-                         f"run the shoot subcommand with --a-lo/--a-hi")
-    raise UsageError(f"unknown profile {choice!r}")
+        raise ParameterError(f"no recorded shooting bracket for (n, p) = "
+                             f"{key}; run the shoot subcommand with "
+                             f"--a-lo/--a-hi")
+    raise ParameterError(f"unknown profile {choice!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +142,7 @@ def _profile_from(cfg: dict, params):
 
 def cmd_energy(cfg):
     params = _params_from(cfg)
-    prof = _profile_from(cfg, params)
+    prof = _profile_from(cfg["profile"], params)
     rep = energy(prof)
     summary = {
         "quantity": "weighted_energy",
@@ -142,12 +158,11 @@ def cmd_energy(cfg):
 
 def cmd_f_scan(cfg):
     params = _params_from(cfg)
-    prof = _profile_from(cfg, params)
-    x0s = np.linspace(0.0, float(cfg.get("x0_max", 5.0)),
-                      int(cfg.get("x0_count", 11)))
-    las = np.linspace(float(cfg.get("log_a_min", -2.0)),
-                      float(cfg.get("log_a_max", 2.0)),
-                      int(cfg.get("t0_count", 11)))
+    prof = _profile_from(cfg["profile"], params)
+    if cfg["x0_count"] < 1 or cfg["t0_count"] < 1:
+        raise ParameterError("x0_count and t0_count must be at least 1")
+    x0s = np.linspace(0.0, cfg["x0_max"], cfg["x0_count"])
+    las = np.linspace(cfg["log_a_min"], cfg["log_a_max"], cfg["t0_count"])
     rows = {"x0_norm": [], "t0": [], "F": []}
     for b in x0s:
         for la in las:
@@ -162,7 +177,7 @@ def cmd_f_scan(cfg):
 
 def cmd_entropy(cfg):
     params = _params_from(cfg)
-    prof = _profile_from(cfg, params)
+    prof = _profile_from(cfg["profile"], params)
     res = entropy(prof)
     e = energy(prof).energy
     summary = {
@@ -186,15 +201,16 @@ def cmd_entropy(cfg):
 
 def cmd_shoot(cfg):
     params = _params_from(cfg)
-    a_lo = cfg.get("a_lo")
-    a_hi = cfg.get("a_hi")
-    if a_lo is None or a_hi is None:
+    bracket = (cfg["a_lo"], cfg["a_hi"])
+    if bracket == (None, None):
         key = (params.n, params.p)
         if key not in SHOOTING_BRACKETS:
-            raise UsageError("no bracket given and none recorded; "
-                             "pass --a-lo and --a-hi")
-        a_lo, a_hi = SHOOTING_BRACKETS[key]
-    prof = shoot(params, float(a_lo), float(a_hi))
+            raise ParameterError("no bracket given and none recorded; "
+                                 "pass --a-lo and --a-hi")
+        bracket = SHOOTING_BRACKETS[key]
+    elif None in bracket:
+        raise ParameterError("pass both --a-lo and --a-hi")
+    prof = shoot(params, *bracket)
     summary = {
         "quantity": "shooting_profile",
         "initial_height": prof.meta["a"],
@@ -210,11 +226,9 @@ def cmd_shoot(cfg):
 
 def cmd_spectrum(cfg):
     params = _params_from(cfg)
-    prof = _profile_from(cfg, params)
-    ell = int(cfg.get("ell", 0))
-    k = int(cfg.get("k", 3))
-    resolution = int(cfg.get("resolution", 3000))
-    op = build_sector(prof, ell, resolution=resolution)
+    prof = _profile_from(cfg["profile"], params)
+    ell, k = cfg["ell"], cfg["k"]
+    op = build_sector(prof, ell, resolution=cfg["resolution"])
     res = eigen_smallest(op, k, refine=True, profile=prof)
     summary = {
         "quantity": "sector_eigenvalues",
@@ -231,9 +245,8 @@ def cmd_spectrum(cfg):
 
 def cmd_stability(cfg):
     params = _params_from(cfg)
-    prof = _profile_from(cfg, params)
-    resolution = int(cfg.get("resolution", 4000))
-    op0 = build_sector(prof, 0, resolution=resolution)
+    prof = _profile_from(cfg["profile"], params)
+    op0 = build_sector(prof, 0, resolution=cfg["resolution"])
     e0 = eigen_smallest(op0, 2, refine=True, profile=prof)
     rep = stability_report(prof, e0)
     summary = {
@@ -250,21 +263,17 @@ def cmd_stability(cfg):
 
 def cmd_flow(cfg):
     params = _params_from(cfg)
-    init = str(cfg.get("init", "kappa"))
-    fc = FlowConfig(n_points=int(cfg.get("n_points", 800)),
-                    bc=str(cfg.get("bc", BC_NOFLUX)),
-                    dt_max=float(cfg.get("dt_max", 0.01)),
-                    conv_tol=float(cfg.get("conv_tol", 1e-7)))
+    init = cfg["init"]
+    fc = FlowConfig(**{key: cfg[key] for key in FLOW_KEYS})
     if init.startswith("const:"):
-        level = float(init.split(":", 1)[1])
+        level = _convert("init level", init.split(":", 1)[1], 0.0)
         prof = constant_profile(params, "+")
         state = init_flow(prof, fc)
         state.w = np.full_like(state.w, level)
         state.history = [(0.0, state.w.copy())]
     else:
-        prof = _profile_from(dict(cfg, profile=init), params)
-        state = init_flow(prof, fc)
-    report = flow_run(state, tau_max=float(cfg.get("tau_max", 10.0)))
+        state = init_flow(_profile_from(init, params), fc)
+    report = flow_run(state, tau_max=cfg["tau_max"])
     summary_d = flow_diagnostics(report)
     summary = {
         "quantity": "rescaled_flow_report",
@@ -287,8 +296,8 @@ def cmd_flow(cfg):
 
 def cmd_perturb(cfg):
     params = _params_from(cfg)
-    prof = _profile_from(dict(cfg, profile=cfg.get("profile", "shoot")), params)
-    s = float(cfg.get("s", 0.05))
+    prof = _profile_from(cfg["profile"], params)
+    s = cfg["s"]
     rep = entropy_perturbation_experiment(
         prof, s_values=(s, -s), run_flow_for=s if s > 0 else None)
     summary = {
@@ -320,8 +329,14 @@ def cmd_gamma(cfg):
 
 
 def cmd_gap_scan(cfg):
-    n_lo, n_hi = (int(x) for x in str(cfg.get("n_range", "4:10")).split(":"))
-    rows = gap_scan(range(n_lo, n_hi + 1), p_count=int(cfg.get("p_count", 40)))
+    try:
+        n_lo, n_hi = (int(x) for x in cfg["n_range"].split(":"))
+        if n_lo > n_hi:
+            raise ValueError
+    except ValueError:
+        raise ParameterError(f"n_range must be <lo>:<hi> with integers "
+                             f"lo <= hi, got {cfg['n_range']!r}") from None
+    rows = gap_scan(range(n_lo, n_hi + 1), p_count=cfg["p_count"])
     valid = [r for r in rows if r.gamma_argument_positive]
     summary = {
         "quantity": "gap_scan",
@@ -343,7 +358,7 @@ def cmd_gap_scan(cfg):
 
 def cmd_identities(cfg):
     params = _params_from(cfg)
-    prof = _profile_from(cfg, params)
+    prof = _profile_from(cfg["profile"], params)
     rep = identities(prof)
     summary = {
         "quantity": "stationary_identities",
@@ -360,8 +375,6 @@ def cmd_identities(cfg):
 
 
 def cmd_verify_all(cfg):
-    if cfg.get("n") is not None or cfg.get("p") is not None:
-        _params_from(cfg)   # reject inconsistent parameter blocks up front
     results = acceptance.run_all(verbose=True)
     summary = {
         "quantity": "acceptance_suite",
@@ -373,13 +386,39 @@ def cmd_verify_all(cfg):
     return summary["passed"], summary, None
 
 
-HANDLERS = {
-    "energy": cmd_energy, "f-scan": cmd_f_scan, "entropy": cmd_entropy,
-    "shoot": cmd_shoot, "spectrum": cmd_spectrum, "stability": cmd_stability,
-    "flow": cmd_flow, "perturb": cmd_perturb, "gamma": cmd_gamma,
-    "gap-scan": cmd_gap_scan, "identities": cmd_identities,
-    "verify-all": cmd_verify_all,
+# subcommand -> (handler, {key: default})
+PARAMS = {"n": 3, "p": 7.0, "supercritical": False}
+PROFILE = {**PARAMS, "profile": "kappa"}
+FLOW_KEYS = ("n_points", "bc", "dt_max", "conv_tol")
+
+SUBCOMMANDS = {
+    "energy": (cmd_energy, PROFILE),
+    "f-scan": (cmd_f_scan, {**PROFILE, "x0_max": 5.0, "x0_count": 11,
+                            "t0_count": 11, "log_a_min": -2.0,
+                            "log_a_max": 2.0}),
+    "entropy": (cmd_entropy, PROFILE),
+    "shoot": (cmd_shoot, {**PARAMS, "a_lo": float, "a_hi": float}),
+    "spectrum": (cmd_spectrum, {**PROFILE, "ell": 0, "k": 3,
+                                "resolution": 3000}),
+    "stability": (cmd_stability, {**PROFILE, "resolution": 4000}),
+    "flow": (cmd_flow, {**PARAMS, "init": "kappa", "tau_max": 10.0,
+                        **{key: getattr(FlowConfig(), key)
+                           for key in FLOW_KEYS}}),
+    "perturb": (cmd_perturb, {**PROFILE, "profile": "shoot", "s": 0.05}),
+    "gamma": (cmd_gamma, PARAMS),
+    "gap-scan": (cmd_gap_scan, {"n_range": "4:10", "p_count": 40}),
+    "identities": (cmd_identities, PROFILE),
+    "verify-all": (cmd_verify_all, {}),
 }
+
+
+def _add_flags(parser: argparse.ArgumentParser, table: dict) -> None:
+    for key, default in table.items():
+        shown = "unset" if isinstance(default, type) else repr(default)
+        parser.add_argument("--" + key.replace("_", "-"),
+                            action="store_true" if default is False else None,
+                            default=argparse.SUPPRESS,
+                            help=f"{HELP.get(key, '')}(default {shown})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,57 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="selfsim",
         description="self-similar profile toolkit for the supercritical "
                     "semilinear heat equation")
-    parser.add_argument("--out", default="selfsim_out",
-                        help="output directory for JSON/CSV results")
-    parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized test-function batches")
+    parser.add_argument("--config", help="JSON file with any of the "
+                                         "subcommand's keys and out")
+    _add_flags(parser, GLOBAL)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, *arg_specs):
-        sp = sub.add_parser(name)
-        for flag, kw in arg_specs:
-            sp.add_argument(flag, **kw)
-        return sp
-
-    common = [("--n", dict(type=int, default=None)),
-              ("--p", dict(type=float, default=None)),
-              ("--supercritical", dict(action="store_const", const=True,
-                                       default=None))]
-    prof_arg = [("--profile", dict(default=None,
-                                   help="kappa | -kappa | zero | singular | shoot"))]
-    add("energy", *common, *prof_arg)
-    add("f-scan", *common, *prof_arg,
-        ("--x0-max", dict(type=float, default=None, dest="x0_max")),
-        ("--x0-count", dict(type=int, default=None, dest="x0_count")),
-        ("--t0-count", dict(type=int, default=None, dest="t0_count")),
-        ("--log-a-min", dict(type=float, default=None, dest="log_a_min")),
-        ("--log-a-max", dict(type=float, default=None, dest="log_a_max")))
-    add("entropy", *common, *prof_arg)
-    add("shoot", *common,
-        ("--a-lo", dict(type=float, default=None, dest="a_lo")),
-        ("--a-hi", dict(type=float, default=None, dest="a_hi")))
-    add("spectrum", *common, *prof_arg,
-        ("--ell", dict(type=int, default=None)),
-        ("--k", dict(type=int, default=None)),
-        ("--resolution", dict(type=int, default=None)))
-    add("stability", *common, *prof_arg,
-        ("--resolution", dict(type=int, default=None)))
-    add("flow", *common,
-        ("--init", dict(default=None, help="const:<level> | kappa | shoot")),
-        ("--tau-max", dict(type=float, default=None, dest="tau_max")),
-        ("--n-points", dict(type=int, default=None, dest="n_points")),
-        ("--bc", dict(default=None)),
-        ("--dt-max", dict(type=float, default=None, dest="dt_max")),
-        ("--conv-tol", dict(type=float, default=None, dest="conv_tol")))
-    add("perturb", *common, *prof_arg,
-        ("--s", dict(type=float, default=None)))
-    add("gamma", *common)
-    add("gap-scan",
-        ("--n-range", dict(default=None, dest="n_range")),
-        ("--p-count", dict(type=int, default=None, dest="p_count")))
-    add("identities", *common, *prof_arg)
-    add("verify-all", *common)
+    for name, (_, table) in SUBCOMMANDS.items():
+        _add_flags(sub.add_parser(name), table)
     return parser
 
 
@@ -447,22 +441,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
-    keys = set(vars(args)) | {"seed", "out"}
     try:
-        cfg = _load_config(args.config, args, keys)
-        cfg.setdefault("seed", 0)
-        handler = HANDLERS[args.command]
-        ok, summary, series = handler(cfg)
-    except (UsageError, ParameterError) as err:
+        cfg = _resolve(args)
+        ok, summary, series = SUBCOMMANDS[args.command][0](cfg)
+    except ParameterError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ShootingError as err:
+    except SelfsimError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    summary["config"] = {k: v for k, v in cfg.items() if k != "out"}
-    summary["config_hash"] = _config_hash(summary["config"])
-    out = _emit(cfg.get("out", "selfsim_out"), args.command.replace("-", "_"),
-                summary, series)
+    out_dir = cfg.pop("out")
+    summary["config"] = cfg
+    summary["config_hash"] = _config_hash(cfg)
+    out = _emit(out_dir, args.command.replace("-", "_"), summary, series)
     verdict = "ok" if ok else "check failed"
     print(f"{args.command}: {verdict}  (results in {out})")
     if args.command != "verify-all":

@@ -18,7 +18,6 @@ admissible band 0 < alpha < (n-2)/2.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -27,6 +26,9 @@ import numpy as np
 from scipy.special import digamma, polygamma
 
 from .core import ParameterError, Parameters, make_params
+
+# the exponent grid starts this fraction above the critical exponent
+P_GRID_MARGIN = 0.15
 
 
 def _gamma_argument(params: Parameters) -> float:
@@ -81,9 +83,9 @@ def phi_diagnostics(x: float, alpha: float):
     x = float(x)
     alpha = float(alpha)
     if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+        raise ParameterError(f"alpha must be positive, got {alpha}")
     if not x > 1.0 + alpha:
-        raise ValueError(f"need x > 1 + alpha, got x={x}, alpha={alpha}")
+        raise ParameterError(f"need x > 1 + alpha, got x={x}, alpha={alpha}")
     shift = x - 1.0 - alpha
     half = x - 1.0 - 0.5 * alpha
     phi = math.lgamma(shift) - math.lgamma(x) + (1.0 + alpha) * math.log(half)
@@ -124,18 +126,20 @@ class GapScanRow:
     flagged: str = ""
 
 
-def supercritical_p_grid(n: int, count: int = 40, margin: float = 0.15,
-                         p_max: Optional[float] = None) -> np.ndarray:
+def supercritical_p_grid(n: int, count: int) -> np.ndarray:
     """Geometric grid of supercritical exponents with a positive Gamma margin.
 
     Exponents approach neither the critical value (where the Gamma argument
     vanishes and the singular energy diverges) nor infinity; the lower end
-    starts at (1+margin) times the critical exponent.
+    starts at (1 + P_GRID_MARGIN) times the critical exponent.
     """
+    if n < 3:
+        raise ParameterError(f"supercritical exponents need n >= 3, got {n}")
+    if count < 1:
+        raise ParameterError(f"exponent count must be at least 1, got {count}")
     p_crit = (n + 2.0) / (n - 2.0)
-    lo = p_crit * (1.0 + margin)
-    hi = p_max if p_max is not None else max(4.0 * p_crit, 30.0)
-    return np.geomspace(lo, hi, count)
+    lo = p_crit * (1.0 + P_GRID_MARGIN)
+    return np.geomspace(lo, max(4.0 * p_crit, 30.0), count)
 
 
 def gap_scan(n_values: Iterable[int], p_count: int = 40,
@@ -172,14 +176,3 @@ def gap_scan(n_values: Iterable[int], p_count: int = 40,
                 else "outside the supercritical hypothesis; data exploratory"))
     return rows
 
-
-def write_gap_scan_csv(rows: list[GapScanRow], path: str):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "p", "beta", "E_singular", "E_kappa", "ratio",
-                         "in_uniqueness_range"])
-        for row in rows:
-            writer.writerow([row.n, f"{row.p:.12g}", f"{row.beta:.12g}",
-                             f"{row.e_singular:.12g}", f"{row.e_kappa:.12g}",
-                             f"{row.ratio:.12g}",
-                             int(row.in_uniqueness_range)])

@@ -17,8 +17,13 @@ import numpy as np
 from scipy.interpolate import BPoly, CubicHermiteSpline
 
 
-class ParameterError(ValueError):
-    """Raised for inadmissible (n, p) combinations."""
+class SelfsimError(Exception):
+    """Base of every error the toolkit raises on purpose."""
+
+
+class ParameterError(SelfsimError, ValueError):
+    """A bad or out-of-scope request: inadmissible (n, p), a profile or
+    setting outside a routine's scope, malformed input."""
 
 
 def sobolev_critical(n: int) -> float:
@@ -34,7 +39,6 @@ class Parameters:
 
     n: int
     p: float
-    require_supercritical: bool = False
 
     @property
     def kappa(self) -> float:
@@ -67,8 +71,7 @@ def make_params(n: int, p: float,
     n = int(n)
     if not p > 1.0:
         raise ParameterError(f"exponent p must exceed 1, got {p}")
-    params = Parameters(n=n, p=float(p),
-                        require_supercritical=require_supercritical)
+    params = Parameters(n=n, p=float(p))
     if require_supercritical and not params.is_supercritical:
         raise ParameterError(
             f"p={p} is not above the critical exponent {sobolev_critical(n)} for n={n}")
@@ -91,14 +94,15 @@ KIND_SHOOTING = "shooting"
 KIND_TABULATED = "tabulated"
 
 
-def default_grid(r_min: float = 1e-6, r_max: float = 20.0,
-                 n_points: int = 800) -> np.ndarray:
-    """Geometric-graded grid on [r_min, r_max].
+# the Gaussian weight makes r > 20 numerically negligible for the
+# dimensions handled here (n <= 12)
+GRID_R_MAX = 20.0
+GRID_POINTS = 800
 
-    The Gaussian weight makes r > 20 numerically negligible for the
-    dimensions handled here (n <= 12).
-    """
-    return np.geomspace(r_min, r_max, n_points)
+
+def default_grid(r_min: float = 1e-6) -> np.ndarray:
+    """Geometric-graded grid of GRID_POINTS radii on [r_min, GRID_R_MAX]."""
+    return np.geomspace(r_min, GRID_R_MAX, GRID_POINTS)
 
 
 @dataclass
@@ -129,9 +133,9 @@ class RadialProfile:
         self.values = np.asarray(self.values, dtype=float)
         self.derivs = np.asarray(self.derivs, dtype=float)
         if self.grid.ndim != 1 or np.any(np.diff(self.grid) <= 0):
-            raise ValueError("profile grid must be strictly increasing")
+            raise ParameterError("profile grid must be strictly increasing")
         if self.kind != KIND_SINGULAR and not np.all(np.isfinite(self.values)):
-            raise ValueError("profile values must be finite")
+            raise ParameterError("profile values must be finite")
 
     # -- closed-form data ---------------------------------------------------
     @property
@@ -141,7 +145,7 @@ class RadialProfile:
     @property
     def constant_value(self) -> float:
         if not self.is_constant:
-            raise ValueError("not a constant profile")
+            raise ParameterError("not a constant profile")
         return float(self.values[0])
 
     @property
@@ -198,15 +202,14 @@ class RadialProfile:
         return self._eval(r, 1)
 
 
-def constant_profile(params: Parameters, sign: int | str = "+",
-                     grid: Optional[np.ndarray] = None) -> RadialProfile:
-    """Constant solution 0 or +-kappa sampled on the requested grid."""
+def constant_profile(params: Parameters,
+                     sign: int | str = "+") -> RadialProfile:
+    """Constant solution 0 or +-kappa sampled on the default grid."""
     sign_map = {"+": 1, "-": -1, "0": 0, 1: 1, -1: -1, 0: 0}
     if sign not in sign_map:
-        raise ValueError(f"sign must be one of +, -, 0, got {sign!r}")
+        raise ParameterError(f"sign must be one of +, -, 0, got {sign!r}")
     s = sign_map[sign]
-    if grid is None:
-        grid = default_grid()
+    grid = default_grid()
     level = s * params.kappa if s else 0.0
     kind = KIND_KAPPA if s else KIND_ZERO
     return RadialProfile(kind=kind, params=params, grid=grid,
@@ -226,7 +229,7 @@ def singular_profile(params: Parameters,
     if grid is None:
         grid = default_grid(r_min=1e-3)
     if grid[0] <= 0.0:
-        raise ValueError("singular profile grid must exclude r = 0")
+        raise ParameterError("singular profile grid must exclude r = 0")
     coeff = params.beta ** (1.0 / (params.p - 1.0))
     q = params.decay_power
     return RadialProfile(kind=KIND_SINGULAR, params=params, grid=grid,
@@ -236,8 +239,6 @@ def singular_profile(params: Parameters,
 
 
 def tabulated_profile(params: Parameters, grid: np.ndarray, values: np.ndarray,
-                      derivs: np.ndarray, decay_coeff: Optional[float] = None,
-                      meta: Optional[dict] = None) -> RadialProfile:
+                      derivs: np.ndarray) -> RadialProfile:
     return RadialProfile(kind=KIND_TABULATED, params=params, grid=grid,
-                         values=values, derivs=derivs, decay_coeff=decay_coeff,
-                         meta=meta or {})
+                         values=values, derivs=derivs)

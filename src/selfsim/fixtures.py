@@ -32,8 +32,9 @@ REGRESSION_LABELS = {
 }
 
 
-def supercritical_scan_grid(kappa: float, a_max: float = 3.0, count: int = 40):
-    return np.linspace(kappa * 1.0005, a_max, count)
+def supercritical_scan_grid(kappa: float):
+    """40 initial heights from just above kappa to 3."""
+    return np.linspace(kappa * 1.0005, 3.0, 40)
 
 
 _PROFILE_CACHE: dict = {}

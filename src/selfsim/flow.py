@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .core import ParameterError, Parameters, RadialProfile
+from .core import KIND_SINGULAR, ParameterError, Parameters, RadialProfile
 from .numerics import fornberg_weights
 
 OUTCOME_BLEWUP = "blew_up"
@@ -37,6 +37,7 @@ ENERGY_SLACK = 1e-7       # tolerated per-step energy increase
 REACTION_SAFETY = 0.25    # fraction of scalar time-to-blow-up
 DIAG_R_FRAC = 0.6         # dtau diagnostics mask beyond this fraction of
                           # r_max under Dirichlet
+MAX_STEPS = 200000        # step budget of one run
 
 
 @dataclass
@@ -51,6 +52,16 @@ class FlowConfig:
         if self.bc not in (BC_NOFLUX, BC_DIRICHLET):
             raise ParameterError(f"boundary condition must be {BC_NOFLUX!r} "
                                  f"or {BC_DIRICHLET!r}, got {self.bc!r}")
+        # np.gradient's second-order edges need three nodes
+        if self.n_points < 2:
+            raise ParameterError(f"n_points must be at least 2, "
+                                 f"got {self.n_points}")
+        if not self.dt_max > 0.0:
+            raise ParameterError(f"dt_max must be positive, got {self.dt_max}")
+        # conv_tol = 0 switches the convergence stop off
+        if not self.conv_tol >= 0.0:
+            raise ParameterError(f"conv_tol must be nonnegative, "
+                                 f"got {self.conv_tol}")
 
 
 @dataclass
@@ -145,6 +156,9 @@ def init_flow(initial: RadialProfile, cfg: Optional[FlowConfig] = None,
               eigenfunction: Optional[Callable] = None,
               amplitude: float = 0.0) -> FlowState:
     """State at tau = 0 from a profile, optionally plus amplitude * f."""
+    if initial.kind == KIND_SINGULAR:
+        raise ParameterError("the flow needs bounded initial data; the "
+                             "singular profile is unbounded at r = 0")
     if cfg is None:
         cfg = FlowConfig(bc=BC_NOFLUX if initial.is_constant else BC_DIRICHLET)
     mach = _build_machinery(initial.params, cfg)
@@ -169,10 +183,8 @@ def energy_of_state(state: FlowState, w: Optional[np.ndarray] = None) -> float:
                         - np.abs(w) ** (p + 1.0) / (p + 1.0)))
 
 
-def weighted_average(state: FlowState, w: Optional[np.ndarray] = None) -> float:
-    if w is None:
-        w = state.w
-    return float(np.dot(state.machinery["quad_w"], w))
+def weighted_average(state: FlowState) -> float:
+    return float(np.dot(state.machinery["quad_w"], state.w))
 
 
 def blowup_criterion(state: FlowState) -> float:
@@ -190,7 +202,7 @@ def _try_step(state: FlowState, dt: float) -> Optional[np.ndarray]:
     return _react_exact(w2, 0.5 * dt, p)
 
 
-def step(state: FlowState, enforce_energy: bool = True) -> FlowState:
+def step(state: FlowState) -> FlowState:
     """One adaptive step; halves dt on in-step blow-up or energy increase."""
     p = state.params.p
     sup = float(np.abs(state.w).max())
@@ -198,12 +210,11 @@ def step(state: FlowState, enforce_energy: bool = True) -> FlowState:
     if sup > 0.0:
         v_sup = sup ** (1.0 - p)
         dt = min(dt, REACTION_SAFETY * v_sup / (p - 1.0))
-    e_before = energy_of_state(state) if enforce_energy else 0.0
+    e_before = energy_of_state(state)
     while dt >= DT_MIN:
         w_new = _try_step(state, dt)
         if w_new is not None and np.all(np.isfinite(w_new)):
-            if not enforce_energy or \
-                    energy_of_state(state, w_new) <= e_before + ENERGY_SLACK:
+            if energy_of_state(state, w_new) <= e_before + ENERGY_SLACK:
                 state.w = w_new
                 state.tau += dt
                 state.dt = dt
@@ -237,7 +248,7 @@ def dtau_estimate(state: FlowState) -> Optional[np.ndarray]:
     return out
 
 
-def run(state: FlowState, tau_max: float, max_steps: int = 200000) -> FlowReport:
+def run(state: FlowState, tau_max: float) -> FlowReport:
     """Step until blow-up, convergence, or tau_max; collects diagnostics."""
     params, cfg = state.params, state.cfg
     p, kap = params.p, params.kappa
@@ -266,7 +277,7 @@ def run(state: FlowState, tau_max: float, max_steps: int = 200000) -> FlowReport
 
     flags = []
     record()
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if state.tau >= tau_max:
             break
         step(state)
@@ -369,8 +380,7 @@ class PerturbationReport:
 
 def entropy_perturbation_experiment(profile: RadialProfile,
                                     s_values=(0.01, -0.01, 0.05, -0.05),
-                                    run_flow_for: Optional[float] = 0.05,
-                                    flow_cfg: Optional[FlowConfig] = None
+                                    run_flow_for: Optional[float] = 0.05
                                     ) -> PerturbationReport:
     """Entropy drop along the ground-state direction, plus the blow-up run.
 
@@ -416,9 +426,8 @@ def entropy_perturbation_experiment(profile: RadialProfile,
     from .core import constant_profile
     report.kappa_energy = energy(constant_profile(params, "+")).energy
     if run_flow_for is not None:
-        cfg = flow_cfg or FlowConfig(bc=BC_DIRICHLET)
-        state = init_flow(profile, cfg, eigenfunction=f,
-                          amplitude=float(run_flow_for))
+        state = init_flow(profile, FlowConfig(bc=BC_DIRICHLET),
+                          eigenfunction=f, amplitude=float(run_flow_for))
         flow_rep = run(state, tau_max=20.0)
         report.flow_outcome = flow_rep.outcome
         report.flow_tau1 = flow_rep.tau1

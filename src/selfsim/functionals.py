@@ -20,9 +20,24 @@ from typing import Optional
 
 import numpy as np
 
-from .core import KIND_SINGULAR, RadialProfile
+from .core import KIND_SINGULAR, ParameterError, RadialProfile
 from .quadrature import (QuadratureRule, composite_rule, offset_integral_many,
                          weighted_integral)
+
+# relative disagreement of the two energy forms flagged on a solution
+CONSISTENCY_TOL = 1e-4
+# entropy search: coarse grid over x0_norm in [0, X0_MAX] and log(-t0) in
+# [-LOG_A_MAX, LOG_A_MAX], golden refinement to REFINE_TOL, ties within
+# TIE_TOL (relative) broken toward the canonical point, ring probes RING_EPS
+# away from the maximizer
+X0_MAX = 10.0
+LOG_A_MAX = 6.0
+COARSE_POINTS = 13
+REFINE_TOL = 1e-5
+TIE_TOL = 1e-10
+RING_EPS = 0.5
+# tolerated increase along the density's rescaling path
+MONOTONE_SLACK = 1e-8
 
 
 @dataclass
@@ -47,13 +62,12 @@ class EntropyResult:
     trace: list
     ring_margin_t: float = math.nan
     ring_margin_x: float = math.nan
-    ring_eps: float = 0.5
     flags: list = field(default_factory=list)
 
 
-def default_rule(profile: RadialProfile, N: int = 1600) -> QuadratureRule:
+def default_rule(profile: RadialProfile) -> QuadratureRule:
     """Composite log rule; resolves singular tails and sharp shooting cores."""
-    return composite_rule(profile.params.n, N=N)
+    return composite_rule(profile.params.n)
 
 
 def _core_integrals(profile: RadialProfile, rule: QuadratureRule):
@@ -64,16 +78,14 @@ def _core_integrals(profile: RadialProfile, rule: QuadratureRule):
     return grad2, mass, pot
 
 
-def energy(profile: RadialProfile, rule: Optional[QuadratureRule] = None,
-           consistency_tol: float = 1e-4) -> FunctionalReport:
+def energy(profile: RadialProfile) -> FunctionalReport:
     """Three-term weighted energy, plus the stationary shortcut form.
 
     The shortcut (1/2 - 1/(p+1)) int |w|^{p+1} rho is only valid for
-    stationary profiles; a disagreement beyond consistency_tol on a profile
+    stationary profiles; a disagreement beyond CONSISTENCY_TOL on a profile
     claiming to solve the equation is flagged (not fatal).
     """
-    if rule is None:
-        rule = default_rule(profile)
+    rule = default_rule(profile)
     p = profile.params.p
     grad2, mass, pot = _core_integrals(profile, rule)
     e3 = 0.5 * grad2 + mass / (2.0 * (p - 1.0)) - pot / (p + 1.0)
@@ -85,7 +97,7 @@ def energy(profile: RadialProfile, rule: Optional[QuadratureRule] = None,
                               scale=max(abs(e3), abs(e_short), 1e-300))
     if profile.is_solution:
         rel = abs(e3 - e_short) / report.scale
-        if rel > consistency_tol:
+        if rel > CONSISTENCY_TOL:
             report.flags.append(f"energy forms disagree by {rel:.2e} "
                                 f"on a profile claiming solution status")
     return report
@@ -95,7 +107,7 @@ def f_functional(profile: RadialProfile, x0_norm: float, t0: float,
                  rule: Optional[QuadratureRule] = None) -> float:
     """Recentered functional F_{x0,t0}(w) for t0 < 0."""
     if not t0 < 0.0:
-        raise ValueError(f"F functional needs t0 < 0, got {t0}")
+        raise ParameterError(f"F functional needs t0 < 0, got {t0}")
     if rule is None:
         rule = default_rule(profile)
     p = profile.params.p
@@ -120,20 +132,7 @@ def constant_f_closed_form(profile: RadialProfile, t0: float) -> float:
         - a ** ((p + 1.0) / (p - 1.0)) * c ** (p + 1.0) / (p + 1.0)
 
 
-@dataclass
-class EntropySearch:
-    x0_max: float = 10.0
-    log_a_min: float = -6.0
-    log_a_max: float = 6.0
-    coarse_x0: int = 13
-    coarse_log_a: int = 13
-    refine_tol: float = 1e-5
-    ring_eps: float = 0.5
-    tie_tol: float = 1e-10
-
-
-def entropy(profile: RadialProfile, search: Optional[EntropySearch] = None,
-            rule: Optional[QuadratureRule] = None) -> EntropyResult:
+def entropy(profile: RadialProfile) -> EntropyResult:
     """Supremum of F over (x0_norm, log(-t0)) by coarse grid + golden refine.
 
     Not defined for the singular profile (unbounded).  Ties in the x0
@@ -141,17 +140,14 @@ def entropy(profile: RadialProfile, search: Optional[EntropySearch] = None,
     x0 = 0 so the reported argmax is canonical.
     """
     if profile.kind == KIND_SINGULAR:
-        raise ValueError("entropy is defined for bounded profiles only")
-    if search is None:
-        search = EntropySearch()
-    if rule is None:
-        rule = default_rule(profile)
+        raise ParameterError("entropy is defined for bounded profiles only")
+    rule = default_rule(profile)
 
     def F(b, la):
         return f_functional(profile, b, -math.exp(la), rule=rule)
 
-    xs = np.linspace(0.0, search.x0_max, search.coarse_x0)
-    las = np.linspace(search.log_a_min, search.log_a_max, search.coarse_log_a)
+    xs = np.linspace(0.0, X0_MAX, COARSE_POINTS)
+    las = np.linspace(-LOG_A_MAX, LOG_A_MAX, COARSE_POINTS)
     trace = []
     best = (-math.inf, 0.0, 0.0)
     for b in xs:
@@ -160,18 +156,18 @@ def entropy(profile: RadialProfile, search: Optional[EntropySearch] = None,
             trace.append((b, la, val))
             # strict improvement beyond the tie tolerance keeps the smallest
             # (b, |la|) among equal maxima
-            if val > best[0] + search.tie_tol * max(1.0, abs(best[0])):
+            if val > best[0] + TIE_TOL * max(1.0, abs(best[0])):
                 best = (val, b, la)
     _, b, la = best
 
-    def refine(fun, lo, hi, x, span, iters=40):
+    def refine(fun, lo, hi, x, span):
         phi = (math.sqrt(5.0) - 1.0) / 2.0
         a_, b_ = max(lo, x - span), min(hi, x + span)
         c_ = b_ - phi * (b_ - a_)
         d_ = a_ + phi * (b_ - a_)
         fc, fd = fun(c_), fun(d_)
-        for _ in range(iters):
-            if b_ - a_ < search.refine_tol:
+        for _ in range(40):
+            if b_ - a_ < REFINE_TOL:
                 break
             if fc > fd:
                 b_, d_, fd = d_, c_, fc
@@ -183,41 +179,37 @@ def entropy(profile: RadialProfile, search: Optional[EntropySearch] = None,
                 fd = fun(d_)
         return 0.5 * (a_ + b_)
 
-    span_x = search.x0_max / (search.coarse_x0 - 1)
-    span_la = (search.log_a_max - search.log_a_min) / (search.coarse_log_a - 1)
+    span_x = X0_MAX / (COARSE_POINTS - 1)
+    span_la = 2.0 * LOG_A_MAX / (COARSE_POINTS - 1)
     for _ in range(2):
-        b = refine(lambda t: F(t, la), 0.0, search.x0_max, b, span_x)
-        la = refine(lambda t: F(b, t), search.log_a_min, search.log_a_max, la, span_la)
+        b = refine(lambda t: F(t, la), 0.0, X0_MAX, b, span_x)
+        la = refine(lambda t: F(b, t), -LOG_A_MAX, LOG_A_MAX, la, span_la)
     lam = F(b, la)
     # canonical snap for the degenerate spatial direction
-    if F(0.0, la) >= lam - search.tie_tol * max(1.0, abs(lam)):
+    if F(0.0, la) >= lam - TIE_TOL * max(1.0, abs(lam)):
         b = 0.0
         lam = max(lam, F(0.0, la))
-    if F(b, 0.0) >= lam - search.tie_tol * max(1.0, abs(lam)):
+    if F(b, 0.0) >= lam - TIE_TOL * max(1.0, abs(lam)):
         la = 0.0
         lam = max(lam, F(b, 0.0))
 
-    result = EntropyResult(lam=lam, x0_norm=b, t0=-math.exp(la), trace=trace,
-                           ring_eps=search.ring_eps)
-    result.ring_margin_t = lam - max(F(b, la + search.ring_eps),
-                                     F(b, la - search.ring_eps))
-    result.ring_margin_x = lam - F(b + search.ring_eps, la)
-    edge_x = search.x0_max * (1.0 - 1.0 / (len(xs) - 1))
-    if b > edge_x or abs(la) > search.log_a_max * 0.95:
+    result = EntropyResult(lam=lam, x0_norm=b, t0=-math.exp(la), trace=trace)
+    result.ring_margin_t = lam - max(F(b, la + RING_EPS), F(b, la - RING_EPS))
+    result.ring_margin_x = lam - F(b + RING_EPS, la)
+    edge_x = X0_MAX * (1.0 - 1.0 / (len(xs) - 1))
+    if b > edge_x or abs(la) > LOG_A_MAX * 0.95:
         result.flags.append("unconverged sup: maximizer near search boundary")
     return result
 
 
-def identities(profile: RadialProfile,
-               rule: Optional[QuadratureRule] = None) -> FunctionalReport:
+def identities(profile: RadialProfile) -> FunctionalReport:
     """Residuals of the three stationary integral identities.
 
     All residuals are reported relative to the largest constituent integral.
     (The odd first-moment identity holds termwise for radial profiles, so it
     is not reported.)
     """
-    if rule is None:
-        rule = default_rule(profile)
+    rule = default_rule(profile)
     params = profile.params
     n, p = params.n, params.p
     grad2, mass, pot = _core_integrals(profile, rule)
@@ -254,26 +246,24 @@ class DensityResult:
 
 
 def density(profile: RadialProfile, x0_norm: float,
-            s_values: Optional[np.ndarray] = None,
-            rule: Optional[QuadratureRule] = None,
-            monotone_slack: float = 1e-8) -> DensityResult:
+            s_values: Optional[np.ndarray] = None) -> DensityResult:
     """Parabolic density at spatial offset x0 via the recentering limit.
 
     Evaluates F_{x0/sqrt(-s), -1} along a decreasing |s| sequence
     (default s_k = -2^{-k}) and extrapolates the limit; the sequence must be
-    nonincreasing toward s -> 0 up to monotone_slack.
+    nonincreasing toward s -> 0 up to MONOTONE_SLACK.
     """
     if s_values is None:
         s_values = -np.power(2.0, -np.arange(0, 11, dtype=float))
     s_values = np.asarray(s_values, dtype=float)
     if len(s_values) < 4 or np.any(s_values >= 0) or np.any(np.diff(-s_values) >= 0):
-        raise ValueError("need a decreasing-|s| sequence of at least 4 negative s")
-    if rule is None:
-        rule = default_rule(profile)
+        raise ParameterError(
+            "need a decreasing-|s| sequence of at least 4 negative s")
+    rule = default_rule(profile)
     vals = np.array([f_functional(profile, x0_norm / math.sqrt(-s), -1.0, rule=rule)
                      for s in s_values])
     flags = []
-    monotone = bool(np.all(np.diff(vals) <= monotone_slack))
+    monotone = bool(np.all(np.diff(vals) <= MONOTONE_SLACK))
     if not monotone:
         flags.append("recentered energies not monotone along the rescaling path")
     # Aitken extrapolation when the tail differences still move

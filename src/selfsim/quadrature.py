@@ -19,28 +19,29 @@ Gauss-Legendre panels around the kernel peak.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ive, roots_genlaguerre
 
-RADIAL_GAUSS = "radial_gauss"
-RADIAL_COMPOSITE = "radial_composite"
+from .core import SelfsimError
+
+# radial range of the composite rule
+COMPOSITE_R_MIN = 1e-16
+COMPOSITE_R_MAX = 60.0
 
 
-class QuadratureError(ValueError):
+class QuadratureError(SelfsimError, ValueError):
     pass
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights for one reduced direction, plus accuracy metadata."""
+    """Nodes/weights for one reduced direction."""
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.nodes) <= 0):
@@ -61,22 +62,20 @@ def radial_rule(n: int, N: int) -> QuadratureRule:
     s, ws = roots_genlaguerre(N, n / 2.0 - 1.0)
     nodes = 2.0 * np.sqrt(s)
     weights = ws / math.gamma(n / 2.0)
-    return QuadratureRule(RADIAL_GAUSS, nodes, weights,
-                          meta={"exact_even_degree": 4 * N - 2, "n_nodes": N})
+    return QuadratureRule(nodes, weights)
 
 
-def composite_rule(n: int, N: int = 1600, r_min: float = 1e-16,
-                   r_max: float = 60.0) -> QuadratureRule:
+def composite_rule(n: int, N: int = 1600) -> QuadratureRule:
     """Log-spaced trapezoid rule for int f(|y|) rho dy.
 
     Handles integrands f ~ r^g with g > -(n-1) near the origin (fractional
     powers included) and anything with structure at small radii.  Accuracy is
-    limited by the truncated mass below r_min; for tail exponents
+    limited by the truncated mass below COMPOSITE_R_MIN; for tail exponents
     g + n - 1 >= 0.5 this is below 1e-9 relative.
     """
     if n < 1 or N < 16:
         raise QuadratureError("composite_rule needs n >= 1 and N >= 16")
-    x = np.linspace(math.log(r_min), math.log(r_max), N)
+    x = np.linspace(math.log(COMPOSITE_R_MIN), math.log(COMPOSITE_R_MAX), N)
     h = x[1] - x[0]
     r = np.exp(x)
     coef = (4.0 * math.pi) ** (-n / 2.0) * _sphere_area(n)
@@ -85,8 +84,7 @@ def composite_rule(n: int, N: int = 1600, r_min: float = 1e-16,
     w[-1] *= 0.5
     # the trapezoid endpoint weights underflow harmlessly; keep them positive
     w = np.maximum(w, 1e-300)
-    return QuadratureRule(RADIAL_COMPOSITE, r, w,
-                          meta={"r_min": r_min, "r_max": r_max, "n_nodes": N})
+    return QuadratureRule(r, w)
 
 
 def weighted_integral(rule: QuadratureRule, f: Callable) -> float:

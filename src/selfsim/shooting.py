@@ -32,7 +32,8 @@ from scipy.integrate import solve_ivp
 # solve_ivp itself steps with, so the lane kernel cannot drift from it
 from scipy.integrate._ivp.rk import DOP853, MAX_FACTOR, MIN_FACTOR, SAFETY
 
-from .core import (KIND_SHOOTING, Parameters, RadialProfile)
+from .core import (KIND_SHOOTING, ParameterError, Parameters, RadialProfile,
+                   SelfsimError)
 from .numerics import derivative_on_grid
 
 DECAYING = "decaying"
@@ -42,6 +43,7 @@ INCONCLUSIVE = "inconclusive"
 INCONCLUSIVE_CONSTANT = "inconclusive_constant"
 
 R_START = 1e-6     # radius of the Taylor start
+R_MAX = 30.0       # default end of a shot
 # step schedule: a small max_step through the core keeps the dense-output
 # interpolant accurate enough to difference (residual checks amplify
 # interpolation noise by 1/h); the tail tolerates a coarser cap
@@ -55,9 +57,16 @@ CAP_MULT = 10.0
 EVENT_DIRECTIONS = np.array([0, 0, 1])    # zero, cap, rebound (EVENTS)
 # heights tried per multisection round of shoot
 SECTIONS = 15
+# shoot: integrator tolerance, relative bracket width that ends the
+# multisection, largest accepted equation residual, and the tail grid step
+# of the returned profile (a quarter of it through the core)
+SHOOT_TOL = 1e-12
+BISECT_TOL = 5e-14
+RESIDUAL_TOL = 1e-7
+GRID_STEP = 0.004
 
 
-class ShootingError(RuntimeError):
+class ShootingError(SelfsimError, RuntimeError):
     pass
 
 
@@ -72,9 +81,7 @@ class OdeTrajectory:
     dw: np.ndarray
     classification: str
     r_end: float
-    tol: float
     departure: int = 0        # -1 crossed zero, +1 rebounded upward, 0 neither
-    meta: dict = field(default_factory=dict)
     dense: object = field(default=None, repr=False)
 
     def sample(self, r):
@@ -134,16 +141,16 @@ def _is_equilibrium(a: float, p: float) -> bool:
 
 def _check_inputs(a, tol: float) -> None:
     if not np.all(np.isfinite(a)):
-        raise ShootingError("initial height must be finite")
+        raise ParameterError("initial height must be finite")
     if not (1e-14 < tol < 1e-4):
-        raise ShootingError(f"tolerance {tol} outside the supported range")
+        raise ParameterError(f"tolerance {tol} outside the supported range")
 
 
 def _atol(tol: float) -> float:
     return min(tol * 1e-2, 1e-14)
 
 
-def integrate_radial(params: Parameters, a: float, r_max: float = 30.0,
+def integrate_radial(params: Parameters, a: float, r_max: float = R_MAX,
                      tol: float = 1e-12, eps: float = R_START) -> OdeTrajectory:
     """Integrate one shot and classify its departure from the decaying tail."""
     _check_inputs(a, tol)
@@ -156,8 +163,7 @@ def integrate_radial(params: Parameters, a: float, r_max: float = 30.0,
         dense = lambda rr: (np.full_like(np.asarray(rr, float), a),
                             np.zeros_like(np.asarray(rr, float)))
         return OdeTrajectory(a, params, r, np.full_like(r, a), np.zeros_like(r),
-                             INCONCLUSIVE_CONSTANT, r_max, tol, 0,
-                             meta={"equilibrium": True}, dense=dense)
+                             INCONCLUSIVE_CONSTANT, r_max, 0, dense=dense)
     y0 = _taylor_start(a, n, p, eps)
     cap = _cap(a, kap)
 
@@ -195,24 +201,18 @@ def integrate_radial(params: Parameters, a: float, r_max: float = 30.0,
 
     if not last.success:
         return OdeTrajectory(a, params, r_all, w_all, dw_all, INCONCLUSIVE,
-                             r_all[-1], tol,
-                             meta={"solver_message": last.message}, dense=dense)
+                             r_all[-1], dense=dense)
     ev = [np.concatenate([s.t_events[k] for s in pieces])
           for k in range(len(events))]
-    departure, hit_cap = 0, False
+    departure = 0
     if ev[0].size:
         label, departure = SIGN_CHANGING, -1
-    elif ev[1].size:
-        label, departure, hit_cap = GROWING, +1, True
-    elif ev[2].size:
-        label, departure = GROWING, +1    # upward departure from the tail
+    elif ev[1].size or ev[2].size:
+        label, departure = GROWING, +1    # cap, or upward departure from the tail
     else:
         label = _tail_label(params, r_all[-1], dense, a)
-    traj = OdeTrajectory(a, params, r_all, w_all, dw_all, label,
-                         r_all[-1], tol, departure, dense=dense)
-    if hit_cap:
-        traj.meta["hit_cap"] = True
-    return traj
+    return OdeTrajectory(a, params, r_all, w_all, dw_all, label,
+                         r_all[-1], departure, dense=dense)
 
 
 def _tail_label(params: Parameters, r_end: float, dense, a: float) -> str:
@@ -362,17 +362,17 @@ def _classify(params: Parameters, heights, r_max: float,
 
 
 def scan_initial_values(params: Parameters, a_values,
-                        r_max: float = 30.0, tol: float = 1e-10) -> list:
+                        r_max: float = R_MAX, tol: float = 1e-10) -> list:
     """Classify a grid of initial heights; returns (a, label, departure) rows."""
     a = np.asarray(a_values, dtype=float)
     return [(float(x), label, dep)
             for x, (label, dep) in zip(a, _classify(params, a, r_max, tol))]
 
 
-def find_brackets(params: Parameters, a_values, r_max: float = 30.0,
+def find_brackets(params: Parameters, a_values,
                   tol: float = 1e-10) -> list[tuple[float, float]]:
     """Adjacent scan pairs whose departure direction flips (shooting brackets)."""
-    rows = scan_initial_values(params, a_values, r_max=r_max, tol=tol)
+    rows = scan_initial_values(params, a_values, tol=tol)
     out = []
     for (a0, l0, d0), (a1, l1, d1) in zip(rows[:-1], rows[1:]):
         if d0 != 0 and d1 != 0 and d0 != d1:
@@ -380,10 +380,7 @@ def find_brackets(params: Parameters, a_values, r_max: float = 30.0,
     return out
 
 
-def shoot(params: Parameters, a_lo: float, a_hi: float,
-          bisect_tol: float = 5e-14, r_max: float = 30.0,
-          tol: float = 1e-12, residual_tol: float = 1e-7,
-          grid_step: float = 0.004) -> RadialProfile:
+def shoot(params: Parameters, a_lo: float, a_hi: float) -> RadialProfile:
     """Multisect a bracket to the bounded decaying profile.
 
     Each round shoots SECTIONS equally spaced heights inside the bracket and
@@ -392,20 +389,21 @@ def shoot(params: Parameters, a_lo: float, a_hi: float,
     truncated where the sandwich width exceeds 1e-9, with the tail
     coefficient fitted from q = r^{2/(p-1)} w.
     """
-    (_, lo_dep), (_, hi_dep) = _classify(params, [a_lo, a_hi], r_max, tol)
+    (_, lo_dep), (_, hi_dep) = _classify(params, [a_lo, a_hi], R_MAX, SHOOT_TOL)
     if lo_dep == 0 or hi_dep == 0 or lo_dep == hi_dep:
         raise ShootingError(
             f"no bracket: departures are {lo_dep} at a={a_lo} "
             f"and {hi_dep} at a={a_hi}")
     lo_a, hi_a = a_lo, a_hi
     fractions = np.arange(1, SECTIONS + 1) / (SECTIONS + 1)
-    while hi_a - lo_a > bisect_tol * max(1.0, abs(hi_a)):
+    while hi_a - lo_a > BISECT_TOL * max(1.0, abs(hi_a)):
         inner = np.unique(lo_a + (hi_a - lo_a) * fractions)
         inner = inner[(inner > lo_a) & (inner < hi_a)]
         if inner.size == 0:
             break
         heights = [lo_a, *inner.tolist(), hi_a]
-        deps = [lo_dep, *(d for _, d in _classify(params, inner, r_max, tol)),
+        deps = [lo_dep,
+                *(d for _, d in _classify(params, inner, R_MAX, SHOOT_TOL)),
                 hi_dep]
         flip = next(k for k, d in enumerate(deps) if d != lo_dep)
         if deps[flip] == 0:
@@ -413,9 +411,9 @@ def shoot(params: Parameters, a_lo: float, a_hi: float,
         lo_a, hi_a = heights[flip - 1], heights[flip]
     a_star = 0.5 * (lo_a + hi_a)
 
-    lo = integrate_radial(params, lo_a, r_max=r_max, tol=tol)
-    hi = integrate_radial(params, hi_a, r_max=r_max, tol=tol)
-    mid = integrate_radial(params, a_star, r_max=r_max, tol=tol)
+    lo = integrate_radial(params, lo_a, tol=SHOOT_TOL)
+    hi = integrate_radial(params, hi_a, tol=SHOOT_TOL)
+    mid = integrate_radial(params, a_star, tol=SHOOT_TOL)
     r_common = min(lo.r_end, hi.r_end, mid.r_end) * 0.999
     probe = np.linspace(mid.r[0], r_common, 1500)
     gap = np.abs(lo.sample(probe)[0] - hi.sample(probe)[0])
@@ -426,8 +424,8 @@ def shoot(params: Parameters, a_lo: float, a_hi: float,
     eps = mid.r[0]
     core_end = min(0.5, 0.5 * r_cut)
     grid = np.concatenate([
-        np.arange(eps, core_end, grid_step / 4.0),
-        np.arange(core_end, r_cut, grid_step)])
+        np.arange(eps, core_end, GRID_STEP / 4.0),
+        np.arange(core_end, r_cut, GRID_STEP)])
     w, dw = mid.sample(grid)
     if np.any(w <= 0.0):
         raise ShootingError("bisected profile is not positive")
@@ -445,10 +443,10 @@ def shoot(params: Parameters, a_lo: float, a_hi: float,
                             classification=DECAYING, second_derivs=w2,
                             meta={"a": a_star, "axis_value": a_star,
                                   "bracket": (lo_a, hi_a), "r_cut": r_cut,
-                                  "ode_tol": tol})
+                                  "ode_tol": SHOOT_TOL})
     res = ode_residual(profile)
-    if res > residual_tol:
-        raise ShootingError(f"profile residual {res:.3e} exceeds {residual_tol}")
+    if res > RESIDUAL_TOL:
+        raise ShootingError(f"profile residual {res:.3e} exceeds {RESIDUAL_TOL}")
     profile.meta["ode_residual"] = res
     return profile
 

@@ -24,12 +24,14 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 
-from .core import KIND_SINGULAR, RadialProfile
+from .core import KIND_SINGULAR, ParameterError, RadialProfile, SelfsimError
 from .numerics import derivative_on_grid
 from .quadrature import _sphere_area
 
+R_MAX = 20.0    # truncation radius of the sector grids
 
-class SpectrumError(RuntimeError):
+
+class SpectrumError(SelfsimError, RuntimeError):
     pass
 
 
@@ -74,13 +76,15 @@ class EigenResult:
 
 
 def build_sector(profile: RadialProfile, ell: int, resolution: int = 3000,
-                 r_max: float = 20.0) -> SectorOperator:
+                 r_max: float = R_MAX) -> SectorOperator:
     """Symmetric tridiagonal discretization of -L restricted to sector l."""
     if profile.kind == KIND_SINGULAR:
-        raise SpectrumError("singular profiles are outside the eigensolver scope "
-                            "(potential ~ r^-2)")
+        raise ParameterError("singular profiles are outside the eigensolver "
+                             "scope (potential ~ r^-2)")
     if ell < 0:
-        raise SpectrumError("sector index must be nonnegative")
+        raise ParameterError(f"sector index must be nonnegative, got {ell}")
+    if resolution < 4:
+        raise ParameterError(f"resolution must be at least 4, got {resolution}")
     params = profile.params
     n, p = params.n, params.p
     n_eff = n + 2 * ell
@@ -125,14 +129,15 @@ def eigen_smallest(op: SectorOperator, k: int, refine: bool = True,
     operator rebuilt at double resolution (requires the profile); the
     resolution-doubling shift is recorded as the convergence certificate.
     """
-    if k > op.meta["resolution"] // 4:
-        raise SpectrumError("k too large for this resolution")
+    if not 1 <= k <= op.meta["resolution"] // 4:
+        raise ParameterError(f"k must be between 1 and resolution/4 = "
+                             f"{op.meta['resolution'] // 4}, got {k}")
     vals, vecs = _solve(op, k)
     lam = vals.copy()
     cert = {}
     if refine:
         if profile is None:
-            raise SpectrumError("refine=True needs the profile to rebuild")
+            raise ParameterError("refine=True needs the profile to rebuild")
         op2 = build_sector(profile, op.ell, resolution=2 * op.meta["resolution"],
                            r_max=op.meta["r_max"])
         vals2, _ = _solve(op2, k)
@@ -186,29 +191,28 @@ def apply_L(profile: RadialProfile, psi, ell: int = 0,
     return grid, out
 
 
-def first_eigenfunction(profile: RadialProfile, resolution: int = 3000,
-                        r_max: float = 20.0):
+def first_eigenfunction(profile: RadialProfile, resolution: int = 3000):
     """Ground state of the radial sector: (lambda_1, f, certificates).
 
     f is positive with int f^2 rho = 1; the decay certificate records
     sup (1+r)^{2p/(p-1)} |f| over the outer half of the domain and its
     stability under extending the domain.
     """
-    op = build_sector(profile, 0, resolution=resolution, r_max=r_max)
+    op = build_sector(profile, 0, resolution=resolution)
     res = eigen_smallest(op, 1, refine=True, profile=profile)
     lam1 = float(res.lambdas[0])
     f = res.funcs[0]
     power = 2.0 * profile.params.p / (profile.params.p - 1.0)
-    tail = op.r >= 0.5 * r_max
+    tail = op.r >= 0.5 * R_MAX
     cert = dict(res.certificates)
     cert["decay_sup"] = float(np.max((1.0 + op.r[tail]) ** power
                                      * np.abs(res.samples[0][tail])))
     # domain sensitivity at fixed spacing: same h, r_max scaled by 1.2
     raw = eigen_smallest(op, 1, refine=False)
     op_ext = build_sector(profile, 0, resolution=int(resolution * 1.2),
-                          r_max=r_max * 1.2)
+                          r_max=R_MAX * 1.2)
     res_ext = eigen_smallest(op_ext, 1, refine=False)
-    tail_ext = op_ext.r >= 0.5 * r_max
+    tail_ext = op_ext.r >= 0.5 * R_MAX
     cert["decay_sup_extended"] = float(np.max(
         (1.0 + op_ext.r[tail_ext]) ** power * np.abs(res_ext.samples[0][tail_ext])))
     cert["lambda_shift_extended"] = abs(float(res_ext.lambdas[0])

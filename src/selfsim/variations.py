@@ -21,11 +21,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import RadialProfile
+from .core import ParameterError, RadialProfile
 from .quadrature import (QuadratureRule, _gl_panels, _offset_weights,
                          weighted_integral)
 from .functionals import _core_integrals, default_rule
 from .shooting import ode_residual
+
+# largest equation residual of a profile the closed form accepts as stationary
+STATIONARY_RESIDUAL = 1e-6
+# lambda_1 above -1 - MARGINAL_TOL gets the "marginal" verdict
+MARGINAL_TOL = 1e-6
 
 
 @dataclass
@@ -83,11 +88,9 @@ def _lambda_call(profile: RadialProfile):
     return lambda r: 2.0 * profile.value(r) / (p - 1.0) + r * profile.deriv(r)
 
 
-def first_variation(profile: RadialProfile, var: Variation,
-                    rule: Optional[QuadratureRule] = None) -> float:
+def first_variation(profile: RadialProfile, var: Variation) -> float:
     """d/ds F at s=0 through the canonical point (x0=0, t0=-1), term by term."""
-    if rule is None:
-        rule = default_rule(profile)
+    rule = default_rule(profile)
     params = profile.params
     n, p = params.n, params.p
     w, dw = profile.value, profile.deriv
@@ -112,15 +115,14 @@ def first_variation(profile: RadialProfile, var: Variation,
 
 
 def second_variation(profile: RadialProfile, var: Variation,
-                     rule: Optional[QuadratureRule] = None,
-                     residual_tol: float = 1e-6) -> float:
+                     rule: Optional[QuadratureRule] = None) -> float:
     """Closed-form second variation, valid only at stationary profiles."""
     res = profile.meta.get("ode_residual")
     if res is None:
         res = ode_residual(profile)
         profile.meta["ode_residual"] = res
-    if not profile.is_solution or res > residual_tol:
-        raise ValueError(
+    if not profile.is_solution or res > STATIONARY_RESIDUAL:
+        raise ParameterError(
             f"second_variation needs a stationary profile "
             f"(residual {res:.2e}, solution status {profile.is_solution})")
     if rule is None:
@@ -146,8 +148,7 @@ def second_variation(profile: RadialProfile, var: Variation,
 
 
 def general_second_variation_fd(profile: RadialProfile, var: Variation,
-                                delta: float = 1e-3,
-                                rule: Optional[QuadratureRule] = None) -> float:
+                                delta: float = 1e-3) -> float:
     """Centered second difference of s -> F_{x(s),t(s)}(w + s phi).
 
     Path: |x(s)| = |s y0 + s^2 y02 / 2|, t(s) = -1 + s h + s^2 h2 / 2.
@@ -156,11 +157,11 @@ def general_second_variation_fd(profile: RadialProfile, var: Variation,
     cancels in the difference instead of being amplified by 1/delta^2.
     """
     if not 1e-5 <= delta <= 1e-2:
-        raise ValueError("delta outside the supported window [1e-5, 1e-2]")
+        raise ParameterError("delta outside the supported window [1e-5, 1e-2]")
     params = profile.params
     n, p = params.n, params.p
     if n < 2:
-        raise ValueError("offset variations need n >= 2")
+        raise ParameterError("offset variations need n >= 2")
 
     def b_of(s):
         return abs(s * var.y0 + 0.5 * s * s * var.y02)
@@ -204,12 +205,10 @@ class StabilityReport:
     details: dict = field(default_factory=dict)
 
 
-def stability_report(profile: RadialProfile, eig0,
-                     rule: Optional[QuadratureRule] = None,
-                     tol: float = 1e-6) -> StabilityReport:
+def stability_report(profile: RadialProfile, eig0) -> StabilityReport:
     """Stability verdict from the radial ground state.
 
-    Nonconstant profiles with lambda_1 < -1 (beyond tol) get the
+    Nonconstant profiles with lambda_1 < -1 (beyond MARGINAL_TOL) get the
     destabilizing direction f with the orthogonality certificate
     <f, Lam(w)> = 0 and the resulting negative second variation (f is
     radial, so it is orthogonal to the l = 1 translation mode w' by
@@ -217,8 +216,7 @@ def stability_report(profile: RadialProfile, eig0,
     removing the mean mode with the optimal time reparametrization; zero is
     stable outright.
     """
-    if rule is None:
-        rule = default_rule(profile)
+    rule = default_rule(profile)
     params = profile.params
     p = params.p
     lam1 = float(eig0.lambdas[0])
@@ -238,7 +236,7 @@ def stability_report(profile: RadialProfile, eig0,
                                lambda_1=lam1, margin=abs(lam1 + 1.0),
                                details=details)
 
-    if lam1 > -1.0 - tol:
+    if lam1 > -1.0 - MARGINAL_TOL:
         return StabilityReport(verdict="marginal", lambda_1=lam1,
                                margin=lam1 + 1.0)
 

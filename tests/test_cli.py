@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from selfsim.cli import main
+from selfsim.cli import SUBCOMMANDS, _resolve, build_parser, main
 
 
 def read_json(out_dir, name):
@@ -172,3 +172,100 @@ def test_perturb_subcommand(tmp_path):
     assert all(m > 0 for m in data["drop_margins"].values())
     assert data["flow_outcome"] == "blew_up"
     assert data["final_resolved_energy"] < data["base_entropy"] + 1e-6
+
+
+def write_config(tmp_path, values):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    return str(path)
+
+
+def test_config_file_out_is_used_and_flag_wins(tmp_path):
+    from_file, from_flag = tmp_path / "from_file", tmp_path / "from_flag"
+    cfg = write_config(tmp_path, {"n": 7, "p": 3, "out": str(from_file)})
+    assert main(["--config", cfg, "gamma"]) == 0
+    assert (from_file / "gamma.json").exists()
+    assert main(["--config", cfg, "--out", str(from_flag), "gamma"]) == 0
+    assert (from_flag / "gamma.json").exists()
+    assert "out" not in read_json(from_flag, "gamma")["config"]
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_conv_tol_zero_runs_negative_rejected(tmp_path, source):
+    def run(conv_tol):
+        args = ["flow", "--n", "3", "--p", "3", "--init", "const:1.0"]
+        if source == "flag":
+            return main(["--out", str(tmp_path), *args,
+                         "--conv-tol", str(conv_tol)])
+        cfg = write_config(tmp_path, {"conv_tol": conv_tol})
+        return main(["--out", str(tmp_path), "--config", cfg, *args])
+    assert run(0) == 0
+    assert read_json(tmp_path, "flow")["config"]["conv_tol"] == 0.0
+    assert run(-1) == 2
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_integer_key_rejects_non_integral_value(tmp_path, capsys, source):
+    if source == "flag":
+        rc = main(["--out", str(tmp_path), "gamma", "--n", "3.5", "--p", "3"])
+    else:
+        cfg = write_config(tmp_path, {"n": 3.5, "p": 3})
+        rc = main(["--out", str(tmp_path), "--config", cfg, "gamma"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: n must be int")
+    assert not (tmp_path / "gamma.json").exists()
+
+
+BAD_REQUESTS = [
+    ["spectrum", "--profile", "singular"],
+    ["stability", "--profile", "singular"],
+    ["perturb", "--profile", "singular"],
+    ["entropy", "--profile", "singular"],
+    ["spectrum", "--ell", "-1"],
+    ["spectrum", "--k", "0"],
+    ["spectrum", "--resolution", "0"],
+    ["flow", "--n-points", "0"],
+    ["flow", "--init", "const:abc"],
+    ["flow", "--init", "singular"],
+    ["f-scan", "--x0-count", "0"],
+    ["gap-scan", "--p-count", "0"],
+    ["gap-scan", "--n-range", "4"],
+    ["gap-scan", "--n-range", "a:b"],
+    [{"n": "abc"}, "gamma"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_REQUESTS,
+                         ids=lambda a: " ".join(map(str, a)))
+def test_bad_request_exits_2_without_traceback(tmp_path, capsys, argv):
+    if isinstance(argv[0], dict):
+        argv = ["--config", write_config(tmp_path, argv[0]), *argv[1:]]
+    assert main(["--out", str(tmp_path / "out"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("out/*.json"))
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_every_table_key_is_a_flag_and_a_config_key(tmp_path, capsys,
+                                                    command):
+    table = SUBCOMMANDS[command][1]
+    assert main([command, "--help"]) == 0
+    usage = capsys.readouterr().out
+    for key in table:
+        assert "--" + key.replace("_", "-") in usage
+    values = {key: None if isinstance(default, type) else default
+              for key, default in table.items()}
+    cfg = write_config(tmp_path, values)
+    args = build_parser().parse_args(["--config", cfg, command])
+    assert _resolve(args) == {**values, "out": "selfsim_out"}
+
+
+def test_defaults_and_explicit_defaults_hash_alike(tmp_path):
+    assert main(["--out", str(tmp_path / "a"), "energy", "--n", "3",
+                 "--p", "7"]) == 0
+    assert main(["--out", str(tmp_path / "b"), "energy", "--n", "3",
+                 "--p", "7", "--profile", "kappa"]) == 0
+    assert read_json(tmp_path / "a", "energy")["config_hash"] == \
+        read_json(tmp_path / "b", "energy")["config_hash"]

@@ -5,9 +5,8 @@ import pytest
 
 from selfsim.core import constant_profile, make_params, singular_profile
 from selfsim.fixtures import reference_profile
-from selfsim.functionals import (EntropySearch, constant_f_closed_form,
-                                 density, energy, entropy, f_functional,
-                                 identities)
+from selfsim.functionals import (constant_f_closed_form, density, energy,
+                                 entropy, f_functional, identities)
 
 P33 = make_params(3, 3.0)
 P37 = make_params(3, 7.0, require_supercritical=True)

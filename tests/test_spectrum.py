@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from selfsim.core import constant_profile, make_params, singular_profile
+from selfsim.core import (ParameterError, constant_profile, make_params,
+                         singular_profile)
 from selfsim.fixtures import reference_profile
 from selfsim.quadrature import composite_rule, weighted_integral
-from selfsim.spectrum import (SpectrumError, apply_L, build_sector,
-                              eigen_smallest, first_eigenfunction,
-                              rayleigh_quotient)
+from selfsim.spectrum import (apply_L, build_sector, eigen_smallest,
+                              first_eigenfunction, rayleigh_quotient)
 
 P33 = make_params(3, 3.0)
 P37 = make_params(3, 7.0, require_supercritical=True)
@@ -179,5 +179,5 @@ def test_operator_symmetry_in_weighted_inner_product(wshoot):
 
 
 def test_singular_profile_rejected():
-    with pytest.raises(SpectrumError):
+    with pytest.raises(ParameterError):
         build_sector(singular_profile(make_params(7, 3.0)), 0)
