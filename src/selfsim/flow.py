@@ -52,7 +52,8 @@ class FlowConfig:
         if self.bc not in (BC_NOFLUX, BC_DIRICHLET):
             raise ParameterError(f"boundary condition must be {BC_NOFLUX!r} "
                                  f"or {BC_DIRICHLET!r}, got {self.bc!r}")
-        # np.gradient's second-order edges need three nodes
+        # the one-sided edge triples of the gradient stencil built in
+        # _build_machinery need three nodes
         if self.n_points < 2:
             raise ParameterError(f"n_points must be at least 2, "
                                  f"got {self.n_points}")
@@ -75,6 +76,9 @@ class FlowState:
     history: list = field(default_factory=list)   # recent (tau, w) snapshots
     machinery: dict = field(default_factory=dict)
     exhausted: bool = False
+    # accepted energy, valid while state.energy_of is state.w
+    energy: float = math.nan
+    energy_of: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -111,8 +115,22 @@ def _build_machinery(params: Parameters, cfg: FlowConfig) -> dict:
     quad_w = V / V.sum()
     low = m_face[1:-1] / h**2
     mbar = V / h
+    # np.gradient(w, r, edge_order=2) as three-point coefficients: numpy's
+    # non-uniform formulas, which it takes here since np.diff(r) is not
+    # exactly constant (on an exactly uniform grid it agrees to rounding)
+    d = np.diff(r)
+    d1, d2 = d[:-1], d[1:]
+    interior = (-d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2),
+                d1 / (d2 * (d1 + d2)))
+    d1, d2 = d[0], d[1]
+    left = (-(2.0 * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2),
+            -d1 / (d2 * (d1 + d2)))
+    d1, d2 = d[-2], d[-1]
+    right = (d2 / (d1 * (d1 + d2)), -(d2 + d1) / (d1 * d2),
+             (2.0 * d2 + d1) / (d2 * (d1 + d2)))
     return {"r": r, "h": h, "low": low, "mbar": mbar, "quad_w": quad_w,
-            "outer_flux": m_face[-1] / h**2}
+            "outer_flux": m_face[-1] / h**2,
+            "stencil": (interior, left, right)}
 
 
 def _apply_diffusion(mach: dict, w: np.ndarray, bc: str) -> np.ndarray:
@@ -126,6 +144,9 @@ def _apply_diffusion(mach: dict, w: np.ndarray, bc: str) -> np.ndarray:
 
 
 def _cn_banded(mach: dict, dt: float, bc: str) -> np.ndarray:
+    """Crank-Nicolson matrix for step dt, rebuilt only when dt changes."""
+    if mach.get("cn_dt") == dt:
+        return mach["cn"]
     N = len(mach["mbar"]) - 1
     low, mbar = mach["low"], mach["mbar"]
     diag = np.zeros(N + 1)
@@ -137,19 +158,35 @@ def _cn_banded(mach: dict, dt: float, bc: str) -> np.ndarray:
     ab[1] = 1.0 + 0.5 * dt * diag / mbar
     ab[0, 1:] = -0.5 * dt * low / mbar[:-1]
     ab[2, :-1] = -0.5 * dt * low / mbar[1:]
+    mach["cn_dt"], mach["cn"] = dt, ab
     return ab
 
 
 def _react_exact(w: np.ndarray, dt: float, p: float) -> Optional[np.ndarray]:
     """Exact reaction flow via v = |w|^{1-p}; None if it blows inside dt."""
-    out = np.zeros_like(w)
     nz = w != 0.0
-    v = np.abs(w[nz]) ** (1.0 - p)
+    dense = bool(nz.all())   # no zeros: no mask or scatter needed
+    wz = w if dense else w[nz]
+    v = np.abs(wz) ** (1.0 - p)
     v_new = (p - 1.0) + (v - (p - 1.0)) * math.exp(dt)
     if np.any(v_new <= 0.0):
         return None
-    out[nz] = np.sign(w[nz]) * v_new ** (-1.0 / (p - 1.0))
+    moved = np.sign(wz) * v_new ** (-1.0 / (p - 1.0))
+    if dense:
+        return moved
+    out = np.zeros_like(w)
+    out[nz] = moved
     return out
+
+
+def _gradient(mach: dict, w: np.ndarray) -> np.ndarray:
+    """w' by the machinery's three-point stencil."""
+    (a, b, c), left, right = mach["stencil"]
+    dw = np.empty_like(w)
+    dw[1:-1] = a * w[:-2] + b * w[1:-1] + c * w[2:]
+    dw[0] = left[0] * w[0] + left[1] * w[1] + left[2] * w[2]
+    dw[-1] = right[0] * w[-3] + right[1] * w[-2] + right[2] * w[-1]
+    return dw
 
 
 def init_flow(initial: RadialProfile, cfg: Optional[FlowConfig] = None,
@@ -173,14 +210,28 @@ def init_flow(initial: RadialProfile, cfg: Optional[FlowConfig] = None,
 
 
 def energy_of_state(state: FlowState, w: Optional[np.ndarray] = None) -> float:
-    """Discrete Lyapunov energy of the grid function."""
+    """Discrete Lyapunov energy of the grid function.
+
+    w' is the three-point stencil of _build_machinery, bit-identical to
+    np.gradient(w, r, edge_order=2) on the flow grid.  The flow keeps the
+    energy it accepted on the state (state.energy, keyed to the array
+    state.energy_of), so a step reuses it; rebinding state.w invalidates it,
+    and w must not be changed in place.
+    """
     if w is None:
         w = state.w
     p = state.params.p
-    dw = np.gradient(w, state.r, edge_order=2)
+    dw = _gradient(state.machinery, w)
     qw = state.machinery["quad_w"]
     return float(np.dot(qw, 0.5 * dw**2 + w**2 / (2.0 * (p - 1.0))
                         - np.abs(w) ** (p + 1.0) / (p + 1.0)))
+
+
+def _accepted_energy(state: FlowState) -> float:
+    """Energy of state.w, evaluated once per array the state holds."""
+    if state.energy_of is not state.w:
+        state.energy, state.energy_of = energy_of_state(state), state.w
+    return state.energy
 
 
 def weighted_average(state: FlowState) -> float:
@@ -210,12 +261,14 @@ def step(state: FlowState) -> FlowState:
     if sup > 0.0:
         v_sup = sup ** (1.0 - p)
         dt = min(dt, REACTION_SAFETY * v_sup / (p - 1.0))
-    e_before = energy_of_state(state)
+    e_before = _accepted_energy(state)
     while dt >= DT_MIN:
         w_new = _try_step(state, dt)
         if w_new is not None and np.all(np.isfinite(w_new)):
-            if energy_of_state(state, w_new) <= e_before + ENERGY_SLACK:
+            e_new = energy_of_state(state, w_new)
+            if e_new <= e_before + ENERGY_SLACK:
                 state.w = w_new
+                state.energy, state.energy_of = e_new, w_new
                 state.tau += dt
                 state.dt = dt
                 state.history.append((state.tau, w_new.copy()))
@@ -265,7 +318,7 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
         cols["sup_norm"].append(float(np.abs(state.w).max()))
         avg = weighted_average(state)
         cols["weighted_avg"].append(avg)
-        cols["energy"].append(energy_of_state(state))
+        cols["energy"].append(_accepted_energy(state))
         cols["dt"].append(state.dt)
         dtau = dtau_estimate(state)
         mval = float(dtau.min()) if dtau is not None else math.nan
@@ -274,6 +327,7 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
             min_dtau_overall = min(min_dtau_overall, mval)
         if avg > kap + 1e-12:
             criterion_exceeded = True
+        return dtau
 
     flags = []
     record()
@@ -281,17 +335,17 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
         if state.tau >= tau_max:
             break
         step(state)
-        record()
+        dtau = record()
+        sup = cols["sup_norm"][-1]
         if state.exhausted:
-            if np.abs(state.w).max() > 10.0 * kap:
+            if sup > 10.0 * kap:
                 outcome = OUTCOME_BLEWUP
             else:
                 flags.append("step size exhausted without clear growth")
             break
-        if np.abs(state.w).max() > cap:
+        if sup > cap:
             outcome = OUTCOME_BLEWUP
             break
-        dtau = dtau_estimate(state)
         if cfg.conv_tol > 0.0 and dtau is not None \
                 and np.abs(dtau).max() < cfg.conv_tol \
                 and state.dt >= 0.5 * cfg.dt_max:

@@ -18,6 +18,7 @@ Gauss-Legendre panels around the kernel peak.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -155,8 +156,16 @@ def offset_integral_many(fs: Sequence[Callable], x0_norm: float, t0: float,
     return out
 
 
-def _gl_panels(edges: np.ndarray, n_gl: int):
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n_gl: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once."""
     gx, gw = np.polynomial.legendre.leggauss(n_gl)
+    gx.flags.writeable = gw.flags.writeable = False
+    return gx, gw
+
+
+def _gl_panels(edges: np.ndarray, n_gl: int):
+    gx, gw = _gauss_legendre(n_gl)
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

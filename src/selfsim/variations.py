@@ -216,7 +216,6 @@ def stability_report(profile: RadialProfile, eig0) -> StabilityReport:
     removing the mean mode with the optimal time reparametrization; zero is
     stable outright.
     """
-    rule = default_rule(profile)
     params = profile.params
     p = params.p
     lam1 = float(eig0.lambdas[0])
@@ -240,6 +239,7 @@ def stability_report(profile: RadialProfile, eig0) -> StabilityReport:
         return StabilityReport(verdict="marginal", lambda_1=lam1,
                                margin=lam1 + 1.0)
 
+    rule = default_rule(profile)
     f = eig0.funcs[0]
     lam_call = _lambda_call(profile)
     ortho_scale = weighted_integral(rule, lambda r: f(r) * lam_call(r))

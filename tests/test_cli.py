@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from selfsim.cli import SUBCOMMANDS, _resolve, build_parser, main
+from selfsim.cli import HELP, SUBCOMMANDS, _resolve, build_parser, main
 
 
 def read_json(out_dir, name):
@@ -19,6 +19,18 @@ def test_energy_kappa_p7(tmp_path, capsys):
     assert data["quantity"] == "weighted_energy"
     assert abs(data["E"] - 0.034395) < 1e-5
     assert "config_hash" in data and len(data["config_hash"]) == 16
+
+
+@pytest.mark.parametrize("argv", [["--profile", "-kappa"],
+                                  ["--profile=-kappa"]])
+def test_negative_kappa_profile_as_listed_in_help(tmp_path, argv):
+    assert "-kappa" in HELP["profile"].split()
+    rc = main(["--out", str(tmp_path), "energy", "--n", "3", "--p", "7",
+               *argv])
+    assert rc == 0
+    data = read_json(tmp_path, "energy")
+    assert data["config"]["profile"] == "-kappa"
+    assert abs(data["E"] - 0.034395) < 1e-5   # E is even in w
 
 
 def test_gamma_7_3(tmp_path):

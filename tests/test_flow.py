@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from selfsim import flow
 from selfsim.core import constant_profile, make_params, tabulated_profile
 from selfsim.fixtures import reference_profile
 from selfsim.flow import (BC_DIRICHLET, BC_NOFLUX, FlowConfig,
@@ -196,3 +197,45 @@ def test_reached_max_time_outcome():
     assert report.outcome == "reached_max_time"
     assert report.tau1 is None
     assert report.tau_end >= 0.2
+
+
+@pytest.mark.parametrize("n_points", [800, 1600])
+@pytest.mark.parametrize("bc", [BC_NOFLUX, BC_DIRICHLET])
+def test_gradient_stencil_is_np_gradient_bit_for_bit(n_points, bc):
+    state = init_flow(constant_profile(P33, "+"),
+                      FlowConfig(bc=bc, n_points=n_points))
+    w = np.random.default_rng(7).normal(size=state.r.size)
+    expected = np.gradient(w, state.r, edge_order=2)
+    assert flow._gradient(state.machinery, w).tobytes() == expected.tobytes()
+
+
+def test_energy_cache_follows_a_rebound_w():
+    state = init_flow(constant_profile(P33, "+"), FlowConfig(bc=BC_NOFLUX))
+    run(state, tau_max=0.05)             # caches the energy of kappa data
+    state.w = np.full_like(state.w, 1.02 * P33.kappa)
+    state.history = [(0.0, state.w.copy())]
+    expected = energy_of_state(state)
+    assert expected != energy_of_state(state, np.full_like(state.w, P33.kappa))
+    assert run(state, tau_max=0.1).series["energy"][0] == expected
+
+
+def test_energy_evaluated_once_per_accepted_step(monkeypatch):
+    calls = []
+    original = flow.energy_of_state
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "energy_of_state", counted)
+    report = run(constant_data_state(P33, 0.8 * P33.kappa), tau_max=40.0)
+    assert report.outcome == OUTCOME_CONVERGED
+    accepted = len(report.series["tau"]) - 1
+    assert 0 < len(calls) <= accepted + 1
+
+
+def test_reaction_with_zeros_matches_the_dense_path():
+    w = np.array([0.5, -0.3, 1.2, 0.8])
+    dense = flow._react_exact(w, 0.01, 3.0)
+    sparse = flow._react_exact(np.insert(w, 2, 0.0), 0.01, 3.0)
+    assert sparse.tobytes() == np.insert(dense, 2, 0.0).tobytes()
