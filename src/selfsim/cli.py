@@ -37,7 +37,8 @@ from .spectrum import build_sector, eigen_smallest
 from .variations import stability_report
 
 GLOBAL = {"out": "selfsim_out"}
-HELP = {"profile": "kappa | -kappa | zero | singular | shoot ",
+HELP = {"profile": "kappa | -kappa (as --profile=-kappa) | zero | singular "
+                   "| shoot ",
         "init": "const:<level> | kappa | shoot "}
 CONSTANTS = {"kappa": "+", "zero": "0", "-kappa": "-"}
 
@@ -435,24 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _glue_dash_values(argv: list) -> list:
-    """``--profile -kappa`` as ``--profile=-kappa``: argparse would read a
-    value that starts with '-' as an option."""
-    out = []
-    for tok in argv:
-        if tok in CONSTANTS and tok.startswith("-") and out \
-                and out[-1] in ("--profile", "--init"):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(
-            _glue_dash_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:

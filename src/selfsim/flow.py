@@ -116,21 +116,25 @@ def _build_machinery(params: Parameters, cfg: FlowConfig) -> dict:
     low = m_face[1:-1] / h**2
     mbar = V / h
     # np.gradient(w, r, edge_order=2) as three-point coefficients: numpy's
-    # non-uniform formulas, which it takes here since np.diff(r) is not
-    # exactly constant (on an exactly uniform grid it agrees to rounding)
+    # non-uniform formulas.  When np.diff(r) is exactly constant (n_points =
+    # 512, 1024, ...) numpy takes other formulas, so there is no stencil and
+    # _gradient calls np.gradient itself.
     d = np.diff(r)
-    d1, d2 = d[:-1], d[1:]
-    interior = (-d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2),
-                d1 / (d2 * (d1 + d2)))
-    d1, d2 = d[0], d[1]
-    left = (-(2.0 * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2),
-            -d1 / (d2 * (d1 + d2)))
-    d1, d2 = d[-2], d[-1]
-    right = (d2 / (d1 * (d1 + d2)), -(d2 + d1) / (d1 * d2),
-             (2.0 * d2 + d1) / (d2 * (d1 + d2)))
+    stencil = None
+    if not (d == d[0]).all():
+        d1, d2 = d[:-1], d[1:]
+        interior = (-d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2),
+                    d1 / (d2 * (d1 + d2)))
+        d1, d2 = d[0], d[1]
+        left = (-(2.0 * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2),
+                -d1 / (d2 * (d1 + d2)))
+        d1, d2 = d[-2], d[-1]
+        right = (d2 / (d1 * (d1 + d2)), -(d2 + d1) / (d1 * d2),
+                 (2.0 * d2 + d1) / (d2 * (d1 + d2)))
+        stencil = (interior, left, right)
     return {"r": r, "h": h, "low": low, "mbar": mbar, "quad_w": quad_w,
             "outer_flux": m_face[-1] / h**2,
-            "stencil": (interior, left, right)}
+            "stencil": stencil}
 
 
 def _apply_diffusion(mach: dict, w: np.ndarray, bc: str) -> np.ndarray:
@@ -162,25 +166,23 @@ def _cn_banded(mach: dict, dt: float, bc: str) -> np.ndarray:
     return ab
 
 
+@np.errstate(divide="ignore")
 def _react_exact(w: np.ndarray, dt: float, p: float) -> Optional[np.ndarray]:
-    """Exact reaction flow via v = |w|^{1-p}; None if it blows inside dt."""
-    nz = w != 0.0
-    dense = bool(nz.all())   # no zeros: no mask or scatter needed
-    wz = w if dense else w[nz]
-    v = np.abs(wz) ** (1.0 - p)
+    """Exact reaction flow via v = |w|^{1-p}; None if it blows inside dt.
+
+    A zero entry has v = inf and stays 0.
+    """
+    v = np.abs(w) ** (1.0 - p)
     v_new = (p - 1.0) + (v - (p - 1.0)) * math.exp(dt)
     if np.any(v_new <= 0.0):
         return None
-    moved = np.sign(wz) * v_new ** (-1.0 / (p - 1.0))
-    if dense:
-        return moved
-    out = np.zeros_like(w)
-    out[nz] = moved
-    return out
+    return np.sign(w) * v_new ** (-1.0 / (p - 1.0))
 
 
 def _gradient(mach: dict, w: np.ndarray) -> np.ndarray:
     """w' by the machinery's three-point stencil."""
+    if mach["stencil"] is None:
+        return np.gradient(w, mach["r"], edge_order=2)
     (a, b, c), left, right = mach["stencil"]
     dw = np.empty_like(w)
     dw[1:-1] = a * w[:-2] + b * w[1:-1] + c * w[2:]
@@ -212,11 +214,11 @@ def init_flow(initial: RadialProfile, cfg: Optional[FlowConfig] = None,
 def energy_of_state(state: FlowState, w: Optional[np.ndarray] = None) -> float:
     """Discrete Lyapunov energy of the grid function.
 
-    w' is the three-point stencil of _build_machinery, bit-identical to
-    np.gradient(w, r, edge_order=2) on the flow grid.  The flow keeps the
-    energy it accepted on the state (state.energy, keyed to the array
-    state.energy_of), so a step reuses it; rebinding state.w invalidates it,
-    and w must not be changed in place.
+    w' equals np.gradient(w, r, edge_order=2) bit for bit; _build_machinery
+    precomputes numpy's non-uniform formulas as a three-point stencil.  The
+    flow keeps the energy it accepted on the state (state.energy, keyed to
+    the array state.energy_of), so a step reuses it; rebinding state.w
+    invalidates it, and w must not be changed in place.
     """
     if w is None:
         w = state.w

@@ -21,12 +21,10 @@ def test_energy_kappa_p7(tmp_path, capsys):
     assert "config_hash" in data and len(data["config_hash"]) == 16
 
 
-@pytest.mark.parametrize("argv", [["--profile", "-kappa"],
-                                  ["--profile=-kappa"]])
-def test_negative_kappa_profile_as_listed_in_help(tmp_path, argv):
-    assert "-kappa" in HELP["profile"].split()
+def test_negative_kappa_profile_as_listed_in_help(tmp_path):
+    assert "--profile=-kappa" in HELP["profile"]
     rc = main(["--out", str(tmp_path), "energy", "--n", "3", "--p", "7",
-               *argv])
+               "--profile=-kappa"])
     assert rc == 0
     data = read_json(tmp_path, "energy")
     assert data["config"]["profile"] == "-kappa"
