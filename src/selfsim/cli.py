@@ -268,6 +268,8 @@ def cmd_flow(cfg):
     fc = FlowConfig(**{key: cfg[key] for key in FLOW_KEYS})
     if init.startswith("const:"):
         level = _convert("init level", init.split(":", 1)[1], 0.0)
+        if not math.isfinite(level):
+            raise ParameterError(f"init level must be finite, got {level}")
         prof = constant_profile(params, "+")
         state = init_flow(prof, fc)
         state.w = np.full_like(state.w, level)

@@ -8,8 +8,10 @@ perturbation experiment.
 The stepper is a Strang splitting: the reaction -w/(p-1) + |w|^{p-1} w is
 advanced exactly through the substitution v = |w|^{1-p} (v' = v - (p-1)),
 and the diffusion-drift part is a Crank-Nicolson solve of the conservative
-flux form (1/m)(m w')' with m = r^{n-1} e^{-r^2/4}.  Spatially constant
-states therefore reproduce the exact scalar solution, and the constant
+flux form (1/m)(m w')' with m = r^{n-1} e^{-r^2/4}.  The tridiagonal
+Crank-Nicolson matrix is LU-factored (LAPACK gttrf) once per step size and
+each step solves with the factors (gttrs).  Spatially constant states
+therefore reproduce the exact scalar solution, and the constant
 equilibrium is preserved to rounding under the no-flux boundary.
 """
 from __future__ import annotations
@@ -19,9 +21,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .core import KIND_SINGULAR, ParameterError, Parameters, RadialProfile
+from .core import (KIND_SINGULAR, ParameterError, Parameters, RadialProfile,
+                   SelfsimError)
 from .numerics import fornberg_weights
 
 OUTCOME_BLEWUP = "blew_up"
@@ -107,11 +110,19 @@ def _build_machinery(params: Parameters, cfg: FlowConfig) -> dict:
     m_face[0] = 0.0
     if cfg.bc == BC_NOFLUX:
         m_face[-1] = 0.0
-    V = np.empty(N + 1)
-    for i in range(N + 1):
-        a_, b_ = max(0.0, r[i] - h / 2), min(cfg.r_max, r[i] + h / 2)
-        xs = np.linspace(a_, b_, 17)
-        V[i] = np.trapezoid(xs ** (n - 1) * np.exp(-xs**2 / 4.0), xs)
+    # cell volumes: a 17-point trapezoid rule of m over every cell at once.
+    # np.trapezoid(..., axis=-1) would add each row's 16 terms left to right;
+    # numpy sums one 16-term array pairwise (term j with term j + 8, then
+    # neighbours), so V adds them in that order and equals the rule applied
+    # cell by cell bit for bit.
+    xs = np.linspace(np.maximum(0.0, r - h / 2), np.minimum(cfg.r_max, r + h / 2),
+                     17, axis=-1)
+    y = xs ** (n - 1) * np.exp(-xs**2 / 4.0)
+    V = np.diff(xs, axis=-1) * (y[:, 1:] + y[:, :-1]) / 2.0
+    V = V[:, :8] + V[:, 8:]
+    while V.shape[1] > 1:
+        V = V[:, ::2] + V[:, 1::2]
+    V = V[:, 0]
     quad_w = V / V.sum()
     low = m_face[1:-1] / h**2
     mbar = V / h
@@ -147,8 +158,10 @@ def _apply_diffusion(mach: dict, w: np.ndarray, bc: str) -> np.ndarray:
     return out / mach["mbar"]
 
 
-def _cn_banded(mach: dict, dt: float, bc: str) -> np.ndarray:
-    """Crank-Nicolson matrix for step dt, rebuilt only when dt changes."""
+def _cn_banded(mach: dict, dt: float, bc: str) -> tuple:
+    """LU factors (LAPACK gttrf) of the tridiagonal Crank-Nicolson matrix
+    for step dt; the matrix is built and factored once per dt, and only a
+    change of dt refactors it."""
     if mach.get("cn_dt") == dt:
         return mach["cn"]
     N = len(mach["mbar"]) - 1
@@ -158,12 +171,19 @@ def _cn_banded(mach: dict, dt: float, bc: str) -> np.ndarray:
     diag[1:] += low
     if bc == BC_DIRICHLET:
         diag[-1] += 2.0 * mach["outer_flux"]
-    ab = np.zeros((3, N + 1))
-    ab[1] = 1.0 + 0.5 * dt * diag / mbar
-    ab[0, 1:] = -0.5 * dt * low / mbar[:-1]
-    ab[2, :-1] = -0.5 * dt * low / mbar[1:]
-    mach["cn_dt"], mach["cn"] = dt, ab
-    return ab
+    *lu, info = dgttrf(-0.5 * dt * low / mbar[1:],
+                       1.0 + 0.5 * dt * diag / mbar,
+                       -0.5 * dt * low / mbar[:-1])
+    if info != 0:
+        raise SelfsimError(f"Crank-Nicolson matrix for dt = {dt} cannot be "
+                           f"factored (gttrf info {info})")
+    mach["cn_dt"], mach["cn"] = dt, tuple(lu)
+    return mach["cn"]
+
+
+def solve_banded(lu: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solution of the Crank-Nicolson system from _cn_banded's factors."""
+    return dgttrs(*lu, rhs)[0]
 
 
 @np.errstate(divide="ignore")
@@ -205,10 +225,17 @@ def init_flow(initial: RadialProfile, cfg: Optional[FlowConfig] = None,
     w = initial.value(r).copy()
     if eigenfunction is not None and amplitude != 0.0:
         w = w + amplitude * np.asarray(eigenfunction(r), dtype=float)
+    _require_finite(w, "initial data")
     state = FlowState(params=initial.params, cfg=cfg, tau=0.0, r=r, w=w,
                       dt=cfg.dt_max, machinery=mach)
     state.history.append((0.0, w.copy()))
     return state
+
+
+def _require_finite(w: np.ndarray, what: str) -> None:
+    if not np.isfinite(w).all():
+        raise ParameterError(f"the flow needs finite data; the {what} is "
+                             f"not finite")
 
 
 def energy_of_state(state: FlowState, w: Optional[np.ndarray] = None) -> float:
@@ -251,7 +278,9 @@ def _try_step(state: FlowState, dt: float) -> Optional[np.ndarray]:
     if w1 is None:
         return None
     rhs = w1 + 0.5 * dt * _apply_diffusion(state.machinery, w1, state.cfg.bc)
-    w2 = solve_banded((1, 1), _cn_banded(state.machinery, dt, state.cfg.bc), rhs)
+    if not np.isfinite(rhs).all():
+        return None
+    w2 = solve_banded(_cn_banded(state.machinery, dt, state.cfg.bc), rhs)
     return _react_exact(w2, 0.5 * dt, p)
 
 
@@ -293,10 +322,17 @@ def dtau_estimate(state: FlowState) -> Optional[np.ndarray]:
     """
     if len(state.history) < 3:
         return None
-    taus = np.array([t for t, _ in state.history[-3:]])
-    ws = [w for _, w in state.history[-3:]]
-    wts = fornberg_weights(taus[-1], taus, 1)[1]
-    out = wts[0] * ws[0] + wts[1] * ws[1] + wts[2] * ws[2]
+    (t0, w0), (t1, w1), (t2, w2) = state.history[-3:]
+    # the weights depend on the nodes only through these differences (the
+    # recursion also uses t2 - t0 and t2 - t1, their exact negatives), so
+    # one cached entry serves every run of equal steps
+    key = (t0 - t2, t1 - t2, t1 - t0)
+    cached = state.machinery.get("fornberg")
+    if cached is None or cached[0] != key:
+        cached = key, fornberg_weights(t2, np.array([t0, t1, t2]), 1)[1]
+        state.machinery["fornberg"] = cached
+    wts = cached[1]
+    out = wts[0] * w0 + wts[1] * w1 + wts[2] * w2
     if state.cfg.bc == BC_DIRICHLET:
         keep = state.r <= DIAG_R_FRAC * state.cfg.r_max
         out = out[keep]
@@ -305,6 +341,7 @@ def dtau_estimate(state: FlowState) -> Optional[np.ndarray]:
 
 def run(state: FlowState, tau_max: float) -> FlowReport:
     """Step until blow-up, convergence, or tau_max; collects diagnostics."""
+    _require_finite(state.w, "state")
     params, cfg = state.params, state.cfg
     p, kap = params.p, params.kappa
     cap = BLOWUP_CAP_MULT * kap

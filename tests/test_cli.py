@@ -236,6 +236,8 @@ BAD_REQUESTS = [
     ["spectrum", "--resolution", "0"],
     ["flow", "--n-points", "0"],
     ["flow", "--init", "const:abc"],
+    ["flow", "--init", "const:nan"],
+    ["flow", "--init", "const:inf"],
     ["flow", "--init", "singular"],
     ["f-scan", "--x0-count", "0"],
     ["gap-scan", "--p-count", "0"],

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from selfsim import flow
-from selfsim.core import constant_profile, make_params, tabulated_profile
+from selfsim.core import (ParameterError, constant_profile, make_params,
+                          tabulated_profile)
 from selfsim.fixtures import reference_profile
+from selfsim.numerics import fornberg_weights
 from selfsim.flow import (BC_DIRICHLET, BC_NOFLUX, FlowConfig,
                           OUTCOME_BLEWUP, OUTCOME_CONVERGED, blowup_criterion,
                           energy_of_state, entropy_perturbation_experiment,
@@ -239,3 +242,96 @@ def test_reaction_keeps_zero_entries_at_zero():
     moved = flow._react_exact(w, 0.01, 3.0)
     with_zeros = flow._react_exact(np.insert(w, [0, 2], [-0.0, 0.0]), 0.01, 3.0)
     assert with_zeros.tobytes() == np.insert(moved, [0, 2], 0.0).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_initial_data_is_refused(bad):
+    prof = constant_profile(P33, "+")
+    with pytest.raises(ParameterError, match="finite"):
+        init_flow(prof, FlowConfig(bc=BC_NOFLUX), amplitude=1.0,
+                  eigenfunction=lambda r: np.where(r > 5.0, bad, 0.0))
+    state = constant_data_state(P33, 0.5)
+    state.w = np.full_like(state.w, bad)
+    with pytest.raises(ParameterError, match="finite"):
+        run(state, tau_max=1.0)
+
+
+def cn_matrix(mach, dt, bc):
+    """The Crank-Nicolson matrix in scipy.linalg.solve_banded's (1, 1) layout."""
+    low, mbar = mach["low"], mach["mbar"]
+    diag = np.zeros(mbar.size)
+    diag[:-1] += low
+    diag[1:] += low
+    if bc == BC_DIRICHLET:
+        diag[-1] += 2.0 * mach["outer_flux"]
+    ab = np.zeros((3, mbar.size))
+    ab[1] = 1.0 + 0.5 * dt * diag / mbar
+    ab[0, 1:] = -0.5 * dt * low / mbar[:-1]
+    ab[2, :-1] = -0.5 * dt * low / mbar[1:]
+    return ab
+
+
+@pytest.mark.parametrize("n_points", [512, 800, 1600])
+@pytest.mark.parametrize("bc", [BC_NOFLUX, BC_DIRICHLET])
+def test_cn_factors_solve_like_scipy_solve_banded(n_points, bc):
+    mach = init_flow(constant_profile(P33, "+"),
+                     FlowConfig(bc=bc, n_points=n_points)).machinery
+    rhs = np.random.default_rng(3).normal(size=n_points + 1)
+    lu = None
+    # repeated dt reuses the factors; every change of dt refactors
+    for dt in (0.01, 0.01, 0.005, 0.0025, 1e-6, 1e-6, 0.01):
+        again = lu is not None and mach["cn_dt"] == dt
+        new = flow._cn_banded(mach, dt, bc)
+        assert (new is lu) == again
+        lu = new
+        expected = solve_banded((1, 1), cn_matrix(mach, dt, bc), rhs)
+        assert flow.solve_banded(lu, rhs).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("level,steps", [(1.6, None),   # blows up
+                                         (0.8, 600)])   # converges
+def test_dtau_estimate_equals_fresh_fornberg_weights(monkeypatch, level, steps):
+    computed = []
+    monkeypatch.setattr(flow, "fornberg_weights",
+                        lambda *a: computed.append(1) or fornberg_weights(*a))
+    state = constant_data_state(P33, level * P33.kappa)
+    state.w = state.w * (1.0 + 0.01 * np.cos(state.r))  # not constant in r
+    state.history = [(0.0, state.w.copy())]
+    checked = 0
+    while not state.exhausted and np.abs(state.w).max() < 1e3 * P33.kappa \
+            and checked != steps:
+        step(state)
+        if len(state.history) < 3:
+            continue
+        taus = np.array([t for t, _ in state.history])
+        ws = [w for _, w in state.history]
+        wts = fornberg_weights(taus[-1], taus, 1)[1]
+        expected = wts[0] * ws[0] + wts[1] * ws[1] + wts[2] * ws[2]
+        assert flow.dtau_estimate(state).tobytes() == expected.tobytes()
+        checked += 1
+    assert checked > 50
+    if steps is not None:   # steps of dt_max reuse the weights
+        assert len(computed) < checked // 10
+
+
+def reference_cell_volumes(n, N, r_max):
+    """The 17-point trapezoid rule of r^{n-1} e^{-r^2/4}, one cell at a time."""
+    h = r_max / N
+    r = np.arange(N + 1) * h
+    V = np.empty(N + 1)
+    for i in range(N + 1):
+        xs = np.linspace(max(0.0, r[i] - h / 2), min(r_max, r[i] + h / 2), 17)
+        V[i] = np.trapezoid(xs ** (n - 1) * np.exp(-xs**2 / 4.0), xs)
+    return V / V.sum()
+
+
+@pytest.mark.parametrize("n,p,n_points,bc", [(3, 3.0, 800, BC_NOFLUX),
+                                             (5, 3.0, 800, BC_NOFLUX),
+                                             (3, 3.0, 1600, BC_NOFLUX),
+                                             (3, 7.0, 800, BC_DIRICHLET)])
+def test_cell_volumes_match_the_cell_by_cell_rule(n, p, n_points, bc):
+    cfg = FlowConfig(bc=bc, n_points=n_points)
+    quad_w = init_flow(constant_profile(make_params(n, p), "+"),
+                       cfg).machinery["quad_w"]
+    expected = reference_cell_volumes(n, n_points, cfg.r_max)
+    assert (np.abs(quad_w - expected) <= 4 * np.spacing(expected)).all()
