@@ -186,11 +186,13 @@ def solve_banded(lu: tuple, rhs: np.ndarray) -> np.ndarray:
     return dgttrs(*lu, rhs)[0]
 
 
-@np.errstate(divide="ignore")
+@np.errstate(divide="ignore", over="ignore")
 def _react_exact(w: np.ndarray, dt: float, p: float) -> Optional[np.ndarray]:
     """Exact reaction flow via v = |w|^{1-p}; None if it blows inside dt.
 
-    A zero entry has v = inf and stays 0.
+    A zero entry has v = inf and stays 0.  So does an entry so small that v
+    overflows (|w| below about 1e-154 at p = 3); such an entry decays, and
+    its exact new value is smaller still.
     """
     v = np.abs(w) ** (1.0 - p)
     v_new = (p - 1.0) + (v - (p - 1.0)) * math.exp(dt)
@@ -225,17 +227,29 @@ def init_flow(initial: RadialProfile, cfg: Optional[FlowConfig] = None,
     w = initial.value(r).copy()
     if eigenfunction is not None and amplitude != 0.0:
         w = w + amplitude * np.asarray(eigenfunction(r), dtype=float)
-    _require_finite(w, "initial data")
+    with np.errstate(over="ignore", invalid="ignore"):
+        e0 = _energy(mach, w, initial.params.p)
+    _require_finite(w, e0, "initial data")
+    # the data's energy is the state's accepted energy until w is rebound
     state = FlowState(params=initial.params, cfg=cfg, tau=0.0, r=r, w=w,
-                      dt=cfg.dt_max, machinery=mach)
+                      dt=cfg.dt_max, machinery=mach, energy=e0, energy_of=w)
     state.history.append((0.0, w.copy()))
     return state
 
 
-def _require_finite(w: np.ndarray, what: str) -> None:
+def _require_finite(w: np.ndarray, energy: float, what: str) -> None:
     if not np.isfinite(w).all():
         raise ParameterError(f"the flow needs finite data; the {what} is "
                              f"not finite")
+    if not math.isfinite(energy):
+        raise ParameterError(f"the flow needs data of finite energy; the "
+                             f"{what} has discrete energy {energy}")
+
+
+def _energy(mach: dict, w: np.ndarray, p: float) -> float:
+    dw = _gradient(mach, w)
+    return float(np.dot(mach["quad_w"], 0.5 * dw**2 + w**2 / (2.0 * (p - 1.0))
+                        - np.abs(w) ** (p + 1.0) / (p + 1.0)))
 
 
 def energy_of_state(state: FlowState, w: Optional[np.ndarray] = None) -> float:
@@ -247,13 +261,8 @@ def energy_of_state(state: FlowState, w: Optional[np.ndarray] = None) -> float:
     the array state.energy_of), so a step reuses it; rebinding state.w
     invalidates it, and w must not be changed in place.
     """
-    if w is None:
-        w = state.w
-    p = state.params.p
-    dw = _gradient(state.machinery, w)
-    qw = state.machinery["quad_w"]
-    return float(np.dot(qw, 0.5 * dw**2 + w**2 / (2.0 * (p - 1.0))
-                        - np.abs(w) ** (p + 1.0) / (p + 1.0)))
+    return _energy(state.machinery, state.w if w is None else w,
+                   state.params.p)
 
 
 def _accepted_energy(state: FlowState) -> float:
@@ -290,8 +299,10 @@ def step(state: FlowState) -> FlowState:
     sup = float(np.abs(state.w).max())
     dt = state.cfg.dt_max
     if sup > 0.0:
-        v_sup = sup ** (1.0 - p)
-        dt = min(dt, REACTION_SAFETY * v_sup / (p - 1.0))
+        try:
+            dt = min(dt, REACTION_SAFETY * sup ** (1.0 - p) / (p - 1.0))
+        except OverflowError:   # sup^{1-p} beyond the float range: no limit
+            pass
     e_before = _accepted_energy(state)
     while dt >= DT_MIN:
         w_new = _try_step(state, dt)
@@ -341,7 +352,9 @@ def dtau_estimate(state: FlowState) -> Optional[np.ndarray]:
 
 def run(state: FlowState, tau_max: float) -> FlowReport:
     """Step until blow-up, convergence, or tau_max; collects diagnostics."""
-    _require_finite(state.w, "state")
+    with np.errstate(over="ignore", invalid="ignore"):
+        e0 = _accepted_energy(state)
+    _require_finite(state.w, e0, "state")
     params, cfg = state.params, state.cfg
     p, kap = params.p, params.kappa
     cap = BLOWUP_CAP_MULT * kap

@@ -112,11 +112,13 @@ def f_functional(profile: RadialProfile, x0_norm: float, t0: float,
         rule = default_rule(profile)
     p = profile.params.p
     a = -t0
-    grad2, pot, mass = offset_integral_many(
-        [lambda r: profile.deriv(r) ** 2,
-         lambda r: np.abs(profile.value(r)) ** (p + 1.0),
-         lambda r: profile.value(r) ** 2],
-        x0_norm, t0, profile.params.n, rule_r=rule)
+
+    def integrands(r):
+        w = profile.value(r)
+        return profile.deriv(r) ** 2, np.abs(w) ** (p + 1.0), w ** 2
+
+    grad2, pot, mass = offset_integral_many(integrands, x0_norm, t0,
+                                            profile.params.n, rule_r=rule)
     s_main = a ** ((p + 1.0) / (p - 1.0))
     s_mass = a ** (2.0 / (p - 1.0))
     return 0.5 * s_main * grad2 - s_main * pot / (p + 1.0) \
@@ -136,18 +138,34 @@ def entropy(profile: RadialProfile) -> EntropyResult:
     """Supremum of F over (x0_norm, log(-t0)) by coarse grid + golden refine.
 
     Not defined for the singular profile (unbounded).  Ties in the x0
-    direction (constants are recentering-invariant in space) break toward
-    x0 = 0 so the reported argmax is canonical.
+    direction break toward x0 = 0 so the reported argmax is canonical.
+    Constants are in closed form: F does not depend on x0, and
+    a^{2/(p-1)} c^2/(2(p-1)) - a^{(p+1)/(p-1)} |c|^{p+1}/(p+1) is largest at
+    a = -t0 = 1 (for c = +-kappa; for c = 0 it vanishes), so the entropy is
+    F at (0, -1), the spatial ring margin is 0, and the trace holds the
+    closed form on the coarse grid.
     """
     if profile.kind == KIND_SINGULAR:
         raise ParameterError("entropy is defined for bounded profiles only")
+    xs = np.linspace(0.0, X0_MAX, COARSE_POINTS)
+    las = np.linspace(-LOG_A_MAX, LOG_A_MAX, COARSE_POINTS)
+    if profile.is_constant:
+        def F_const(la):
+            return constant_f_closed_form(profile, -math.exp(la))
+
+        lam = F_const(0.0)
+        result = EntropyResult(lam=lam, x0_norm=0.0, t0=-1.0,
+                               trace=[(b, la, F_const(la))
+                                      for b in xs for la in las],
+                               ring_margin_x=0.0)
+        result.ring_margin_t = lam - max(F_const(RING_EPS),
+                                         F_const(-RING_EPS))
+        return result
     rule = default_rule(profile)
 
     def F(b, la):
         return f_functional(profile, b, -math.exp(la), rule=rule)
 
-    xs = np.linspace(0.0, X0_MAX, COARSE_POINTS)
-    las = np.linspace(-LOG_A_MAX, LOG_A_MAX, COARSE_POINTS)
     trace = []
     best = (-math.inf, 0.0, 0.0)
     for b in xs:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import ive, roots_genlaguerre
@@ -124,12 +124,14 @@ def _offset_weights(nodes: np.ndarray, gw: np.ndarray, b: float, a: float,
             * np.exp(-(nodes - b) ** 2 / (4.0 * a)) * ang)
 
 
-def offset_integral_many(fs: Sequence[Callable], x0_norm: float, t0: float,
+def offset_integral_many(f: Callable, x0_norm: float, t0: float,
                          n: int, rule_r: QuadratureRule | None = None,
                          n_panel: int = 16, n_gl: int = 24) -> np.ndarray:
-    """Batched int f(|y|) G(y-x0, t0) dy for radial integrands fs.
+    """Batched int f_k(|y|) G(y-x0, t0) dy for radial integrands f_k.
 
-    The kernel concentrates at |y| ~ x0_norm with width sqrt(-t0); the radial
+    f(r) returns the rows f_k(r), so integrands that share work (one
+    profile evaluation) are evaluated once per node array.  The kernel
+    concentrates at |y| ~ x0_norm with width sqrt(-t0); the radial
     quadrature uses Gauss-Legendre panels on that window.  x0_norm = 0 falls
     back to the plain radial rule with rescaled radius.
     """
@@ -142,14 +144,15 @@ def offset_integral_many(fs: Sequence[Callable], x0_norm: float, t0: float,
     sa = math.sqrt(a)
     if b == 0.0:
         rule = rule_r if rule_r is not None else composite_rule(n)
-        return np.array([weighted_integral(rule, lambda r, f=f: f(sa * r))
-                         for f in fs])
+        return np.array([weighted_integral(rule, lambda r, v=v: v)
+                         for v in f(sa * rule.nodes)])
     grid, gw = _panel_nodes(max(0.0, b - 16.0 * sa), b + 16.0 * sa,
                             n_panel, n_gl)
     base = _offset_weights(grid, gw, b, a, n)
-    out = np.empty(len(fs))
-    for i, f in enumerate(fs):
-        vals = np.asarray(f(grid), dtype=float)
+    rows = f(grid)
+    out = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        vals = np.asarray(row, dtype=float)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("offset integrand is not finite on the window")
         out[i] = float(np.dot(base, vals))

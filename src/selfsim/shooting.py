@@ -64,6 +64,8 @@ SHOOT_TOL = 1e-12
 BISECT_TOL = 5e-14
 RESIDUAL_TOL = 1e-7
 GRID_STEP = 0.004
+# nodes of the finite-difference stencil that gives w'' in ode_residual
+RESIDUAL_STENCIL = 7
 
 
 class ShootingError(SelfsimError, RuntimeError):
@@ -457,14 +459,14 @@ def ode_residual(profile: RadialProfile) -> float:
     w'' comes from high-order differencing of the stored first derivative,
     so the residual is an independent consistency check of (w, w').
     """
-    if len(profile.grid) < 5:
-        raise ShootingError("need at least 5 grid points")
+    if len(profile.grid) < RESIDUAL_STENCIL:
+        raise ShootingError(f"need at least {RESIDUAL_STENCIL} grid points")
     params = profile.params
     r, w, dw = profile.grid, profile.values, profile.derivs
     if profile.is_constant:
         d2 = np.zeros_like(w)
     else:
-        d2 = derivative_on_grid(r, dw, order=1, stencil=7)
+        d2 = derivative_on_grid(r, dw, order=1, stencil=RESIDUAL_STENCIL)
     res = (d2 + ((params.n - 1) / r - 0.5 * r) * dw - w / (params.p - 1.0)
            + np.abs(w) ** (params.p - 1.0) * w)
     interior = slice(3, -3) if len(r) > 12 else slice(1, -1)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -50,6 +51,19 @@ def test_flow_constant_blowup(tmp_path):
     assert csv_text[0].split(",") == ["tau", "sup_norm", "weighted_avg",
                                       "energy", "dt", "min_dtau_w"]
     assert len(csv_text) > 10
+
+
+def test_flow_of_tiny_constant_data_reports_without_warning(tmp_path, capsys):
+    # |w|^{1-p} overflows: no reaction limit on dt, and the data decays
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--out", str(tmp_path), "flow", "--init", "const:1e-320",
+                   "--tau-max", "0.2"])
+    assert rc == 0
+    assert not caught
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    assert read_json(tmp_path, "flow")["energy_monotone"] is True
 
 
 def test_entropy_and_identities_kappa(tmp_path):
@@ -238,6 +252,7 @@ BAD_REQUESTS = [
     ["flow", "--init", "const:abc"],
     ["flow", "--init", "const:nan"],
     ["flow", "--init", "const:inf"],
+    ["flow", "--init", "const:1e200"],
     ["flow", "--init", "singular"],
     ["f-scan", "--x0-count", "0"],
     ["gap-scan", "--p-count", "0"],

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,7 +245,8 @@ def test_reaction_keeps_zero_entries_at_zero():
     assert with_zeros.tobytes() == np.insert(moved, [0, 2], 0.0).tobytes()
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# 1e200 is finite, but |w|^{p+1} and so the energy overflow
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
 def test_non_finite_initial_data_is_refused(bad):
     prof = constant_profile(P33, "+")
     with pytest.raises(ParameterError, match="finite"):
@@ -254,6 +256,14 @@ def test_non_finite_initial_data_is_refused(bad):
     state.w = np.full_like(state.w, bad)
     with pytest.raises(ParameterError, match="finite"):
         run(state, tau_max=1.0)
+
+
+def test_tiny_data_steps_at_dt_max_without_warning():
+    state = constant_data_state(P33, 1e-320)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step(state)
+    assert state.tau == state.dt == state.cfg.dt_max
 
 
 def cn_matrix(mach, dt, bc):

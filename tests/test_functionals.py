@@ -5,8 +5,9 @@ import pytest
 
 from selfsim.core import constant_profile, make_params, singular_profile
 from selfsim.fixtures import reference_profile
-from selfsim.functionals import (constant_f_closed_form, density, energy,
-                                 entropy, f_functional, identities)
+from selfsim.functionals import (constant_f_closed_form, default_rule, density,
+                                 energy, entropy, f_functional, identities)
+from selfsim.quadrature import offset_integral_many
 
 P33 = make_params(3, 3.0)
 P37 = make_params(3, 7.0, require_supercritical=True)
@@ -195,3 +196,51 @@ def test_density_flags_nonmonotone_path_for_non_solution():
     res = density(prof, 1.0)
     assert not res.monotone
     assert any("not monotone" in f for f in res.flags)
+
+
+@pytest.mark.parametrize("params", [P33, P37], ids=["p3", "p7"])
+@pytest.mark.parametrize("sign", ["+", "-", "0"])
+def test_entropy_of_constants_is_the_closed_form(params, sign):
+    prof = constant_profile(params, sign)
+    res = entropy(prof)
+    assert (res.x0_norm, res.t0) == (0.0, -1.0)
+    assert res.ring_margin_x == 0.0
+    assert not res.flags
+    e = energy(prof).energy
+    assert abs(res.lam - e) <= 1e-12 * abs(e)
+    assert len(res.trace) == 169
+    rule = default_rule(prof)
+    for b, la, val in res.trace:
+        assert val == constant_f_closed_form(prof, -math.exp(la))
+        assert res.lam >= f_functional(prof, b, -math.exp(la), rule=rule) - 1e-12
+
+
+def separate_integrands_f(profile, x0_norm, t0, rule):
+    """F from one offset integral per integrand, each evaluating the profile."""
+    p, a = profile.params.p, -t0
+    grad2, pot, mass = (
+        offset_integral_many(lambda r, g=g: [g(r)], x0_norm, t0,
+                             profile.params.n, rule_r=rule)[0]
+        for g in (lambda r: profile.deriv(r) ** 2,
+                  lambda r: np.abs(profile.value(r)) ** (p + 1.0),
+                  lambda r: profile.value(r) ** 2))
+    s_main = a ** ((p + 1.0) / (p - 1.0))
+    s_mass = a ** (2.0 / (p - 1.0))
+    return 0.5 * s_main * grad2 - s_main * pot / (p + 1.0) \
+        + s_mass * mass / (2.0 * (p - 1.0))
+
+
+def test_f_evaluates_the_profile_once_and_matches_bit_for_bit(wshoot,
+                                                             monkeypatch):
+    rule = default_rule(wshoot)
+    rng = np.random.default_rng(3)
+    for x0 in [0.0] * 5 + list(rng.uniform(0.05, 5.0, 15)):
+        t0 = -math.exp(rng.uniform(-2.0, 2.0))
+        assert f_functional(wshoot, float(x0), t0, rule=rule) \
+            == separate_integrands_f(wshoot, float(x0), t0, rule)
+    calls = []
+    value = wshoot.value
+    monkeypatch.setattr(wshoot, "value", lambda r: calls.append(1) or value(r))
+    for x0 in (0.0, 1.5):
+        f_functional(wshoot, x0, -1.0, rule=rule)
+    assert len(calls) == 2

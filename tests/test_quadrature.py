@@ -112,9 +112,9 @@ def test_weighted_integral_rejects_nonfinite():
 def test_offset_total_mass_is_one():
     for (b, t0) in [(0.0, -1.0), (3.0, -0.25), (1.0, -1.0), (8.0, -0.01), (5.0, -100.0)]:
         for n in (2, 3, 7):
-            val = offset_integral_many([lambda r: np.ones_like(r)], b, t0, n)[0]
+            val = offset_integral_many(lambda r: [np.ones_like(r)], b, t0, n)[0]
             assert val == pytest.approx(1.0, abs=1e-10)
-    val1 = offset_integral_many([lambda r: np.ones_like(r)], 2.0, -0.5, 1)[0]
+    val1 = offset_integral_many(lambda r: [np.ones_like(r)], 2.0, -0.5, 1)[0]
     assert val1 == pytest.approx(1.0, abs=1e-10)
 
 
@@ -125,13 +125,13 @@ def test_offset_reduces_to_weighted_at_zero_offset():
     for _ in range(20):
         c0, c1, s = rng.uniform(0.2, 2.0, size=3)
         f = lambda r, c0=c0, c1=c1, s=s: c0 * np.exp(-s * r) + c1 / (1.0 + r**2)
-        direct = offset_integral_many([f], 0.0, -1.0, n, rule_r=rule)[0]
+        direct = offset_integral_many(lambda r: [f(r)], 0.0, -1.0, n, rule_r=rule)[0]
         ref = weighted_integral(rule, f)
         assert direct == pytest.approx(ref, rel=1e-12)
     # scale consistency at t0 != -1: weighted integral with rescaled radius
     t0 = -0.37
     f = lambda r: np.exp(-r)
-    direct = offset_integral_many([f], 0.0, t0, n, rule_r=rule)[0]
+    direct = offset_integral_many(lambda r: [f(r)], 0.0, t0, n, rule_r=rule)[0]
     ref = weighted_integral(rule, lambda r: f(math.sqrt(-t0) * r))
     assert direct == pytest.approx(ref, rel=1e-12)
 
@@ -143,7 +143,7 @@ def test_offset_nonzero_matches_bessel_free_route():
     f = lambda r: np.exp(-0.8 * r)
     for n in (2, 3, 4, 7):
         for b in (0.7, 1e-7):
-            v_b = offset_integral_many([f], b, -1.0, n)[0]
+            v_b = offset_integral_many(lambda r: [f(r)], b, -1.0, n)[0]
             assert v_b == pytest.approx(offset_by_angular_rule(f, b, -1.0, n),
                                         rel=1e-11)
 
@@ -156,19 +156,19 @@ def test_offset_smooth_function_random_cross_checks():
     for _ in range(20):
         amp, scale, shift = rng.uniform(0.3, 1.5, size=3)
         f = lambda r, a=amp, s=scale, c=shift: a * np.exp(-s * (r - c) ** 2 / (1 + r))
-        assert offset_integral_many([f], 0.0, -1.0, n, rule_r=rule)[0] \
+        assert offset_integral_many(lambda r: [f(r)], 0.0, -1.0, n, rule_r=rule)[0] \
             == pytest.approx(weighted_integral(rule, f), rel=1e-9)
 
 
 def test_offset_rejects_bad_t0():
     with pytest.raises(QuadratureError):
-        offset_integral_many([lambda r: r], 1.0, 0.0, 3)
+        offset_integral_many(lambda r: [r], 1.0, 0.0, 3)
     with pytest.raises(QuadratureError):
-        offset_integral_many([lambda r: r], 1.0, 1.0, 3)
+        offset_integral_many(lambda r: [r], 1.0, 1.0, 3)
 
 
 def test_gaussian_kernel_moment_with_offset():
     # int |y|^2 G(y-x0, t0) dy = 2 n (-t0) + |x0|^2 (covariance + mean shift)
     n, b, t0 = 3, 2.5, -0.7
-    val = offset_integral_many([lambda r: r**2], b, t0, n)[0]
+    val = offset_integral_many(lambda r: [r**2], b, t0, n)[0]
     assert val == pytest.approx(2 * n * (-t0) + b**2, rel=1e-11)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from selfsim.core import constant_profile, make_params, singular_profile
+from selfsim.core import (KIND_SHOOTING, RadialProfile, constant_profile,
+                         make_params, singular_profile)
 from selfsim.fixtures import (A_STAR_REFERENCE, REGRESSION_LABELS,
                               SHOOTING_BRACKETS, SUBCRITICAL_SCAN,
                               supercritical_scan_grid)
@@ -104,6 +105,19 @@ def test_ode_residual_perturbed_constant_first_order():
         res = ode_residual(prof)
         assert res == pytest.approx(exact, rel=1e-10)
         assert res == pytest.approx(d, rel=0.06)
+
+
+@pytest.mark.parametrize("points", [5, 6, 7])
+def test_ode_residual_needs_a_full_stencil_of_points(points):
+    grid = np.linspace(0.5, 1.0, points)
+    prof = RadialProfile(kind=KIND_SHOOTING, params=P37, grid=grid,
+                         values=np.full(points, P37.kappa),
+                         derivs=np.zeros(points))
+    if points < 7:
+        with pytest.raises(ShootingError, match="7 grid points"):
+            ode_residual(prof)
+    else:
+        assert ode_residual(prof) < 1e-15
 
 
 def test_supercritical_scan_has_exactly_one_bracket():
