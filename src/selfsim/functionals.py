@@ -70,12 +70,17 @@ def default_rule(profile: RadialProfile) -> QuadratureRule:
     return composite_rule(profile.params.n)
 
 
-def _core_integrals(profile: RadialProfile, rule: QuadratureRule):
-    p = profile.params.p
-    grad2 = weighted_integral(rule, lambda r: profile.deriv(r) ** 2)
-    mass = weighted_integral(rule, lambda r: profile.value(r) ** 2)
-    pot = weighted_integral(rule, lambda r: np.abs(profile.value(r)) ** (p + 1.0))
-    return grad2, mass, pot
+def _core_integrals(profile: RadialProfile, rule: QuadratureRule,
+                    moments: bool = False):
+    """Weighted integrals of |w'|^2, w^2 and |w|^{p+1}, then, with moments,
+    of the same times r^2; one evaluation each of w and w' serves all."""
+    w, dw = profile.value(rule.nodes), profile.deriv(rule.nodes)
+    terms = (dw ** 2, w ** 2, np.abs(w) ** (profile.params.p + 1.0))
+    out = tuple(weighted_integral(rule, lambda r, v=v: v) for v in terms)
+    if moments:
+        out += tuple(weighted_integral(rule, lambda r, v=v: r**2 * v)
+                     for v in terms)
+    return out
 
 
 def energy(profile: RadialProfile) -> FunctionalReport:
@@ -230,10 +235,8 @@ def identities(profile: RadialProfile) -> FunctionalReport:
     rule = default_rule(profile)
     params = profile.params
     n, p = params.n, params.p
-    grad2, mass, pot = _core_integrals(profile, rule)
-    y2grad2 = weighted_integral(rule, lambda r: r**2 * profile.deriv(r) ** 2)
-    y2mass = weighted_integral(rule, lambda r: r**2 * profile.value(r) ** 2)
-    y2pot = weighted_integral(rule, lambda r: r**2 * np.abs(profile.value(r)) ** (p + 1.0))
+    grad2, mass, pot, y2grad2, y2mass, y2pot = _core_integrals(profile, rule,
+                                                               moments=True)
     scale = max(grad2, mass, pot, y2grad2, y2mass, y2pot, 1e-300)
 
     pohozaev = (n / (p + 1.0) + (2.0 - n) / 2.0) * grad2 \

@@ -10,7 +10,9 @@ Taylor start at r = eps.  Away from a discrete set of initial heights a the
 trajectory leaves the decaying envelope w ~ C r^{-2/(p-1)} either downward
 (it crosses zero) or upward (positive local minimum in the tail regime,
 followed by a large excursion).  Multisection between the two departure
-directions pins the bounded positive profile.
+directions pins the bounded positive profile: each round shoots 255 heights
+(8 bits of the bracket) in one kernel call, and the first round also
+classifies the two bracket ends.
 
 Departures alone are decided by a private lane kernel that integrates a
 vector of heights at once as numpy arrays.  Each lane repeats
@@ -20,7 +22,8 @@ the same error norm and step-size controller, the same two-phase
 stores no trajectory.  Lanes whose label needs the tail (no event by
 ``r_max``), lanes where the solver fails, lanes where two events fire in one
 step, zero heights and exact equilibria go through ``integrate_radial``,
-the one trajectory and dense-output path.
+the one trajectory and dense-output path; ``shoot`` sends a lane there only
+when it is the flip candidate of its round.
 """
 from __future__ import annotations
 
@@ -55,8 +58,9 @@ MAX_STEP_TAIL = 0.05
 REBOUND_FRACTION = 0.75
 CAP_MULT = 10.0
 EVENT_DIRECTIONS = np.array([0, 0, 1])    # zero, cap, rebound (EVENTS)
-# heights tried per multisection round of shoot
-SECTIONS = 15
+# heights tried per multisection round of shoot: 8 bits a round
+SECTIONS = 255
+_FRACTIONS = np.arange(1, SECTIONS + 1) / (SECTIONS + 1)
 # shoot: integrator tolerance, relative bracket width that ends the
 # multisection, largest accepted equation residual, and the tail grid step
 # of the returned profile (a quarter of it through the core)
@@ -238,8 +242,9 @@ def _tail_label(params: Parameters, r_end: float, dense, a: float) -> str:
 # ------------------------------------------------------------- lane kernel
 _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _STAGES = DOP853.n_stages
-_A = [DOP853.A[s, :s] for s in range(_STAGES)]
-_B, _C, _E3, _E5 = DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
+# stage weights; the step end y_new is stage _STAGES, with the weights B
+_A = [DOP853.A[s, :s] for s in range(_STAGES)] + [DOP853.B]
+_C, _E3, _E5 = DOP853.C, DOP853.E3, DOP853.E5
 
 
 def _rms(x):
@@ -276,6 +281,7 @@ def _departures(params: Parameters, heights, r_max: float,
     rhs = _rhs(n, p)
     rtol = max(tol, 100 * np.finfo(float).eps)    # solve_ivp's rtol floor
     atol = _atol(tol)
+    pm1 = p - 1.0
     a = np.asarray(heights, dtype=float)
     out = np.zeros(a.size, dtype=int)
     r_split = min(R_SPLIT, r_max)
@@ -297,15 +303,19 @@ def _departures(params: Parameters, heights, r_max: float,
         r_new = np.minimum(r + h, bound)
         h = r_new - r
         m = lane.size
+        # radii of stages 1.. and of the step end, and their drift
+        # coefficients, each in one array pass
+        rs = np.vstack((r + _C[1:, None] * h, r_new))
+        drift = -((n - 1) / rs - 0.5 * rs)
         K = np.empty((_STAGES + 1, 2 * m))     # stage s holds (w', w'') lanes
         K3 = K.reshape(_STAGES + 1, 2, m)
         K3[0] = f
-        for s in range(1, _STAGES):
-            dy = (_A[s] @ K[:s]).reshape(2, m) * h
-            K3[s] = rhs(r + _C[s] * h, y + dy)
-        y_new = y + h * (_B @ K[:-1]).reshape(2, m)
-        f_new = np.array(rhs(r_new, y_new))
-        K3[-1] = f_new
+        for s in range(1, _STAGES + 1):
+            ys = y + (_A[s] @ K[:s]).reshape(2, m) * h
+            w, dw = ys
+            K3[s, 0] = dw
+            K3[s, 1] = drift[s - 1] * dw + w / pm1 - np.abs(w) ** pm1 * w
+        y_new, f_new = ys, K3[-1]
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         x5 = (_E5 @ K).reshape(2, m) / scale
         x3 = (_E3 @ K).reshape(2, m) / scale
@@ -345,16 +355,22 @@ def _departures(params: Parameters, heights, r_max: float,
     return out
 
 
+def _lane_departures(params: Parameters, a: np.ndarray, r_max: float,
+                     tol: float) -> np.ndarray:
+    """Kernel departures per height; equilibria skip the kernel and read 0."""
+    lanes = np.array([not _is_equilibrium(x, params.p) for x in a], dtype=bool)
+    dep = np.zeros(a.size, dtype=int)
+    dep[lanes] = _departures(params, a[lanes], r_max, tol)
+    return dep
+
+
 def _classify(params: Parameters, heights, r_max: float,
               tol: float) -> list[tuple[str, int]]:
     """(label, departure) per height: the lane kernel, else integrate_radial."""
     a = np.asarray(heights, dtype=float)
     _check_inputs(a, tol)
-    lanes = np.array([not _is_equilibrium(x, params.p) for x in a], dtype=bool)
-    dep = np.zeros(a.size, dtype=int)
-    dep[lanes] = _departures(params, a[lanes], r_max, tol)
     rows = []
-    for x, d in zip(a, dep):
+    for x, d in zip(a, _lane_departures(params, a, r_max, tol)):
         if d == 0:
             traj = integrate_radial(params, x, r_max=r_max, tol=tol)
             rows.append((traj.classification, traj.departure))
@@ -382,35 +398,58 @@ def find_brackets(params: Parameters, a_values,
     return out
 
 
+def _sections(lo_a: float, hi_a: float) -> list[float]:
+    """The heights of one multisection round; none once the bracket is done."""
+    if hi_a - lo_a <= BISECT_TOL * max(1.0, abs(hi_a)):
+        return []
+    inner = np.unique(lo_a + (hi_a - lo_a) * _FRACTIONS)
+    return inner[(inner > lo_a) & (inner < hi_a)].tolist()
+
+
 def shoot(params: Parameters, a_lo: float, a_hi: float) -> RadialProfile:
     """Multisect a bracket to the bounded decaying profile.
 
-    Each round shoots SECTIONS equally spaced heights inside the bracket and
-    keeps the lowest departure flip.  The two final bracket trajectories
-    sandwich the decaying orbit; the returned profile is the midpoint shot
-    truncated where the sandwich width exceeds 1e-9, with the tail
-    coefficient fitted from q = r^{2/(p-1)} w.
+    Each round shoots SECTIONS equally spaced heights inside the bracket in
+    one lane-kernel call and keeps the lowest departure flip; the first
+    round also classifies the two bracket ends.  A lane the kernel cannot
+    decide goes through integrate_radial only when it is the flip candidate.
+    The two final bracket trajectories sandwich the decaying orbit; the
+    returned profile is the midpoint shot truncated where the sandwich width
+    exceeds 1e-9, with the tail coefficient fitted from q = r^{2/(p-1)} w.
     """
-    (_, lo_dep), (_, hi_dep) = _classify(params, [a_lo, a_hi], R_MAX, SHOOT_TOL)
+    _check_inputs([a_lo, a_hi], SHOOT_TOL)
+    if not a_lo < a_hi:
+        raise ParameterError(f"bracket needs a_lo < a_hi, got a_lo={a_lo} "
+                             f"and a_hi={a_hi}")
+
+    def departure(a, d):
+        if d == 0:
+            d = integrate_radial(params, a, tol=SHOOT_TOL).departure
+        return d
+
+    inner = _sections(a_lo, a_hi)
+    deps = _lane_departures(params, np.array([a_lo, *inner, a_hi]), R_MAX,
+                            SHOOT_TOL).tolist()
+    lo_dep, hi_dep = departure(a_lo, deps[0]), departure(a_hi, deps[-1])
     if lo_dep == 0 or hi_dep == 0 or lo_dep == hi_dep:
         raise ShootingError(
             f"no bracket: departures are {lo_dep} at a={a_lo} "
             f"and {hi_dep} at a={a_hi}")
+    deps[0], deps[-1] = lo_dep, hi_dep
     lo_a, hi_a = a_lo, a_hi
-    fractions = np.arange(1, SECTIONS + 1) / (SECTIONS + 1)
-    while hi_a - lo_a > BISECT_TOL * max(1.0, abs(hi_a)):
-        inner = np.unique(lo_a + (hi_a - lo_a) * fractions)
-        inner = inner[(inner > lo_a) & (inner < hi_a)]
-        if inner.size == 0:
-            break
-        heights = [lo_a, *inner.tolist(), hi_a]
-        deps = [lo_dep,
-                *(d for _, d in _classify(params, inner, R_MAX, SHOOT_TOL)),
-                hi_dep]
-        flip = next(k for k, d in enumerate(deps) if d != lo_dep)
-        if deps[flip] == 0:
-            raise ShootingError(f"inconclusive trajectory at a={heights[flip]}")
-        lo_a, hi_a = heights[flip - 1], heights[flip]
+    while inner:
+        heights = [lo_a, *inner, hi_a]
+        for k, (a, d) in enumerate(zip(heights, deps)):
+            d = departure(a, d)
+            if d != lo_dep:
+                break
+        if d == 0:
+            raise ShootingError(f"inconclusive trajectory at a={heights[k]}")
+        lo_a, hi_a = heights[k - 1], heights[k]
+        inner = _sections(lo_a, hi_a)
+        if inner:
+            deps = [lo_dep, *_lane_departures(params, np.array(inner), R_MAX,
+                                              SHOOT_TOL).tolist(), hi_dep]
     a_star = 0.5 * (lo_a + hi_a)
 
     lo = integrate_radial(params, lo_a, tol=SHOOT_TOL)

@@ -140,6 +140,15 @@ def test_determinism_same_config_same_hash(tmp_path):
     assert d1["E"] == d2["E"]
 
 
+def test_determinism_shoot_writes_identical_files(tmp_path):
+    for out in ("a", "b"):
+        assert main(["--out", str(tmp_path / out), "shoot", "--n", "3",
+                     "--p", "7"]) == 0
+    for name in ("shoot.json", "shoot.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+
+
 def test_f_scan_csv(tmp_path):
     # 5 log-time points put a = 1 on the grid, where F of kappa peaks
     rc = main(["--out", str(tmp_path), "f-scan", "--n", "3", "--p", "3",
@@ -259,6 +268,8 @@ BAD_REQUESTS = [
     ["gap-scan", "--n-range", "4"],
     ["gap-scan", "--n-range", "a:b"],
     [{"n": "abc"}, "gamma"],
+    ["shoot", "--n", "3", "--p", "7", "--a-lo", "2.31", "--a-hi", "2.30"],
+    ["shoot", "--n", "3", "--p", "7", "--a-lo", "2.3", "--a-hi", "2.3"],
 ]
 
 

@@ -7,7 +7,7 @@ from selfsim.core import constant_profile, make_params, singular_profile
 from selfsim.fixtures import reference_profile
 from selfsim.functionals import (constant_f_closed_form, default_rule, density,
                                  energy, entropy, f_functional, identities)
-from selfsim.quadrature import offset_integral_many
+from selfsim.quadrature import offset_integral_many, weighted_integral
 
 P33 = make_params(3, 3.0)
 P37 = make_params(3, 7.0, require_supercritical=True)
@@ -244,3 +244,47 @@ def test_f_evaluates_the_profile_once_and_matches_bit_for_bit(wshoot,
     for x0 in (0.0, 1.5):
         f_functional(wshoot, x0, -1.0, rule=rule)
     assert len(calls) == 2
+
+
+def separate_integrand_reports(profile):
+    """energy and identities figures from one weighted integral per
+    integrand, each evaluating the profile."""
+    rule = default_rule(profile)
+    n, p = profile.params.n, profile.params.p
+    grad2, mass, pot, y2grad2, y2mass, y2pot = (
+        weighted_integral(rule, g) for g in (
+            lambda r: profile.deriv(r) ** 2,
+            lambda r: profile.value(r) ** 2,
+            lambda r: np.abs(profile.value(r)) ** (p + 1.0),
+            lambda r: r**2 * profile.deriv(r) ** 2,
+            lambda r: r**2 * profile.value(r) ** 2,
+            lambda r: r**2 * np.abs(profile.value(r)) ** (p + 1.0)))
+    scale = max(grad2, mass, pot, y2grad2, y2mass, y2pot, 1e-300)
+    return {
+        "energy": 0.5 * grad2 + mass / (2.0 * (p - 1.0)) - pot / (p + 1.0),
+        "energy_shortcut": (0.5 - 1.0 / (p + 1.0)) * pot,
+        "pohozaev_residual": ((n / (p + 1.0) + (2.0 - n) / 2.0) * grad2
+                              + 0.5 * (0.5 - 1.0 / (p + 1.0)) * y2grad2) / scale,
+        "mass_balance_residual": (grad2 - pot + mass / (p - 1.0)) / scale,
+        "moment_balance_residual": (
+            (2.0 - n) / 2.0 * grad2 - n / (2.0 * (p - 1.0)) * mass
+            + n / (p + 1.0) * pot + 0.25 * y2grad2
+            + y2mass / (4.0 * (p - 1.0)) - y2pot / (2.0 * (p + 1.0))) / scale,
+    }
+
+
+def test_energy_and_identities_evaluate_the_profile_once_and_match_bit_for_bit(
+        wshoot, monkeypatch):
+    want = separate_integrand_reports(wshoot)
+    rep, ids = energy(wshoot), identities(wshoot)
+    assert (rep.energy, rep.energy_shortcut) == \
+        (want["energy"], want["energy_shortcut"])
+    assert {k: getattr(ids, k) for k in want} == want
+    calls = []
+    for name in ("value", "deriv"):
+        method = getattr(wshoot, name)
+        monkeypatch.setattr(wshoot, name, lambda r, name=name, method=method:
+                            calls.append(name) or method(r))
+    energy(wshoot)
+    identities(wshoot)
+    assert calls == ["value", "deriv"] * 2

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from selfsim.core import (KIND_SHOOTING, RadialProfile, constant_profile,
-                         make_params, singular_profile)
+from selfsim import shooting
+from selfsim.core import (KIND_SHOOTING, ParameterError, RadialProfile,
+                         constant_profile, make_params, singular_profile)
 from selfsim.fixtures import (A_STAR_REFERENCE, REGRESSION_LABELS,
                               SHOOTING_BRACKETS, SUBCRITICAL_SCAN,
                               supercritical_scan_grid)
 from selfsim.shooting import (DECAYING, GROWING, INCONCLUSIVE,
-                              INCONCLUSIVE_CONSTANT, SIGN_CHANGING,
+                              INCONCLUSIVE_CONSTANT, SECTIONS, SIGN_CHANGING,
                               ShootingError, _departures, find_brackets,
                               integrate_radial, ode_residual,
                               scan_initial_values, shoot)
@@ -74,6 +75,12 @@ def test_shoot_is_deterministic(profile37):
 def test_shoot_requires_departure_flip():
     with pytest.raises(ShootingError, match="no bracket"):
         shoot(P37, 1.0, 1.2)
+
+
+@pytest.mark.parametrize("a_lo, a_hi", [(2.31, 2.30), (2.3, 2.3)])
+def test_shoot_rejects_a_reversed_or_empty_bracket(a_lo, a_hi):
+    with pytest.raises(ParameterError, match="a_lo < a_hi"):
+        shoot(P37, a_lo, a_hi)
 
 
 def test_taylor_start_insensitivity():
@@ -158,6 +165,14 @@ def test_kernel_departures_match_integrate_radial_near_a_star(tol):
     assert np.all(dep != 0)
     assert dep.tolist() == [integrate_radial(P37, a, tol=tol).departure
                             for a in heights]
+    # a full multisection round of lanes
+    heights = ref + np.linspace(-1e-9, 1e-9, SECTIONS)
+    dep = _departures(P37, heights, 30.0, tol)
+    assert np.all(dep != 0)
+    pick = np.random.default_rng(7).choice(SECTIONS, 20, replace=False)
+    assert set(dep[pick]) == {-1, 1}
+    assert dep[pick].tolist() == [integrate_radial(P37, a, tol=tol).departure
+                                  for a in heights[pick]]
 
 
 def test_scan_rows_with_zero_and_equilibria():
@@ -208,3 +223,70 @@ def test_shoot_resolves_the_lowest_flip():
     lo, hi = prof.meta["bracket"]
     assert b0 < lo < hi < b1
     assert _departures(params, [lo, hi], 30.0, 1e-12).tolist() == [-1, 1]
+
+
+def test_shoot_makes_one_kernel_call_per_round(monkeypatch):
+    # 8 bits a round; the first round also classifies the bracket ends
+    sizes = []
+    real = shooting._departures
+    monkeypatch.setattr(shooting, "_departures", lambda params, heights, *args:
+                        sizes.append(len(heights)) or real(params, heights, *args))
+    shoot(P37, *SHOOTING_BRACKETS[(3, 7.0)])
+    assert SECTIONS == 255
+    assert sizes == [SECTIONS + 2] + [SECTIONS] * 4
+
+
+def zeroed_kernel(monkeypatch, zero, rounds=5):
+    """Patch shoot's kernel to return 0 on the inner lanes k where
+    zero(k, flip) holds in its first rounds calls, flip being the first lane
+    that does not cross zero at the recorded (3, 7) bracket.  Returns the
+    zeroed heights and the heights integrate_radial is called with."""
+    a_lo, a_hi = SHOOTING_BRACKETS[(3, 7.0)]
+    real_departures, real_integrate = shooting._departures, integrate_radial
+    zeroed, shots, calls = [], [], []
+
+    def departures(params, heights, r_max, tol):
+        dep = real_departures(params, heights, r_max, tol)
+        calls.append(len(heights))
+        if len(calls) > rounds:
+            return dep
+        heights = np.asarray(heights)
+        up = np.flatnonzero(dep != -1)
+        k = np.arange(dep.size)
+        mask = zero(k, up[0] if up.size else dep.size) \
+            & (heights > a_lo) & (heights < a_hi)
+        zeroed.extend(heights[mask].tolist())
+        return np.where(mask, 0, dep)
+
+    def integrate(params, a, **kwargs):
+        shots.append(a)
+        return real_integrate(params, a, **kwargs)
+
+    monkeypatch.setattr(shooting, "_departures", departures)
+    monkeypatch.setattr(shooting, "integrate_radial", integrate)
+    return zeroed, shots
+
+
+def test_shoot_ignores_kernel_zeros_above_the_flip(monkeypatch, profile37):
+    zeroed, shots = zeroed_kernel(monkeypatch, lambda k, flip: k > flip)
+    prof = shoot(P37, *SHOOTING_BRACKETS[(3, 7.0)])
+    assert len(zeroed) > 500
+    lo, hi = prof.meta["bracket"]
+    assert shots == [lo, hi, prof.meta["a"]]     # the three dense shots only
+    assert prof.meta["a"] == profile37.meta["a"]
+
+
+def test_shoot_resolves_a_kernel_zero_at_the_flip_candidate(monkeypatch,
+                                                            profile37):
+    # the lane below the flip resolves to a crossing and the walk goes on;
+    # the flip lane's own shot then decides the flip.  Only the first three
+    # rounds are zeroed: within about 1e-14 of a* a trajectory shot and a
+    # kernel lane may depart in opposite directions
+    zeroed, shots = zeroed_kernel(monkeypatch,
+                                  lambda k, flip: (k == flip - 1) | (k == flip),
+                                  rounds=3)
+    prof = shoot(P37, *SHOOTING_BRACKETS[(3, 7.0)])
+    assert len(zeroed) == 6
+    assert shots[:-3] == zeroed
+    assert prof.meta["a"] == profile37.meta["a"]
+    assert prof.meta["bracket"] == profile37.meta["bracket"]
