@@ -270,10 +270,9 @@ def cmd_flow(cfg):
         level = _convert("init level", init.split(":", 1)[1], 0.0)
         if not math.isfinite(level):
             raise ParameterError(f"init level must be finite, got {level}")
-        prof = constant_profile(params, "+")
-        state = init_flow(prof, fc)
-        state.w = np.full_like(state.w, level)
-        state.history = [(0.0, state.w.copy())]
+        # the level as the zero profile plus level times the constant 1
+        state = init_flow(constant_profile(params, "0"), fc,
+                          eigenfunction=np.ones_like, amplitude=level)
     else:
         state = init_flow(_profile_from(init, params), fc)
     report = flow_run(state, tau_max=cfg["tau_max"])

@@ -6,9 +6,13 @@ with blow-up detection, Lyapunov-energy monitoring and the eigenfunction
 perturbation experiment.
 
 The stepper is a Strang splitting: the reaction -w/(p-1) + |w|^{p-1} w is
-advanced exactly through the substitution v = |w|^{1-p} (v' = v - (p-1)),
-and the diffusion-drift part is a Crank-Nicolson solve of the conservative
-flux form (1/m)(m w')' with m = r^{n-1} e^{-r^2/4}.  The tridiagonal
+advanced exactly, w(dt) = w b^{-1/(p-1)} with
+b = e^{dt} - (p-1)(e^{dt}-1)|w|^{p-1} (the scalar flow of v = |w|^{1-p},
+v' = v - (p-1), solved for w), and the diffusion-drift part is a
+Crank-Nicolson solve of the conservative flux form (1/m)(m w')' with
+m = r^{n-1} e^{-r^2/4}.  The reaction also gives |w(dt)|^{p-1} = |w|^{p-1}/b,
+which the energy of the accepted state and the next step's first half
+reuse, so an accepted step takes three array powers.  The tridiagonal
 Crank-Nicolson matrix is LU-factored (LAPACK gttrf) once per step size and
 each step solves with the factors (gttrs).  Spatially constant states
 therefore reproduce the exact scalar solution, and the constant
@@ -57,11 +61,16 @@ class FlowConfig:
                                  f"or {BC_DIRICHLET!r}, got {self.bc!r}")
         # the one-sided edge triples of the gradient stencil built in
         # _build_machinery need three nodes
-        if self.n_points < 2:
-            raise ParameterError(f"n_points must be at least 2, "
+        if not float(self.n_points).is_integer() or self.n_points < 2:
+            raise ParameterError(f"n_points must be an integer of at least 2, "
                                  f"got {self.n_points}")
-        if not self.dt_max > 0.0:
-            raise ParameterError(f"dt_max must be positive, got {self.dt_max}")
+        if not 0.0 < self.r_max < math.inf:
+            raise ParameterError(f"r_max must be positive and finite, "
+                                 f"got {self.r_max}")
+        # the convergence stop needs steps of at least dt_max / 2
+        if not 0.0 < self.dt_max < math.inf:
+            raise ParameterError(f"dt_max must be positive and finite, "
+                                 f"got {self.dt_max}")
         # conv_tol = 0 switches the convergence stop off
         if not self.conv_tol >= 0.0:
             raise ParameterError(f"conv_tol must be nonnegative, "
@@ -79,9 +88,13 @@ class FlowState:
     history: list = field(default_factory=list)   # recent (tau, w) snapshots
     machinery: dict = field(default_factory=dict)
     exhausted: bool = False
-    # accepted energy, valid while state.energy_of is state.w
+    # what the flow knows of the array it accepted, valid while accepted_of
+    # is state.w: its energy, |w|^{p-1} and sup |w|.  Rebinding state.w
+    # invalidates all three; w is never changed in place.
+    accepted_of: Optional[np.ndarray] = None
     energy: float = math.nan
-    energy_of: Optional[np.ndarray] = None
+    power: Optional[np.ndarray] = None
+    sup: float = math.nan
 
 
 @dataclass
@@ -143,19 +156,25 @@ def _build_machinery(params: Parameters, cfg: FlowConfig) -> dict:
         right = (d2 / (d1 * (d1 + d2)), -(d2 + d1) / (d1 * d2),
                  (2.0 * d2 + d1) / (d2 * (d1 + d2)))
         stencil = (interior, left, right)
+    # the nodes dtau_estimate reports on (see there)
+    diag = slice(None)
+    if cfg.bc == BC_DIRICHLET:
+        diag = slice(int(np.count_nonzero(r <= DIAG_R_FRAC * cfg.r_max)))
     return {"r": r, "h": h, "low": low, "mbar": mbar, "quad_w": quad_w,
             "outer_flux": m_face[-1] / h**2,
-            "stencil": stencil}
+            "stencil": stencil, "diag": diag}
 
 
 def _apply_diffusion(mach: dict, w: np.ndarray, bc: str) -> np.ndarray:
-    out = np.zeros_like(w)
     flux = mach["low"] * (w[1:] - w[:-1])
-    out[:-1] += flux
-    out[1:] -= flux
+    out = np.empty_like(w)
+    out[0] = flux[0]
+    np.subtract(flux[1:], flux[:-1], out=out[1:-1])
+    out[-1] = -flux[-1]
     if bc == BC_DIRICHLET:
         out[-1] -= mach["outer_flux"] * w[-1] * 2.0  # ghost value 0 at r_max+h/2
-    return out / mach["mbar"]
+    out /= mach["mbar"]
+    return out
 
 
 def _cn_banded(mach: dict, dt: float, bc: str) -> tuple:
@@ -182,23 +201,34 @@ def _cn_banded(mach: dict, dt: float, bc: str) -> tuple:
 
 
 def solve_banded(lu: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solution of the Crank-Nicolson system from _cn_banded's factors."""
-    return dgttrs(*lu, rhs)[0]
+    """Solution of the Crank-Nicolson system from _cn_banded's factors.
 
-
-@np.errstate(divide="ignore", over="ignore")
-def _react_exact(w: np.ndarray, dt: float, p: float) -> Optional[np.ndarray]:
-    """Exact reaction flow via v = |w|^{1-p}; None if it blows inside dt.
-
-    A zero entry has v = inf and stays 0.  So does an entry so small that v
-    overflows (|w| below about 1e-154 at p = 3); such an entry decays, and
-    its exact new value is smaller still.
+    rhs is a temporary: the solve may overwrite it.
     """
-    v = np.abs(w) ** (1.0 - p)
-    v_new = (p - 1.0) + (v - (p - 1.0)) * math.exp(dt)
-    if np.any(v_new <= 0.0):
+    return dgttrs(*lu, rhs, overwrite_b=1)[0]
+
+
+def _react_exact(w: np.ndarray, dt: float, p: float,
+                 power: Optional[np.ndarray] = None) -> Optional[tuple]:
+    """Exact reaction flow over dt: (w(dt), |w(dt)|^{p-1}), or None if an
+    entry blows up inside dt.
+
+    power is |w|^{p-1} when the caller has it.  With E = e^{dt} the flow of
+    v = |w|^{1-p}, v(dt) = (p-1) + (v - (p-1)) E, reads
+    w(dt) = w b^{-1/(p-1)} with b = E - (p-1)(E-1)|w|^{p-1}, and an entry
+    blows up inside dt iff b <= 0 (a NaN also counts as blow-up).  Zero
+    entries stay +0.0, and entries so small that |w|^{p-1} underflows get
+    their exact decayed value w e^{-dt/(p-1)}.  Callers ignore overflow.
+    """
+    if power is None:
+        power = np.abs(w) ** (p - 1.0)
+    E = math.exp(dt)
+    b = E - (p - 1.0) * (E - 1.0) * power
+    if not b.min() > 0.0:
         return None
-    return np.sign(w) * v_new ** (-1.0 / (p - 1.0))
+    w_new = w * b ** (-1.0 / (p - 1.0))
+    w_new += 0.0        # -0.0 -> +0.0
+    return w_new, power / b
 
 
 def _gradient(mach: dict, w: np.ndarray) -> np.ndarray:
@@ -227,13 +257,13 @@ def init_flow(initial: RadialProfile, cfg: Optional[FlowConfig] = None,
     w = initial.value(r).copy()
     if eigenfunction is not None and amplitude != 0.0:
         w = w + amplitude * np.asarray(eigenfunction(r), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e0 = _energy(mach, w, initial.params.p)
-    _require_finite(w, e0, "initial data")
-    # the data's energy is the state's accepted energy until w is rebound
     state = FlowState(params=initial.params, cfg=cfg, tau=0.0, r=r, w=w,
-                      dt=cfg.dt_max, machinery=mach, energy=e0, energy_of=w)
-    state.history.append((0.0, w.copy()))
+                      dt=cfg.dt_max, machinery=mach)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.abs(w) ** (initial.params.p - 1.0)
+        _accept(state, w, power, _energy(mach, w, power, initial.params.p))
+    _require_finite(w, state.energy, "initial data")
+    state.history.append((0.0, w))
     return state
 
 
@@ -246,30 +276,45 @@ def _require_finite(w: np.ndarray, energy: float, what: str) -> None:
                              f"{what} has discrete energy {energy}")
 
 
-def _energy(mach: dict, w: np.ndarray, p: float) -> float:
+def _energy(mach: dict, w: np.ndarray, power: np.ndarray, p: float) -> float:
     dw = _gradient(mach, w)
-    return float(np.dot(mach["quad_w"], 0.5 * dw**2 + w**2 / (2.0 * (p - 1.0))
-                        - np.abs(w) ** (p + 1.0) / (p + 1.0)))
+    w2 = w**2
+    return float(np.dot(mach["quad_w"], 0.5 * dw**2 + w2 / (2.0 * (p - 1.0))
+                        - power * w2 / (p + 1.0)))
 
 
-def energy_of_state(state: FlowState, w: Optional[np.ndarray] = None) -> float:
-    """Discrete Lyapunov energy of the grid function.
+def energy_of_state(state: FlowState, w: Optional[np.ndarray] = None,
+                    power: Optional[np.ndarray] = None) -> float:
+    """Discrete Lyapunov energy of the grid function (state.w by default).
 
-    w' equals np.gradient(w, r, edge_order=2) bit for bit; _build_machinery
-    precomputes numpy's non-uniform formulas as a three-point stencil.  The
-    flow keeps the energy it accepted on the state (state.energy, keyed to
-    the array state.energy_of), so a step reuses it; rebinding state.w
-    invalidates it, and w must not be changed in place.
+    power is |w|^{p-1} when the caller has it; |w|^{p+1} is taken as
+    |w|^{p-1} w^2.  w' equals np.gradient(w, r, edge_order=2) bit for bit;
+    _build_machinery precomputes numpy's non-uniform formulas as a
+    three-point stencil.
     """
-    return _energy(state.machinery, state.w if w is None else w,
-                   state.params.p)
+    w = state.w if w is None else w
+    if power is None:
+        power = np.abs(w) ** (state.params.p - 1.0)
+    return _energy(state.machinery, w, power, state.params.p)
 
 
-def _accepted_energy(state: FlowState) -> float:
-    """Energy of state.w, evaluated once per array the state holds."""
-    if state.energy_of is not state.w:
-        state.energy, state.energy_of = energy_of_state(state), state.w
-    return state.energy
+def _accept(state: FlowState, w: np.ndarray, power: np.ndarray,
+            energy: float) -> None:
+    """Make w the state's array, with its record: energy, power and sup."""
+    state.w = state.accepted_of = w
+    state.power, state.energy = power, energy
+    state.sup = float(np.abs(w).max())
+
+
+def _accepted(state: FlowState) -> FlowState:
+    """state with the record of state.w current: the flow keeps the energy,
+    |w|^{p-1} and sup of the array it accepted, and evaluates them afresh
+    only for an array bound to state.w from outside."""
+    if state.accepted_of is not state.w:
+        w = state.w
+        power = np.abs(w) ** (state.params.p - 1.0)
+        _accept(state, w, power, energy_of_state(state, w, power))
+    return state
 
 
 def weighted_average(state: FlowState) -> float:
@@ -281,14 +326,18 @@ def blowup_criterion(state: FlowState) -> float:
     return weighted_average(state) - state.params.kappa
 
 
-def _try_step(state: FlowState, dt: float) -> Optional[np.ndarray]:
+@np.errstate(over="ignore")
+def _try_step(state: FlowState, dt: float) -> Optional[tuple]:
+    """(w, |w|^{p-1}) after one Strang step of dt from the accepted state,
+    or None if the reaction blows up inside it.  A non-finite
+    Crank-Nicolson solution also gives None: its |w|^{p-1} makes b NaN or
+    -inf in the second half."""
     p = state.params.p
-    w1 = _react_exact(state.w, 0.5 * dt, p)
-    if w1 is None:
+    half = _react_exact(state.w, 0.5 * dt, p, state.power)
+    if half is None:
         return None
+    w1 = half[0]
     rhs = w1 + 0.5 * dt * _apply_diffusion(state.machinery, w1, state.cfg.bc)
-    if not np.isfinite(rhs).all():
-        return None
     w2 = solve_banded(_cn_banded(state.machinery, dt, state.cfg.bc), rhs)
     return _react_exact(w2, 0.5 * dt, p)
 
@@ -296,24 +345,23 @@ def _try_step(state: FlowState, dt: float) -> Optional[np.ndarray]:
 def step(state: FlowState) -> FlowState:
     """One adaptive step; halves dt on in-step blow-up or energy increase."""
     p = state.params.p
-    sup = float(np.abs(state.w).max())
+    sup, e_before = _accepted(state).sup, state.energy
     dt = state.cfg.dt_max
     if sup > 0.0:
         try:
             dt = min(dt, REACTION_SAFETY * sup ** (1.0 - p) / (p - 1.0))
         except OverflowError:   # sup^{1-p} beyond the float range: no limit
             pass
-    e_before = _accepted_energy(state)
     while dt >= DT_MIN:
-        w_new = _try_step(state, dt)
-        if w_new is not None and np.all(np.isfinite(w_new)):
-            e_new = energy_of_state(state, w_new)
+        new = _try_step(state, dt)
+        if new is not None and np.isfinite(new[0]).all():
+            w_new, power = new
+            e_new = energy_of_state(state, w_new, power)
             if e_new <= e_before + ENERGY_SLACK:
-                state.w = w_new
-                state.energy, state.energy_of = e_new, w_new
+                _accept(state, w_new, power, e_new)
                 state.tau += dt
                 state.dt = dt
-                state.history.append((state.tau, w_new.copy()))
+                state.history.append((state.tau, w_new))
                 if len(state.history) > 3:
                     state.history.pop(0)
                 return state
@@ -343,17 +391,19 @@ def dtau_estimate(state: FlowState) -> Optional[np.ndarray]:
         cached = key, fornberg_weights(t2, np.array([t0, t1, t2]), 1)[1]
         state.machinery["fornberg"] = cached
     wts = cached[1]
-    out = wts[0] * w0 + wts[1] * w1 + wts[2] * w2
-    if state.cfg.bc == BC_DIRICHLET:
-        keep = state.r <= DIAG_R_FRAC * state.cfg.r_max
-        out = out[keep]
-    return out
+    keep = state.machinery["diag"]
+    return wts[0] * w0[keep] + wts[1] * w1[keep] + wts[2] * w2[keep]
 
 
 def run(state: FlowState, tau_max: float) -> FlowReport:
-    """Step until blow-up, convergence, or tau_max; collects diagnostics."""
+    """Step until blow-up, convergence, or tau_max; collects diagnostics.
+
+    tau_max = inf runs until blow-up or convergence, within MAX_STEPS steps.
+    """
+    if not tau_max >= 0.0:
+        raise ParameterError(f"tau_max must be nonnegative, got {tau_max}")
     with np.errstate(over="ignore", invalid="ignore"):
-        e0 = _accepted_energy(state)
+        e0 = _accepted(state).energy
     _require_finite(state.w, e0, "state")
     params, cfg = state.params, state.cfg
     p, kap = params.p, params.kappa
@@ -365,21 +415,23 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
     outcome, tau1 = OUTCOME_MAXTIME, None
 
     def record():
+        """Append the accepted state; returns max |dtau w| (nan if none)."""
         nonlocal criterion_exceeded, min_dtau_overall
         cols["tau"].append(state.tau)
-        cols["sup_norm"].append(float(np.abs(state.w).max()))
+        cols["sup_norm"].append(state.sup)
         avg = weighted_average(state)
         cols["weighted_avg"].append(avg)
-        cols["energy"].append(_accepted_energy(state))
+        cols["energy"].append(state.energy)
         cols["dt"].append(state.dt)
         dtau = dtau_estimate(state)
-        mval = float(dtau.min()) if dtau is not None else math.nan
-        cols["min_dtau_w"].append(mval)
-        if not math.isnan(mval):
-            min_dtau_overall = min(min_dtau_overall, mval)
+        lo = hi = math.nan
+        if dtau is not None:
+            lo, hi = float(dtau.min()), float(dtau.max())
+            min_dtau_overall = min(min_dtau_overall, lo)
+        cols["min_dtau_w"].append(lo)
         if avg > kap + 1e-12:
             criterion_exceeded = True
-        return dtau
+        return max(-lo, hi)
 
     flags = []
     record()
@@ -387,8 +439,8 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
         if state.tau >= tau_max:
             break
         step(state)
-        dtau = record()
-        sup = cols["sup_norm"][-1]
+        dtau_sup = record()
+        sup = state.sup
         if state.exhausted:
             if sup > 10.0 * kap:
                 outcome = OUTCOME_BLEWUP
@@ -398,8 +450,7 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
         if sup > cap:
             outcome = OUTCOME_BLEWUP
             break
-        if cfg.conv_tol > 0.0 and dtau is not None \
-                and np.abs(dtau).max() < cfg.conv_tol \
+        if cfg.conv_tol > 0.0 and dtau_sup < cfg.conv_tol \
                 and state.dt >= 0.5 * cfg.dt_max:
             outcome = OUTCOME_CONVERGED
             break

@@ -149,6 +149,16 @@ def test_determinism_shoot_writes_identical_files(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("init", ["const:1.0", "kappa"])   # blows up; holds
+def test_determinism_flow_writes_identical_files(tmp_path, init):
+    for out in ("a", "b"):
+        assert main(["--out", str(tmp_path / out), "flow", "--n", "3",
+                     "--p", "3", "--init", init]) == 0
+    for name in ("flow.json", "flow.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+
+
 def test_f_scan_csv(tmp_path):
     # 5 log-time points put a = 1 on the grid, where F of kappa peaks
     rc = main(["--out", str(tmp_path), "f-scan", "--n", "3", "--p", "3",
@@ -263,6 +273,9 @@ BAD_REQUESTS = [
     ["flow", "--init", "const:inf"],
     ["flow", "--init", "const:1e200"],
     ["flow", "--init", "singular"],
+    ["flow", "--init", "const:0.5", "--dt-max", "inf"],
+    ["flow", "--init", "const:0.5", "--tau-max", "nan"],
+    ["flow", "--init", "const:0.5", "--tau-max", "-1"],
     ["f-scan", "--x0-count", "0"],
     ["gap-scan", "--p-count", "0"],
     ["gap-scan", "--n-range", "4"],

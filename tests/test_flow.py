@@ -240,9 +240,71 @@ def test_energy_evaluated_once_per_accepted_step(monkeypatch):
 
 def test_reaction_keeps_zero_entries_at_zero():
     w = np.array([0.5, -0.3, 1.2, 0.8])
-    moved = flow._react_exact(w, 0.01, 3.0)
-    with_zeros = flow._react_exact(np.insert(w, [0, 2], [-0.0, 0.0]), 0.01, 3.0)
+    moved, power = flow._react_exact(w, 0.01, 3.0)
+    with_zeros, with_zeros_power = flow._react_exact(
+        np.insert(w, [0, 2], [-0.0, 0.0]), 0.01, 3.0)
     assert with_zeros.tobytes() == np.insert(moved, [0, 2], 0.0).tobytes()
+    assert with_zeros_power.tobytes() == np.insert(power, [0, 2], 0.0).tobytes()
+
+
+@pytest.mark.parametrize("p", [1.2, 2.0, 3.0, 4.5, 7.0, 9.0])
+@pytest.mark.parametrize("dt", [1e-4, 0.01, 1.0])
+def test_reaction_returns_the_power_of_its_result(p, dt):
+    # magnitudes whose |w|^{p-1} is a normal float, up to just below the
+    # scalar blow-up over dt
+    rng = np.random.default_rng(11)
+    kap = (1.0 / (p - 1.0)) ** (1.0 / (p - 1.0))
+    limit = kap / (1.0 - math.exp(-dt)) ** (1.0 / (p - 1.0))
+    w = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(
+        max(-300.0, -280.0 / (p - 1.0)), math.log10(0.999 * limit), 4000)
+    w_new, power = flow._react_exact(w, dt, p)
+    expected = np.abs(w_new) ** (p - 1.0)
+    normal = expected > 1e-290
+    assert normal.sum() > 3900
+    assert (np.abs(power - expected)[normal]
+            <= 2.0 * (p + 1.0) * np.spacing(expected[normal])).all()
+
+
+def test_rebound_state_runs_like_fresh_data():
+    # the state's record of the accepted array (energy, |w|^{p-1}, sup) must
+    # follow a rebound w: the run from the rebound state equals the run
+    # from init_flow on the same data, series for series
+    params = make_params(3, 7.0)
+    cfg = FlowConfig(bc=BC_NOFLUX)
+    state = init_flow(constant_profile(params, "+"), cfg)
+    run(state, tau_max=0.05)
+    data = 2.0 * params.kappa * (1.0 + 0.1 * np.cos(state.r))
+    fresh = init_flow(constant_profile(params, "0"), cfg,
+                      eigenfunction=lambda r: data, amplitude=1.0)
+    assert fresh.w.tobytes() == data.tobytes()
+    state.w, state.history = data, [(0.0, data)]
+    state.tau, state.dt = 0.0, cfg.dt_max
+    rebound_series = run(state, tau_max=1.0).series
+    fresh_series = run(fresh, tau_max=1.0).series
+    assert len(fresh_series["tau"]) > 10
+    for key, values in fresh_series.items():
+        assert rebound_series[key].tobytes() == values.tobytes(), key
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"r_max": -5.0}, {"r_max": 0.0}, {"r_max": math.nan}, {"r_max": math.inf},
+    {"n_points": 800.5}, {"n_points": 1}, {"dt_max": math.inf},
+    {"dt_max": 0.0}, {"dt_max": math.nan}],
+    ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()))
+def test_flow_config_refuses_a_grid_or_step_it_cannot_run(kwargs):
+    with pytest.raises(ParameterError):
+        FlowConfig(**kwargs)
+
+
+@pytest.mark.parametrize("tau_max", [math.nan, -1.0])
+def test_run_refuses_a_nan_or_negative_tau_max(tau_max):
+    with pytest.raises(ParameterError, match="tau_max"):
+        run(constant_data_state(P33, 0.5), tau_max=tau_max)
+
+
+def test_infinite_tau_max_runs_to_convergence():
+    report = run(constant_data_state(P33, 0.5), tau_max=math.inf)
+    assert report.outcome == OUTCOME_CONVERGED
 
 
 # 1e200 is finite, but |w|^{p+1} and so the energy overflow
@@ -256,6 +318,28 @@ def test_non_finite_initial_data_is_refused(bad):
     state.w = np.full_like(state.w, bad)
     with pytest.raises(ParameterError, match="finite"):
         run(state, tau_max=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_solve_halves_the_step(monkeypatch, bad):
+    # the first Crank-Nicolson solution gets one non-finite entry
+    solves, original = [], flow.solve_banded
+
+    def spoiled_once(lu, rhs):
+        out = original(lu, rhs)
+        if not solves:
+            out[len(out) // 2] = bad
+        solves.append(1)
+        return out
+
+    monkeypatch.setattr(flow, "solve_banded", spoiled_once)
+    state = constant_data_state(P33, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step(state)
+    assert len(solves) == 2 and not state.exhausted
+    assert state.dt == 0.5 * state.cfg.dt_max
+    assert np.isfinite(state.w).all()
 
 
 def test_tiny_data_steps_at_dt_max_without_warning():
@@ -295,7 +379,7 @@ def test_cn_factors_solve_like_scipy_solve_banded(n_points, bc):
         assert (new is lu) == again
         lu = new
         expected = solve_banded((1, 1), cn_matrix(mach, dt, bc), rhs)
-        assert flow.solve_banded(lu, rhs).tobytes() == expected.tobytes()
+        assert flow.solve_banded(lu, rhs.copy()).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("level,steps", [(1.6, None),   # blows up
