@@ -67,7 +67,8 @@ class FlowConfig:
         if not 0.0 < self.r_max < math.inf:
             raise ParameterError(f"r_max must be positive and finite, "
                                  f"got {self.r_max}")
-        # the convergence stop needs steps of at least dt_max / 2
+        # the convergence stop needs steps of at least half the step's cap,
+        # min(dt_max, reaction limit)
         if not 0.0 < self.dt_max < math.inf:
             raise ParameterError(f"dt_max must be positive and finite, "
                                  f"got {self.dt_max}")
@@ -342,16 +343,24 @@ def _try_step(state: FlowState, dt: float) -> Optional[tuple]:
     return _react_exact(w2, 0.5 * dt, p)
 
 
-def step(state: FlowState) -> FlowState:
-    """One adaptive step; halves dt on in-step blow-up or energy increase."""
+def _dt_cap(state: FlowState) -> float:
+    """The first dt a step from the accepted state tries: dt_max, or
+    REACTION_SAFETY of the scalar time to blow-up from sup |w| if shorter."""
     p = state.params.p
-    sup, e_before = _accepted(state).sup, state.energy
+    sup = _accepted(state).sup
     dt = state.cfg.dt_max
     if sup > 0.0:
         try:
             dt = min(dt, REACTION_SAFETY * sup ** (1.0 - p) / (p - 1.0))
         except OverflowError:   # sup^{1-p} beyond the float range: no limit
             pass
+    return dt
+
+
+def step(state: FlowState) -> FlowState:
+    """One adaptive step; halves dt on in-step blow-up or energy increase."""
+    dt = _dt_cap(state)
+    e_before = state.energy
     while dt >= DT_MIN:
         new = _try_step(state, dt)
         if new is not None and np.isfinite(new[0]).all():
@@ -438,6 +447,7 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
     for _ in range(MAX_STEPS):
         if state.tau >= tau_max:
             break
+        dt_cap = _dt_cap(state)
         step(state)
         dtau_sup = record()
         sup = state.sup
@@ -451,7 +461,7 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
             outcome = OUTCOME_BLEWUP
             break
         if cfg.conv_tol > 0.0 and dtau_sup < cfg.conv_tol \
-                and state.dt >= 0.5 * cfg.dt_max:
+                and state.dt >= 0.5 * dt_cap:
             outcome = OUTCOME_CONVERGED
             break
     else:

@@ -110,11 +110,12 @@ def energy(profile: RadialProfile) -> FunctionalReport:
 
 def f_functional(profile: RadialProfile, x0_norm: float, t0: float,
                  rule: Optional[QuadratureRule] = None) -> float:
-    """Recentered functional F_{x0,t0}(w) for t0 < 0."""
+    """Recentered functional F_{x0,t0}(w) for t0 < 0.
+
+    rule is the radial rule of x0 = 0; without one that case uses
+    default_rule's composite rule, built only when it is read."""
     if not t0 < 0.0:
         raise ParameterError(f"F functional needs t0 < 0, got {t0}")
-    if rule is None:
-        rule = default_rule(profile)
     p = profile.params.p
     a = -t0
 

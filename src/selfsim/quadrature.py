@@ -13,8 +13,9 @@ of shooting profiles.
 
 Offset integrals int f(|y|) G(y - x0, t0) dy against the recentering kernel
 G(y, t) = (-4 pi t)^{-n/2} exp(|y|^2/(4t)) reduce the angular direction
-exactly through a scaled modified Bessel function and integrate radially on
-Gauss-Legendre panels around the kernel peak.
+exactly, in closed form for n = 1 and n = 3 and through a scaled modified
+Bessel function otherwise, and integrate radially on Gauss-Legendre panels
+around the kernel peak.
 """
 from __future__ import annotations
 
@@ -99,29 +100,40 @@ def weighted_integral(rule: QuadratureRule, f: Callable) -> float:
     return float(np.dot(rule.weights, vals))
 
 
+def _sphere_average(c: np.ndarray, n: int) -> np.ndarray:
+    """S(c) = int_{-1}^{1} (1-u^2)^{(n-3)/2} e^{c (u-1)} du on the sphere of
+    R^n.  In one dimension the "sphere" is the two points u = +-1, and in
+    three the weight is flat, so S(c) = (1 - e^{-2c})/c.  Other dimensions
+    use the scaled modified Bessel form."""
+    if n == 1:
+        return 1.0 + np.exp(-2.0 * c)
+    if n == 3:
+        # S(0) = 2 is the limit of the closed form at c = 0
+        return np.divide(-np.expm1(-2.0 * c), c, out=np.full_like(c, 2.0),
+                         where=c > 0.0)
+    return _bessel_sphere_average(c, n)
+
+
+def _bessel_sphere_average(c: np.ndarray, n: int) -> np.ndarray:
+    """S(c) = sqrt(pi) Gamma((n-1)/2) (2/c)^nu ive(nu, c), nu = (n-2)/2, for
+    n >= 2; below c = 1e-8 it is S(0) e^{-c} up to a relative c^2/(2n)."""
+    nu = (n - 2.0) / 2.0
+    pref = math.sqrt(math.pi) * math.gamma((n - 1) / 2.0)
+    small = c <= 1e-8
+    cb = np.where(small, 1.0, c)
+    return np.where(small, pref / math.gamma(n / 2.0) * np.exp(-c),
+                    pref * (2.0 / cb) ** nu * ive(nu, cb))
+
+
 def _offset_weights(nodes: np.ndarray, gw: np.ndarray, b: float, a: float,
                     n: int) -> np.ndarray:
-    """Weights of int f(|y|) G(y - x0, -a) dy on radial nodes, |x0| = b.
-
+    """Weights of int f(|y|) G(y - x0, -a) dy on radial nodes, |x0| = b:
     r^{n-1} times the Gaussian in |y| - b times the angular average
-    S(c) = int_{-1}^{1} (1-u^2)^{(n-3)/2} e^{c (u-1)} du, c = r b / (2a),
-    which is a scaled modified Bessel function; below c = 1e-8 it is
-    S(0) e^{-c} up to a relative c^2/(2n).  In one dimension the "sphere" is
-    the two points u = +-1.
-    """
-    c = nodes * b / (2.0 * a)
-    if n == 1:
-        ang, coef = 1.0 + np.exp(-2.0 * c), 1.0
-    else:
-        nu = (n - 2.0) / 2.0
-        pref = math.sqrt(math.pi) * math.gamma((n - 1) / 2.0)
-        small = c <= 1e-8
-        cb = np.where(small, 1.0, c)
-        ang = np.where(small, pref / math.gamma(n / 2.0) * np.exp(-c),
-                       pref * (2.0 / cb) ** nu * ive(nu, cb))
-        coef = _sphere_area(n - 1)
+    S(c) of _sphere_average, c = r b / (2a)."""
+    coef = _sphere_area(n - 1) if n > 1 else 1.0
     return ((4.0 * math.pi * a) ** (-n / 2.0) * coef * gw * nodes ** (n - 1)
-            * np.exp(-(nodes - b) ** 2 / (4.0 * a)) * ang)
+            * np.exp(-(nodes - b) ** 2 / (4.0 * a))
+            * _sphere_average(nodes * b / (2.0 * a), n))
 
 
 def offset_integral_many(f: Callable, x0_norm: float, t0: float,

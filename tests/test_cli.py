@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from selfsim import fixtures
 from selfsim.cli import HELP, SUBCOMMANDS, _resolve, build_parser, main
 
 
@@ -157,6 +158,41 @@ def test_determinism_flow_writes_identical_files(tmp_path, init):
     for name in ("flow.json", "flow.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--profile", "shoot"],
+    ["identities", "--profile", "shoot"],
+    ["entropy", "--profile", "shoot"],
+    ["entropy", "--profile", "kappa"],
+    ["f-scan", "--profile", "shoot", "--x0-count", "3", "--t0-count", "4"],
+])
+def test_determinism_profile_commands_write_identical_files(tmp_path,
+                                                            monkeypatch, argv):
+    name = argv[0].replace("-", "_")
+    for out in ("a", "b"):
+        assert main(["--out", str(tmp_path / out), argv[0], "--n", "3",
+                     "--p", "7", *argv[1:]]) == 0
+        if argv[0] == "entropy":
+            # the second run shoots and builds its interpolant afresh
+            monkeypatch.setattr(fixtures, "_PROFILE_CACHE", {})
+    written = sorted(f.name for f in (tmp_path / "a").iterdir())
+    assert f"{name}.json" in written
+    for fname in written:
+        assert (tmp_path / "a" / fname).read_bytes() == \
+            (tmp_path / "b" / fname).read_bytes()
+
+
+def test_flow_from_kappa_converges_when_dt_max_exceeds_the_reaction_limit(
+        tmp_path):
+    # near kappa at p = 3 the reaction limit caps dt at 0.25, so the
+    # convergence stop must compare with that cap, not with dt_max
+    rc = main(["--out", str(tmp_path), "flow", "--n", "3", "--p", "3",
+               "--init", "kappa", "--dt-max", "1"])
+    assert rc == 0
+    data = read_json(tmp_path, "flow")
+    assert data["outcome"] == "converged_to_profile"
+    assert not data["average_criterion_exceeded"]
 
 
 def test_f_scan_csv(tmp_path):

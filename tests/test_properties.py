@@ -1,15 +1,17 @@
-"""Property tests of quadrature, the constant-profile functional and the
-quintic interpolant."""
+"""Property tests of quadrature, the sphere average of offset integrals, the
+constant-profile functional and the quintic interpolant."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.interpolate import BPoly
+from scipy.interpolate import BPoly, PPoly
 
 from selfsim.core import constant_profile, make_params
 from selfsim.fixtures import reference_profile
 from selfsim.functionals import constant_f_closed_form, f_functional
-from selfsim.quadrature import radial_rule, weighted_integral
+from selfsim.quadrature import (_bessel_sphere_average, _sphere_average,
+                                radial_rule, weighted_integral)
 
 from test_quadrature import gaussian_even_moment
 
@@ -36,21 +38,80 @@ def test_f_of_constants_is_the_closed_form(n, p, sign, x0, log_a):
     assert abs(f_functional(prof, x0, t0) - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(1e-12, 1e5))
+def test_three_dimensional_sphere_average_is_the_closed_form(c):
+    with mp.workdps(40):
+        cm = mp.mpf(c)
+        exact = (1 - mp.exp(-2 * cm)) / cm
+    arr = np.array([c])
+    closed = float(_sphere_average(arr, 3)[0])
+    bessel = float(_bessel_sphere_average(arr, 3)[0])
+    assert abs(closed - exact) <= 1e-15 * exact
+    assert abs(bessel - exact) <= 5e-14 * exact
+
+
 @pytest.fixture(scope="module")
 def quintic():
     prof = reference_profile(3, 7.0)
     prof._ensure_spline()
-    return prof._spline
+    return prof
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_quintic_interpolant_is_c2_at_its_knots(quintic, data):
-    x, c = quintic.x, quintic.c
+    x, c = quintic._spline.x, quintic._spline.c
     i = data.draw(st.integers(1, len(x) - 2))
-    left = BPoly(c[:, i - 1:i], x[i - 1:i + 1])
-    right = BPoly(c[:, i:i + 1], x[i:i + 2])
+    left = PPoly(c[:, i - 1:i], x[i - 1:i + 1])
+    right = PPoly(c[:, i:i + 1], x[i:i + 2])
     h = min(x[i] - x[i - 1], x[i + 1] - x[i])
-    size = np.abs(c[:, i - 1:i + 1]).max()
+    # the largest Bernstein coefficient of the two pieces, built from the
+    # knot data: the power-basis coefficients grow like h^-5
+    k = slice(i - 1, i + 2)
+    knots = np.column_stack([quintic.values[k], quintic.derivs[k],
+                             quintic.second_derivs[k]])
+    size = np.abs(BPoly.from_derivatives(x[k], knots).c).max()
     for nu in range(3):
         assert abs(left(x[i], nu) - right(x[i], nu)) <= 1e-13 * size / h**nu
+
+
+# the quintic Hermite basis on [0, 1], coefficients of t^0 .. t^5, for
+# w0, h w0', h^2 w0''/2, w1, h w1', h^2 w1''/2
+HERMITE5 = [(1, 0, 0, -10, 15, -6), (0, 1, 0, -6, 8, -3), (0, 0, 1, -3, 3, -1),
+            (0, 0, 0, 10, -15, 6), (0, 0, 0, -4, 7, -3), (0, 0, 0, 1, -2, 1)]
+
+
+def exact_quintic_hermite(prof, r):
+    """Value and derivative at r of the quintic Hermite through the knot
+    data of prof, in 40-digit arithmetic."""
+    g = prof.grid
+    i = min(int(np.searchsorted(g, r, side="right")) - 1, len(g) - 2)
+    with mp.workdps(40):
+        h = mp.mpf(g[i + 1]) - mp.mpf(g[i])
+        t = (mp.mpf(r) - mp.mpf(g[i])) / h
+        data = [mp.mpf(v[j]) * h**m / (2 if m == 2 else 1) for j in (i, i + 1)
+                for m, v in enumerate((prof.values, prof.derivs,
+                                       prof.second_derivs))]
+        value = mp.fsum(d * c * t**k for d, row in zip(data, HERMITE5)
+                        for k, c in enumerate(row))
+        deriv = mp.fsum(d * c * k * t**(k - 1) for d, row in zip(data, HERMITE5)
+                        for k, c in enumerate(row) if k) / h
+    return value, deriv
+
+
+def test_quintic_interpolant_matches_the_exact_hermite(quintic):
+    # 400 seeded points, a uniform knot interval each, so the 1e-3-wide
+    # intervals near the axis count as much as the outer ones.  Measured on
+    # the (3, 7) profile: value 8.7e-16 and derivative 1.1e-12 (absolute),
+    # as with BPoly's own evaluation; PPoly.from_bernstein_basis pieces gave
+    # 1.4e-14 and 4.6e-11
+    g = quintic.grid
+    rng = np.random.default_rng(0)
+    i = rng.integers(0, len(g) - 1, 400)
+    r = g[i] + rng.uniform(0.0, 1.0, 400) * (g[i + 1] - g[i])
+    exact = [exact_quintic_hermite(quintic, x) for x in r]
+    value_err = max(abs(float(v - e[0])) for v, e in zip(quintic.value(r), exact))
+    deriv_err = max(abs(float(v - e[1])) for v, e in zip(quintic.deriv(r), exact))
+    assert value_err <= 4e-15
+    assert deriv_err <= 5e-12
