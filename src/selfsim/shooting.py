@@ -5,8 +5,8 @@ The initial value problem
     w'' + ((n-1)/r - r/2) w' - w/(p-1) + |w|^{p-1} w = 0,
     w(0) = a,  w'(0) = 0
 
-is integrated with scipy's adaptive DOP853 scheme from a second-order
-Taylor start at r = eps.  Away from a discrete set of initial heights a the
+is integrated with the adaptive DOP853 scheme from a second-order Taylor
+start at r = R_START.  Away from a discrete set of initial heights a the
 trajectory leaves the decaying envelope w ~ C r^{-2/(p-1)} either downward
 (it crosses zero) or upward (positive local minimum in the tail regime,
 followed by a large excursion).  Multisection between the two departure
@@ -14,25 +14,29 @@ directions pins the bounded positive profile: each round shoots 255 heights
 (8 bits of the bracket) in one kernel call, and the first round also
 classifies the two bracket ends.
 
-Departures alone are decided by a private lane kernel that integrates a
+One integrator does every shot: a private lane kernel that integrates a
 vector of heights at once as numpy arrays.  Each lane repeats
 ``solve_ivp(method="DOP853")``'s steps: the same tableau and initial step,
 the same error norm and step-size controller, the same two-phase
-``max_step`` schedule and the same event rule at accepted-step ends.  It
-stores no trajectory.  Lanes whose label needs the tail (no event by
-``r_max``), lanes where the solver fails, lanes where two events fire in one
-step, zero heights and exact equilibria go through ``integrate_radial``,
-the one trajectory and dense-output path; ``shoot`` sends a lane there only
-when it is the flip candidate of its round.
+``max_step`` schedule and the same event rule at accepted-step ends.  A
+lane's arithmetic does not depend on how many lanes share its call: every
+stage and error sum adds its terms in a fixed order per lane.  So the final
+3-lane call of ``shoot`` repeats the multisection's decisions on the final
+bracket ends bit for bit.  On request the kernel also keeps each accepted
+step's dense-output rows, built as ``DOP853._dense_output_impl`` builds
+them, and returns trajectories whose ``sample`` evaluates them as
+``Dop853DenseOutput`` does; ``integrate_radial`` is such a one-lane call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-# private scipy module: the DOP853 tableau and controller factors that
-# solve_ivp itself steps with, so the lane kernel cannot drift from it
+# not called here: perfbench/tracing.py wraps shooting.solve_ivp by name
+from scipy.integrate import solve_ivp  # noqa: F401
+# private scipy module: the DOP853 tableau, dense-output stages and
+# controller factors that solve_ivp itself steps with, so the lane kernel
+# cannot drift from it
 from scipy.integrate._ivp.rk import DOP853, MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .core import (KIND_SHOOTING, ParameterError, Parameters, RadialProfile,
@@ -57,7 +61,7 @@ MAX_STEP_TAIL = 0.05
 # the cap is this multiple of max(|a|, kappa)
 REBOUND_FRACTION = 0.75
 CAP_MULT = 10.0
-EVENT_DIRECTIONS = np.array([0, 0, 1])    # zero, cap, rebound (EVENTS)
+EVENT_DIRECTIONS = np.array([0, 0, 1])    # zero, cap, rebound
 # heights tried per multisection round of shoot: 8 bits a round
 SECTIONS = 255
 _FRACTIONS = np.arange(1, SECTIONS + 1) / (SECTIONS + 1)
@@ -96,7 +100,7 @@ class OdeTrajectory:
 
 
 def _rhs(n: int, p: float):
-    """Right-hand side for one state (2,) or a lane array (2, L)."""
+    """Right-hand side for a lane array (2, L)."""
     def rhs(r, y):
         w, dw = y
         return (dw,
@@ -105,19 +109,14 @@ def _rhs(n: int, p: float):
     return rhs
 
 
-# terminal events, for one state or a lane array: w crosses zero, |w| reaches
-# the cap, or w has a local minimum inside the sub-kappa tail regime (rebound)
-EVENTS = (
-    lambda w, dw, cap, kap: w,
-    lambda w, dw, cap, kap: np.abs(w) - cap,
-    lambda w, dw, cap, kap: np.where((0.0 < w) & (w < REBOUND_FRACTION * kap),
-                                     dw, -1.0),
-)
-
-
 def _event_values(y, cap, kap):
-    """EVENTS at lane states y (2, L): one row per event."""
-    return np.array([ev(y[0], y[1], cap, kap) for ev in EVENTS])
+    """The terminal events at lane states y (2, L), one row each: w crosses
+    zero, |w| reaches the cap, or w has a local minimum inside the sub-kappa
+    tail regime (rebound)."""
+    w, dw = y
+    return np.array([w, np.abs(w) - cap,
+                     np.where((0.0 < w) & (w < REBOUND_FRACTION * kap), dw,
+                              -1.0)])
 
 
 def _fired(g, g_new):
@@ -131,18 +130,9 @@ def _fired(g, g_new):
     return up & (d >= 0) | down & (d <= 0)
 
 
-def _cap(a, kap):
-    return CAP_MULT * np.maximum(np.abs(a), kap)
-
-
 def _taylor_start(a, n, p, eps):
     w2 = (a / (p - 1.0) - np.abs(a) ** (p - 1.0) * a) / n
     return np.array([a + 0.5 * w2 * eps**2, w2 * eps])
-
-
-def _is_equilibrium(a: float, p: float) -> bool:
-    return (abs(a / (p - 1.0) - np.abs(a) ** (p - 1.0) * a)
-            <= 1e-13 * max(abs(a), 1e-30))
 
 
 def _check_inputs(a, tol: float) -> None:
@@ -152,76 +142,14 @@ def _check_inputs(a, tol: float) -> None:
         raise ParameterError(f"tolerance {tol} outside the supported range")
 
 
-def _atol(tol: float) -> float:
-    return min(tol * 1e-2, 1e-14)
-
-
 def integrate_radial(params: Parameters, a: float, r_max: float = R_MAX,
-                     tol: float = 1e-12, eps: float = R_START) -> OdeTrajectory:
+                     tol: float = 1e-12) -> OdeTrajectory:
     """Integrate one shot and classify its departure from the decaying tail."""
     _check_inputs(a, tol)
-    n, p = params.n, params.p
-    kap = params.kappa
-    # exact equilibria (a = 0 included): label analytically instead of
-    # amplifying roundoff
-    if _is_equilibrium(a, p):
-        r = np.linspace(eps, r_max, 256)
-        dense = lambda rr: (np.full_like(np.asarray(rr, float), a),
-                            np.zeros_like(np.asarray(rr, float)))
-        return OdeTrajectory(a, params, r, np.full_like(r, a), np.zeros_like(r),
-                             INCONCLUSIVE_CONSTANT, r_max, 0, dense=dense)
-    y0 = _taylor_start(a, n, p, eps)
-    cap = _cap(a, kap)
-
-    def event(k):
-        ev = lambda r, y: float(EVENTS[k](y[0], y[1], cap, kap))
-        ev.terminal = True
-        ev.direction = EVENT_DIRECTIONS[k]
-        return ev
-
-    events = [event(k) for k in range(len(EVENTS))]
-    r_split = min(R_SPLIT, r_max)
-    sol1 = solve_ivp(_rhs(n, p), (eps, r_split), y0, method="DOP853",
-                     rtol=tol, atol=_atol(tol), events=events,
-                     dense_output=True, max_step=MAX_STEP_CORE)
-    pieces = [sol1]
-    if sol1.success and sol1.status == 0 and r_split < r_max:
-        sol2 = solve_ivp(_rhs(n, p), (r_split, r_max), sol1.y[:, -1],
-                         method="DOP853", rtol=tol, atol=_atol(tol),
-                         events=events, dense_output=True,
-                         max_step=MAX_STEP_TAIL)
-        pieces.append(sol2)
-    last = pieces[-1]
-    r_all = np.concatenate([s.t for s in pieces])
-    w_all = np.concatenate([s.y[0] for s in pieces])
-    dw_all = np.concatenate([s.y[1] for s in pieces])
-
-    def dense(rr, _pieces=tuple(pieces), _split=pieces[0].t[-1]):
-        rr = np.asarray(rr, dtype=float)
-        if len(_pieces) == 1:
-            return _pieces[0].sol(rr)
-        out = np.where(rr <= _split,
-                       _pieces[0].sol(np.minimum(rr, _split)),
-                       _pieces[1].sol(np.maximum(rr, _split)))
-        return out
-
-    if not last.success:
-        return OdeTrajectory(a, params, r_all, w_all, dw_all, INCONCLUSIVE,
-                             r_all[-1], dense=dense)
-    ev = [np.concatenate([s.t_events[k] for s in pieces])
-          for k in range(len(events))]
-    departure = 0
-    if ev[0].size:
-        label, departure = SIGN_CHANGING, -1
-    elif ev[1].size or ev[2].size:
-        label, departure = GROWING, +1    # cap, or upward departure from the tail
-    else:
-        label = _tail_label(params, r_all[-1], dense, a)
-    return OdeTrajectory(a, params, r_all, w_all, dw_all, label,
-                         r_all[-1], departure, dense=dense)
+    return _departures(params, [a], r_max, tol, dense=True)[0]
 
 
-def _tail_label(params: Parameters, r_end: float, dense, a: float) -> str:
+def _tail_label(params: Parameters, r_end: float, dense) -> str:
     """Label a full-length trajectory from its tail monitor q = r^{2/(p-1)} w."""
     if r_end < 10.0:
         return INCONCLUSIVE
@@ -229,8 +157,6 @@ def _tail_label(params: Parameters, r_end: float, dense, a: float) -> str:
     w, dw = dense(rr)
     kap = params.kappa
     if np.all(np.abs(np.abs(w) - kap) < 0.05 * kap):
-        return INCONCLUSIVE_CONSTANT
-    if a == 0.0 or np.max(np.abs(w)) == 0.0:
         return INCONCLUSIVE_CONSTANT
     q = rr ** params.decay_power * w
     flat = np.ptp(q) < 0.01 * abs(np.mean(q)) if np.mean(q) != 0 else False
@@ -242,9 +168,17 @@ def _tail_label(params: Parameters, r_end: float, dense, a: float) -> str:
 # ------------------------------------------------------------- lane kernel
 _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _STAGES = DOP853.n_stages
-# stage weights; the step end y_new is stage _STAGES, with the weights B
-_A = [DOP853.A[s, :s] for s in range(_STAGES)] + [DOP853.B]
-_C, _E3, _E5 = DOP853.C, DOP853.E3, DOP853.E5
+# stage weights: the step end y_new is stage _STAGES, with the weights B;
+# the three stages after it feed only the dense output
+_A = ([DOP853.A[s, :s] for s in range(_STAGES)] + [DOP853.B]
+      + [a[:s] for s, a in enumerate(DOP853.A_EXTRA, start=_STAGES + 1)])
+_C, _E3, _E5, _D = DOP853.C, DOP853.E3, DOP853.E5, DOP853.D
+
+
+def _lane_sum(coeffs, K):
+    """sum_j coeffs[j] K[j] per column, added in the same order whatever the
+    number of columns (a BLAS product would round by call size)."""
+    return np.einsum("j,jk->k", coeffs, K)
 
 
 def _rms(x):
@@ -266,65 +200,105 @@ def _initial_step(rhs, r, y, f, bound, max_step, rtol, atol):
     return np.minimum(np.minimum(100 * h0, h1), np.minimum(interval, max_step))
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _departures(params: Parameters, heights, r_max: float,
-                tol: float) -> np.ndarray:
-    """Departure signs of many shots at once, without trajectories.
+def _dense_output(r, y_old, F):
+    """scipy's Dop853DenseOutput on every accepted step [r[k], r[k+1]]; a
+    radius on a step end takes the step before it, as OdeSolution does."""
+    def dense(rr):
+        k = np.clip(np.searchsorted(r, rr) - 1, 0, r.size - 2)
+        x = (rr - r[k]) / (r[k + 1] - r[k])
+        y = np.zeros((2,) + np.shape(rr))
+        for i, f in enumerate(F[::-1]):
+            y += f[:, k]
+            y *= x if i % 2 == 0 else 1 - x
+        return y + y_old[:, k]
+    return dense
 
-    Every lane takes the steps integrate_radial's solve_ivp calls take and
-    stops at its first accepted step where an event fires.  Returns -1
-    (zero crossing) or +1 (cap or rebound) per lane, and 0 where the lane
-    needs integrate_radial: no event by r_max, a failed step, or two events
-    in one step.
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _departures(params: Parameters, heights, r_max: float, tol: float,
+                dense: bool = False):
+    """Departure signs of many shots at once, or with dense their trajectories.
+
+    Every lane takes the steps of solve_ivp(method="DOP853") restarted at
+    R_SPLIT, and stops at its first accepted step where an event fires.  The
+    departure is -1 where w crosses zero (alone, or with the rebound that an
+    upward crossing opens), +1 where the cap or the rebound fires alone, and
+    0 for equilibria and where the events do not decide: no event by r_max,
+    a failed step, or another pair of events in one step.  A lane's
+    arithmetic does not depend on the other lanes of the call.  With dense,
+    every lane also keeps its accepted steps' dense-output rows, and the
+    call returns one labelled OdeTrajectory per height.
     """
     n, p, kap = params.n, params.p, params.kappa
     rhs = _rhs(n, p)
     rtol = max(tol, 100 * np.finfo(float).eps)    # solve_ivp's rtol floor
-    atol = _atol(tol)
+    atol = min(tol * 1e-2, 1e-14)
     pm1 = p - 1.0
     a = np.asarray(heights, dtype=float)
     out = np.zeros(a.size, dtype=int)
+    reached = np.zeros(a.size, dtype=bool)        # r_max without an event
     r_split = min(R_SPLIT, r_max)
+    stages = len(_A) if dense else _STAGES + 1
+    # exact equilibria (a = 0 included) are labelled, not integrated: their
+    # roundoff would only grow
+    const = (np.abs(a / pm1 - np.abs(a) ** pm1 * a)
+             <= 1e-13 * np.maximum(np.abs(a), 1e-30))
+    y_start = np.where(const, [a, np.zeros_like(a)],
+                       _taylor_start(a, n, p, R_START))
+    # dense rows per accepted step: lane, step end r and y, interpolant F;
+    # an equilibrium is one constant step to r_max
+    steps = [(np.flatnonzero(const), np.full(const.sum(), r_max),
+              y_start[:, const], np.zeros((3 + len(_D), 2, const.sum())))]
 
-    lane = np.arange(a.size)
-    r = np.full(a.size, R_START)
-    y = _taylor_start(a, n, p, R_START)
+    lane = np.flatnonzero(~const)
+    r = np.full(lane.size, R_START)
+    y = y_start[:, lane]
     f = np.array(rhs(r, y))
-    cap = _cap(a, kap)
+    cap = CAP_MULT * np.maximum(np.abs(a[lane]), kap)
     g = _event_values(y, cap, kap)
-    bound = np.full(a.size, r_split)
-    max_step = np.full(a.size, MAX_STEP_CORE)
+    bound = np.full(lane.size, r_split)
+    max_step = np.full(lane.size, MAX_STEP_CORE)
     h = _initial_step(rhs, r, y, f, bound, max_step, rtol, atol)
-    retry = np.zeros(a.size, dtype=bool)
+    retry = np.zeros(lane.size, dtype=bool)
     while lane.size:
         min_step = 10 * np.abs(np.nextafter(r, np.inf) - r)
         h = np.where(retry, h, np.minimum(np.maximum(h, min_step), max_step))
-        failed = h < min_step
+        failed = ~(h >= min_step)                  # a NaN step fails too
         r_new = np.minimum(r + h, bound)
         h = r_new - r
         m = lane.size
-        # radii of stages 1.. and of the step end, and their drift
-        # coefficients, each in one array pass
-        rs = np.vstack((r + _C[1:, None] * h, r_new))
+        # radii of every stage after the first (the step end is r_new) and
+        # their drift coefficients, each in one array pass
+        rs = np.vstack((r + _C[1:, None] * h, r_new,
+                        r + DOP853.C_EXTRA[:, None] * h))[:stages - 1]
         drift = -((n - 1) / rs - 0.5 * rs)
-        K = np.empty((_STAGES + 1, 2 * m))     # stage s holds (w', w'') lanes
-        K3 = K.reshape(_STAGES + 1, 2, m)
+        K = np.empty((stages, 2 * m))          # stage s holds (w', w'') lanes
+        K3 = K.reshape(stages, 2, m)
         K3[0] = f
-        for s in range(1, _STAGES + 1):
-            ys = y + (_A[s] @ K[:s]).reshape(2, m) * h
+        for s in range(1, stages):
+            ys = y + _lane_sum(_A[s], K[:s]).reshape(2, m) * h
+            if s == _STAGES:
+                y_new = ys
             w, dw = ys
             K3[s, 0] = dw
             K3[s, 1] = drift[s - 1] * dw + w / pm1 - np.abs(w) ** pm1 * w
-        y_new, f_new = ys, K3[-1]
+        f_new = K3[_STAGES]
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        x5 = (_E5 @ K).reshape(2, m) / scale
-        x3 = (_E3 @ K).reshape(2, m) / scale
+        x5 = _lane_sum(_E5, K[:_STAGES + 1]).reshape(2, m) / scale
+        x3 = _lane_sum(_E3, K[:_STAGES + 1]).reshape(2, m) / scale
         e5 = x5[0] * x5[0] + x5[1] * x5[1]
         e3 = x3[0] * x3[0] + x3[1] * x3[1]
         err = np.where((e5 == 0) & (e3 == 0), 0.0,
                        h * e5 / np.sqrt((e5 + 0.01 * e3) * 2))
         gain = SAFETY * err ** _ERROR_EXPONENT
         ok = (err < 1) & ~failed
+        if dense and ok.any():
+            # rk.DOP853._dense_output_impl's interpolant rows of the step
+            dy = y_new - y
+            F = np.concatenate((
+                [dy, h * f - dy, 2 * dy - h * (f_new + f)],
+                np.einsum("ij,jk->ik", _D, K).reshape(len(_D), 2, m) * h))
+            steps.append((lane[ok], r_new[ok], y_new[:, ok], F[:, :, ok]))
         grow = np.where(err == 0, MAX_FACTOR, np.minimum(MAX_FACTOR, gain))
         grow = np.where(retry, np.minimum(1, grow), grow)
         h = h * np.where(ok, grow, np.maximum(MIN_FACTOR, gain))
@@ -347,44 +321,52 @@ def _departures(params: Parameters, heights, r_max: float,
                                       bound[switch], max_step[switch], rtol, atol)
         done = failed | (count > 0) | (at_bound & ~switch)
         if done.any():
-            out[lane[done]] = np.where(count == 1, np.where(fired[0], -1, 1), 0)[done]
+            # a zero crossing upward opens the rebound window in its own
+            # step, so a zero firing with the rebound still comes first
+            out[lane[done]] = np.where(fired[0] & ~fired[1], -1,
+                                       np.where(count == 1, 1, 0))[done]
+            reached[lane[done]] = (at_bound & ~switch)[done]
             keep = ~done
             lane, r, h, retry, bound, max_step, cap = (
                 v[keep] for v in (lane, r, h, retry, bound, max_step, cap))
             y, f, g = y[:, keep], f[:, keep], g[:, keep]
-    return out
+    if not dense:
+        return out
 
-
-def _lane_departures(params: Parameters, a: np.ndarray, r_max: float,
-                     tol: float) -> np.ndarray:
-    """Kernel departures per height; equilibria skip the kernel and read 0."""
-    lanes = np.array([not _is_equilibrium(x, params.p) for x in a], dtype=bool)
-    dep = np.zeros(a.size, dtype=int)
-    dep[lanes] = _departures(params, a[lanes], r_max, tol)
-    return dep
-
-
-def _classify(params: Parameters, heights, r_max: float,
-              tol: float) -> list[tuple[str, int]]:
-    """(label, departure) per height: the lane kernel, else integrate_radial."""
-    a = np.asarray(heights, dtype=float)
-    _check_inputs(a, tol)
-    rows = []
-    for x, d in zip(a, _lane_departures(params, a, r_max, tol)):
-        if d == 0:
-            traj = integrate_radial(params, x, r_max=r_max, tol=tol)
-            rows.append((traj.classification, traj.departure))
-        else:
-            rows.append((SIGN_CHANGING if d < 0 else GROWING, int(d)))
-    return rows
+    lanes, r_step, y_step, F = (np.concatenate(v, axis=-1)
+                                for v in zip(*steps))
+    trajs = []
+    for i, x in enumerate(a):
+        k = lanes == i
+        r = np.concatenate(([R_START], r_step[k]))
+        y = np.hstack((y_start[:, i:i + 1], y_step[:, k]))
+        sampler = _dense_output(r, y[:, :-1], F[:, :, k])
+        label = (INCONCLUSIVE_CONSTANT if const[i] else
+                 SIGN_CHANGING if out[i] < 0 else GROWING if out[i] > 0 else
+                 _tail_label(params, r[-1], sampler) if reached[i] else
+                 INCONCLUSIVE)
+        trajs.append(OdeTrajectory(x, params, r, y[0], y[1], label, r[-1],
+                                   int(out[i]), dense=sampler))
+    return trajs
 
 
 def scan_initial_values(params: Parameters, a_values,
                         r_max: float = R_MAX, tol: float = 1e-10) -> list:
-    """Classify a grid of initial heights; returns (a, label, departure) rows."""
+    """Classify a grid of initial heights; returns (a, label, departure) rows.
+
+    Heights the events leave undecided get their label from one trajectory
+    call.
+    """
     a = np.asarray(a_values, dtype=float)
-    return [(float(x), label, dep)
-            for x, (label, dep) in zip(a, _classify(params, a, r_max, tol))]
+    _check_inputs(a, tol)
+    dep = _departures(params, a, r_max, tol)
+    rows = [(float(x), SIGN_CHANGING if d < 0 else GROWING, int(d))
+            for x, d in zip(a, dep)]
+    undecided = np.flatnonzero(dep == 0)
+    for k, traj in zip(undecided, _departures(params, a[undecided], r_max, tol,
+                                              dense=True)):
+        rows[k] = (float(a[k]), traj.classification, traj.departure)
+    return rows
 
 
 def find_brackets(params: Parameters, a_values,
@@ -411,61 +393,52 @@ def shoot(params: Parameters, a_lo: float, a_hi: float) -> RadialProfile:
 
     Each round shoots SECTIONS equally spaced heights inside the bracket in
     one lane-kernel call and keeps the lowest departure flip; the first
-    round also classifies the two bracket ends.  A lane the kernel cannot
-    decide goes through integrate_radial only when it is the flip candidate.
-    The two final bracket trajectories sandwich the decaying orbit; the
-    returned profile is the midpoint shot truncated where the sandwich width
-    exceeds 1e-9, with the tail coefficient fitted from q = r^{2/(p-1)} w.
+    round also classifies the two bracket ends.  Lanes the kernel leaves
+    undecided above the flip are never looked at; an undecided flip
+    candidate ends the search.  One 3-lane call then gives the final bracket
+    ends' trajectories, which sandwich the decaying orbit, and the midpoint
+    shot; the returned profile is the midpoint shot truncated where the
+    sandwich width exceeds 1e-9, with the tail coefficient fitted from
+    q = r^{2/(p-1)} w.
     """
     _check_inputs([a_lo, a_hi], SHOOT_TOL)
     if not a_lo < a_hi:
         raise ParameterError(f"bracket needs a_lo < a_hi, got a_lo={a_lo} "
                              f"and a_hi={a_hi}")
 
-    def departure(a, d):
-        if d == 0:
-            d = integrate_radial(params, a, tol=SHOOT_TOL).departure
-        return d
-
     inner = _sections(a_lo, a_hi)
-    deps = _lane_departures(params, np.array([a_lo, *inner, a_hi]), R_MAX,
-                            SHOOT_TOL).tolist()
-    lo_dep, hi_dep = departure(a_lo, deps[0]), departure(a_hi, deps[-1])
+    deps = _departures(params, [a_lo, *inner, a_hi], R_MAX, SHOOT_TOL).tolist()
+    lo_dep, hi_dep = deps[0], deps[-1]
     if lo_dep == 0 or hi_dep == 0 or lo_dep == hi_dep:
         raise ShootingError(
             f"no bracket: departures are {lo_dep} at a={a_lo} "
             f"and {hi_dep} at a={a_hi}")
-    deps[0], deps[-1] = lo_dep, hi_dep
     lo_a, hi_a = a_lo, a_hi
     while inner:
         heights = [lo_a, *inner, hi_a]
-        for k, (a, d) in enumerate(zip(heights, deps)):
-            d = departure(a, d)
-            if d != lo_dep:
-                break
-        if d == 0:
+        k = next(k for k, d in enumerate(deps) if d != lo_dep)
+        if deps[k] == 0:
             raise ShootingError(f"inconclusive trajectory at a={heights[k]}")
         lo_a, hi_a = heights[k - 1], heights[k]
         inner = _sections(lo_a, hi_a)
         if inner:
-            deps = [lo_dep, *_lane_departures(params, np.array(inner), R_MAX,
-                                              SHOOT_TOL).tolist(), hi_dep]
+            deps = [lo_dep, *_departures(params, inner, R_MAX,
+                                         SHOOT_TOL).tolist(), hi_dep]
     a_star = 0.5 * (lo_a + hi_a)
 
-    lo = integrate_radial(params, lo_a, tol=SHOOT_TOL)
-    hi = integrate_radial(params, hi_a, tol=SHOOT_TOL)
-    mid = integrate_radial(params, a_star, tol=SHOOT_TOL)
+    # the final lanes repeat the multisection's own lo and hi lanes
+    lo, hi, mid = _departures(params, [lo_a, hi_a, a_star], R_MAX, SHOOT_TOL,
+                              dense=True)
     r_common = min(lo.r_end, hi.r_end, mid.r_end) * 0.999
-    probe = np.linspace(mid.r[0], r_common, 1500)
+    probe = np.linspace(R_START, r_common, 1500)
     gap = np.abs(lo.sample(probe)[0] - hi.sample(probe)[0])
     ok = probe[gap <= 1e-9]
     r_cut = (ok[-1] if ok.size else r_common) * 0.98
 
     # fine spacing through the nonlinear core (steep for large a), coarser tail
-    eps = mid.r[0]
     core_end = min(0.5, 0.5 * r_cut)
     grid = np.concatenate([
-        np.arange(eps, core_end, GRID_STEP / 4.0),
+        np.arange(R_START, core_end, GRID_STEP / 4.0),
         np.arange(core_end, r_cut, GRID_STEP)])
     w, dw = mid.sample(grid)
     if np.any(w <= 0.0):

@@ -160,22 +160,29 @@ def test_determinism_flow_writes_identical_files(tmp_path, init):
             (tmp_path / "b" / name).read_bytes()
 
 
+# verify-all is left out: its JSON records each criterion's wall time
 @pytest.mark.parametrize("argv", [
     ["energy", "--profile", "shoot"],
     ["identities", "--profile", "shoot"],
     ["entropy", "--profile", "shoot"],
     ["entropy", "--profile", "kappa"],
     ["f-scan", "--profile", "shoot", "--x0-count", "3", "--t0-count", "4"],
+    ["spectrum", "--profile", "shoot"],
+    ["stability", "--profile", "shoot"],
+    ["perturb", "--profile", "shoot"],
+    ["gamma"],
+    ["gap-scan"],
 ])
 def test_determinism_profile_commands_write_identical_files(tmp_path,
                                                             monkeypatch, argv):
     name = argv[0].replace("-", "_")
+    params = ["--n", "3", "--p", "7"] if "n" in SUBCOMMANDS[argv[0]][1] else []
     for out in ("a", "b"):
-        assert main(["--out", str(tmp_path / out), argv[0], "--n", "3",
-                     "--p", "7", *argv[1:]]) == 0
-        if argv[0] == "entropy":
-            # the second run shoots and builds its interpolant afresh
+        if "shoot" in argv:
+            # every run shoots and builds its interpolant afresh
             monkeypatch.setattr(fixtures, "_PROFILE_CACHE", {})
+        assert main(["--out", str(tmp_path / out), argv[0], *params,
+                     *argv[1:]]) == 0
     written = sorted(f.name for f in (tmp_path / "a").iterdir())
     assert f"{name}.json" in written
     for fname in written:

@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from selfsim import shooting
 from selfsim.core import (KIND_SHOOTING, ParameterError, RadialProfile,
                          constant_profile, make_params, singular_profile)
 from selfsim.fixtures import (A_STAR_REFERENCE, REGRESSION_LABELS,
                               SHOOTING_BRACKETS, SUBCRITICAL_SCAN,
-                              supercritical_scan_grid)
+                              reference_profile, supercritical_scan_grid)
 from selfsim.shooting import (DECAYING, GROWING, INCONCLUSIVE,
-                              INCONCLUSIVE_CONSTANT, SECTIONS, SIGN_CHANGING,
+                              INCONCLUSIVE_CONSTANT, R_SPLIT, R_START,
+                              SECTIONS, SHOOT_TOL, SIGN_CHANGING,
                               ShootingError, _departures, find_brackets,
                               integrate_radial, ode_residual,
                               scan_initial_values, shoot)
 
 P37 = make_params(3, 7.0, require_supercritical=True)
 P45 = make_params(4, 5.0, require_supercritical=True)
+P47 = make_params(4, 7.0, require_supercritical=True)
 BISECT_TOL = 5e-14     # shoot's default
 # a* from one-bit bisection (the method before multisection), per bracket
 A_STAR_BISECTED = {
@@ -22,12 +25,97 @@ A_STAR_BISECTED = {
     ((3, 7.0), "scan"): 2.302521411739656,
     ((4, 5.0), "scan"): 2.3655797613161464,
 }
+# largest gap between the kernel's dense samples of the (3,7) profile and the
+# oracle's: 1.3e-10 in w and 5.1e-10 in w' at the last knots, where the two
+# shots at a* start to part; below r = 6 both stay under 1.1e-13.  The bound
+# is the sandwich width that sets r_cut
+DENSE_VS_ORACLE = 1e-9
+
+
+def oracle_shot(params, a, tol, r_max=shooting.R_MAX):
+    """One shot as two solve_ivp(method="DOP853") calls split at R_SPLIT,
+    with scipy's own events: (departure, dense output (w, w') of r)."""
+    n, p, kap = params.n, params.p, params.kappa
+    cap = shooting.CAP_MULT * max(abs(a), kap)
+
+    def rhs(r, y):
+        w, dw = y
+        return (dw, -((n - 1) / r - 0.5 * r) * dw + w / (p - 1.0)
+                - np.abs(w) ** (p - 1.0) * w)
+
+    rebound_below = shooting.REBOUND_FRACTION * kap
+    events = [lambda r, y: y[0], lambda r, y: abs(y[0]) - cap,
+              lambda r, y: y[1] if 0.0 < y[0] < rebound_below else -1.0]
+    for ev, direction in zip(events, (0, 0, 1)):
+        ev.terminal, ev.direction = True, direction
+    w2 = (a / (p - 1.0) - np.abs(a) ** (p - 1.0) * a) / n
+    y = np.array([a + 0.5 * w2 * R_START**2, w2 * R_START])
+    pieces = []
+    for r0, r1, max_step in ((R_START, R_SPLIT, shooting.MAX_STEP_CORE),
+                             (R_SPLIT, r_max, shooting.MAX_STEP_TAIL)):
+        sol = solve_ivp(rhs, (r0, r1), y, method="DOP853", rtol=tol,
+                        atol=min(tol * 1e-2, 1e-14), events=events,
+                        dense_output=True, max_step=max_step)
+        pieces.append(sol)
+        if sol.status != 0:
+            break
+        y = sol.y[:, -1]
+    zero, cap_hit, rebound = (sum(s.t_events[k].size for s in pieces)
+                              for k in range(3))
+    departure = -1 if zero else 1 if cap_hit or rebound else 0
+
+    def dense(r):
+        r = np.asarray(r, dtype=float)
+        if len(pieces) == 1:
+            return pieces[0].sol(r)
+        return np.where(r <= R_SPLIT, pieces[0].sol(np.minimum(r, R_SPLIT)),
+                        pieces[1].sol(np.maximum(r, R_SPLIT)))
+    return departure, dense
+
+
+def lowest_scan_bracket(params):
+    return min(find_brackets(params, supercritical_scan_grid(params.kappa)))
+
+
+def lowest_flip_bracket_4_7():
+    # at (4, 7) the departures flip three times in (1.61, 2.83); the lowest
+    # flip lies in the lowest scan bracket
+    brackets = find_brackets(P47, supercritical_scan_grid(P47.kappa))
+    (b0, b1), _, (c0, c1) = brackets[:3]
+    return (b0, c1), (b0, b1)
 
 
 @pytest.fixture(scope="module")
 def profile37():
-    a_lo, a_hi = SHOOTING_BRACKETS[(3, 7.0)]
-    return shoot(P37, a_lo, a_hi)
+    return reference_profile(3, 7.0)
+
+
+@pytest.fixture(scope="module")
+def spied_shoots():
+    """shoot from four brackets with its kernel calls recorded: per case the
+    bracket, the profile, the lane count of every call and the last call's
+    trajectories."""
+    cases = {
+        "(3,7) recorded": (P37, SHOOTING_BRACKETS[(3, 7.0)]),
+        "(3,7) scan": (P37, lowest_scan_bracket(P37)),
+        "(4,5) scan": (P45, lowest_scan_bracket(P45)),
+        "(4,7) lowest flip": (P47, lowest_flip_bracket_4_7()[0]),
+    }
+    real = shooting._departures
+    out = {}
+    for case, (params, bracket) in cases.items():
+        calls = []
+
+        def spy(params, heights, *args, **kwargs):
+            res = real(params, heights, *args, **kwargs)
+            calls.append((len(heights), res))
+            return res
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shooting, "_departures", spy)
+            prof = shoot(params, *bracket)
+        out[case] = (bracket, prof, [size for size, _ in calls], calls[-1][1])
+    return out
 
 
 def test_constant_start_is_inconclusive_constant():
@@ -39,6 +127,15 @@ def test_constant_start_is_inconclusive_constant():
 def test_zero_start_stays_zero():
     traj = integrate_radial(make_params(3, 3.0), 0.0, tol=1e-10)
     assert np.max(np.abs(traj.w)) == 0.0
+
+
+def test_a_shot_that_cannot_step_ends_undecided():
+    # the first steps at a = 1e3 overflow; the lane must fail, not spin on a
+    # NaN step size
+    traj = integrate_radial(P37, 1e3, tol=1e-10)
+    assert (traj.classification, traj.departure) == (INCONCLUSIVE, 0)
+    with pytest.raises(ShootingError, match="no bracket"):
+        shoot(P37, 1e3, 2e3)
 
 
 def test_regression_label_midrange_height():
@@ -66,8 +163,7 @@ def test_shoot_finds_decaying_profile(profile37):
 
 
 def test_shoot_is_deterministic(profile37):
-    a_lo, a_hi = SHOOTING_BRACKETS[(3, 7.0)]
-    again = shoot(P37, a_lo, a_hi)
+    again = shoot(P37, *SHOOTING_BRACKETS[(3, 7.0)])
     assert again.meta["a"] == profile37.meta["a"]
     assert np.array_equal(again.values, profile37.values)
 
@@ -83,11 +179,11 @@ def test_shoot_rejects_a_reversed_or_empty_bracket(a_lo, a_hi):
         shoot(P37, a_lo, a_hi)
 
 
-def test_taylor_start_insensitivity():
+def test_taylor_start_insensitivity(monkeypatch):
     a = 1.5 * P37.kappa
-    t1 = integrate_radial(P37, a, tol=1e-12, eps=1e-6)
-    t2 = integrate_radial(P37, a, tol=1e-12, eps=5e-7)
-    w1, w2 = t1.sample(1.0)[0], t2.sample(1.0)[0]
+    w1 = integrate_radial(P37, a, tol=1e-12).sample(1.0)[0]
+    monkeypatch.setattr(shooting, "R_START", 5e-7)
+    w2 = integrate_radial(P37, a, tol=1e-12).sample(1.0)[0]
     assert abs(w1 - w2) < 1e-9
 
 
@@ -143,6 +239,7 @@ def test_subcritical_scan_finds_no_profile():
     assert find_brackets(params, grid, tol=1e-10) == []
 
 
+# the oracle is the two-piece solve_ivp shot integrate_radial used to make
 @pytest.mark.parametrize("n, p, grid", [
     (3, 7.0, None), (4, 5.0, None),
     (3, 2.0, SUBCRITICAL_SCAN[(3, 2.0)]), (4, 2.5, SUBCRITICAL_SCAN[(3, 2.0)]),
@@ -152,9 +249,8 @@ def test_kernel_departures_match_integrate_radial_on_scan_grids(n, p, grid):
     if grid is None:
         grid = supercritical_scan_grid(params.kappa)
     dep = _departures(params, grid, 30.0, 1e-10)
-    ref = [integrate_radial(params, a, tol=1e-10).departure for a in grid]
     assert np.all(dep != 0)
-    assert dep.tolist() == ref
+    assert dep.tolist() == [oracle_shot(params, a, 1e-10)[0] for a in grid]
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
@@ -163,16 +259,53 @@ def test_kernel_departures_match_integrate_radial_near_a_star(tol):
     heights = [ref + s * d for d in (1e-9, 1e-10, 1e-11) for s in (-1, 1)]
     dep = _departures(P37, heights, 30.0, tol)
     assert np.all(dep != 0)
-    assert dep.tolist() == [integrate_radial(P37, a, tol=tol).departure
-                            for a in heights]
+    assert dep.tolist() == [oracle_shot(P37, a, tol)[0] for a in heights]
     # a full multisection round of lanes
     heights = ref + np.linspace(-1e-9, 1e-9, SECTIONS)
     dep = _departures(P37, heights, 30.0, tol)
     assert np.all(dep != 0)
     pick = np.random.default_rng(7).choice(SECTIONS, 20, replace=False)
     assert set(dep[pick]) == {-1, 1}
-    assert dep[pick].tolist() == [integrate_radial(P37, a, tol=tol).departure
+    assert dep[pick].tolist() == [oracle_shot(P37, a, tol)[0]
                                   for a in heights[pick]]
+
+
+@pytest.mark.parametrize("n, p", [(3, 7.0), (4, 5.0), (3, 2.0), (4, 7.0)])
+def test_lane_results_do_not_depend_on_the_call(n, p):
+    # each seeded lane alone or in a small call takes the bit-identical steps
+    # it takes among 97 lanes: same exit state (r, w, w'), same departure
+    params = make_params(n, p)
+    rng = np.random.default_rng(11)
+    heights = rng.uniform(1.001 * params.kappa, 3.0, 97)
+    many = _departures(params, heights, 30.0, 1e-10, dense=True)
+    assert [t.departure for t in many] == \
+        _departures(params, heights, 30.0, 1e-10).tolist()
+    for size in (1, 2, 5):
+        pick = rng.choice(heights.size, size, replace=False)
+        few = _departures(params, heights[pick], 30.0, 1e-10, dense=True)
+        for t, k in zip(few, pick):
+            exit_state = (t.r[-1], t.w[-1], t.dw[-1], t.departure)
+            assert exit_state == (many[k].r[-1], many[k].w[-1], many[k].dw[-1],
+                                  many[k].departure)
+
+
+def test_dense_samples_are_the_profile_and_match_the_oracle(profile37):
+    a = profile37.meta["a"]
+    r = profile37.grid
+    w, dw = integrate_radial(P37, a, tol=SHOOT_TOL).sample(r)
+    assert np.array_equal(w, profile37.values)
+    assert np.array_equal(dw, profile37.derivs)
+    w_ref, dw_ref = oracle_shot(P37, a, SHOOT_TOL)[1](r)
+    assert np.max(np.abs(w - w_ref)) <= DENSE_VS_ORACLE
+    assert np.max(np.abs(dw - dw_ref)) <= DENSE_VS_ORACLE
+
+
+def test_negative_heights_cross_zero():
+    # the upward zero crossing opens the rebound window in the same step;
+    # the crossing decides
+    grid = -supercritical_scan_grid(P37.kappa)
+    rows = scan_initial_values(P37, grid)
+    assert rows == [(a, SIGN_CHANGING, -1) for a in grid.tolist()]
 
 
 def test_scan_rows_with_zero_and_equilibria():
@@ -195,60 +328,60 @@ def test_scan_without_event_falls_back_to_trajectory_label(r_max):
                      for a in heights)]
 
 
-def test_shoot_matches_bisection_from_both_brackets(profile37):
+def test_shoot_matches_bisection_from_both_brackets(profile37, spied_shoots):
     a_rec = profile37.meta["a"]
     assert abs(a_rec - A_STAR_BISECTED[((3, 7.0), "recorded")]) \
         <= BISECT_TOL * max(1.0, a_rec)
     lo, hi = profile37.meta["bracket"]
     assert 0 < hi - lo <= BISECT_TOL * max(1.0, hi)
-    a_lo, a_hi = min(find_brackets(P37, supercritical_scan_grid(P37.kappa)))
-    a_scan = shoot(P37, a_lo, a_hi).meta["a"]
+    a_scan = spied_shoots["(3,7) scan"][1].meta["a"]
     assert abs(a_scan - A_STAR_BISECTED[((3, 7.0), "scan")]) \
         <= BISECT_TOL * max(1.0, a_scan)
 
 
-def test_shoot_matches_bisection_at_4_5():
-    a_lo, a_hi = min(find_brackets(P45, supercritical_scan_grid(P45.kappa)))
-    a = shoot(P45, a_lo, a_hi).meta["a"]
+def test_shoot_matches_bisection_at_4_5(spied_shoots):
+    a = spied_shoots["(4,5) scan"][1].meta["a"]
     assert abs(a - A_STAR_BISECTED[((4, 5.0), "scan")]) <= BISECT_TOL * max(1.0, a)
 
 
-def test_shoot_resolves_the_lowest_flip():
-    # at (4, 7) the departures flip three times in (1.61, 2.83); the lowest
-    # flip lies in the lowest scan bracket
-    params = make_params(4, 7.0, require_supercritical=True)
-    brackets = find_brackets(params, supercritical_scan_grid(params.kappa))
-    (b0, b1), _, (c0, c1) = brackets[:3]
-    prof = shoot(params, b0, c1)
+def test_shoot_resolves_the_lowest_flip(spied_shoots):
+    _, prof, _, _ = spied_shoots["(4,7) lowest flip"]
+    (b0, b1) = lowest_flip_bracket_4_7()[1]
     lo, hi = prof.meta["bracket"]
     assert b0 < lo < hi < b1
-    assert _departures(params, [lo, hi], 30.0, 1e-12).tolist() == [-1, 1]
+    assert _departures(P47, [lo, hi], 30.0, 1e-12).tolist() == [-1, 1]
 
 
-def test_shoot_makes_one_kernel_call_per_round(monkeypatch):
-    # 8 bits a round; the first round also classifies the bracket ends
-    sizes = []
-    real = shooting._departures
-    monkeypatch.setattr(shooting, "_departures", lambda params, heights, *args:
-                        sizes.append(len(heights)) or real(params, heights, *args))
-    shoot(P37, *SHOOTING_BRACKETS[(3, 7.0)])
+@pytest.mark.parametrize("case", ["(3,7) recorded", "(3,7) scan", "(4,5) scan",
+                                  "(4,7) lowest flip"])
+def test_final_bracket_lanes_sandwich_the_orbit(spied_shoots, case):
+    # the lo and hi trajectories that set r_cut depart as the multisection
+    # decided: lo crosses zero, hi rebounds
+    _, prof, _, (lo, hi, mid) = spied_shoots[case]
+    assert (lo.a, hi.a, mid.a) == (*prof.meta["bracket"], prof.meta["a"])
+    assert (lo.departure, hi.departure) == (-1, 1)
+    assert (lo.classification, hi.classification) == (SIGN_CHANGING, GROWING)
+
+
+def test_shoot_makes_one_kernel_call_per_round(spied_shoots):
+    # 8 bits a round; the first round also classifies the bracket ends, and
+    # one 3-lane call gives the lo, hi and mid trajectories
     assert SECTIONS == 255
-    assert sizes == [SECTIONS + 2] + [SECTIONS] * 4
+    sizes = spied_shoots["(3,7) recorded"][2]
+    assert sizes == [SECTIONS + 2] + [SECTIONS] * 4 + [3]
 
 
-def zeroed_kernel(monkeypatch, zero, rounds=5):
-    """Patch shoot's kernel to return 0 on the inner lanes k where
-    zero(k, flip) holds in its first rounds calls, flip being the first lane
-    that does not cross zero at the recorded (3, 7) bracket.  Returns the
-    zeroed heights and the heights integrate_radial is called with."""
+def zeroed_kernel(monkeypatch, zero):
+    """Patch shoot's multisection calls to return 0 on the inner lanes k
+    where zero(k, flip) holds, flip being the first lane that does not cross
+    zero at the recorded (3, 7) bracket.  Returns the zeroed heights."""
     a_lo, a_hi = SHOOTING_BRACKETS[(3, 7.0)]
-    real_departures, real_integrate = shooting._departures, integrate_radial
-    zeroed, shots, calls = [], [], []
+    real = shooting._departures
+    zeroed = []
 
-    def departures(params, heights, r_max, tol):
-        dep = real_departures(params, heights, r_max, tol)
-        calls.append(len(heights))
-        if len(calls) > rounds:
+    def departures(params, heights, r_max, tol, dense=False):
+        dep = real(params, heights, r_max, tol, dense)
+        if dense:
             return dep
         heights = np.asarray(heights)
         up = np.flatnonzero(dep != -1)
@@ -258,35 +391,20 @@ def zeroed_kernel(monkeypatch, zero, rounds=5):
         zeroed.extend(heights[mask].tolist())
         return np.where(mask, 0, dep)
 
-    def integrate(params, a, **kwargs):
-        shots.append(a)
-        return real_integrate(params, a, **kwargs)
-
     monkeypatch.setattr(shooting, "_departures", departures)
-    monkeypatch.setattr(shooting, "integrate_radial", integrate)
-    return zeroed, shots
+    return zeroed
 
 
 def test_shoot_ignores_kernel_zeros_above_the_flip(monkeypatch, profile37):
-    zeroed, shots = zeroed_kernel(monkeypatch, lambda k, flip: k > flip)
+    zeroed = zeroed_kernel(monkeypatch, lambda k, flip: k > flip)
     prof = shoot(P37, *SHOOTING_BRACKETS[(3, 7.0)])
     assert len(zeroed) > 500
-    lo, hi = prof.meta["bracket"]
-    assert shots == [lo, hi, prof.meta["a"]]     # the three dense shots only
-    assert prof.meta["a"] == profile37.meta["a"]
-
-
-def test_shoot_resolves_a_kernel_zero_at_the_flip_candidate(monkeypatch,
-                                                            profile37):
-    # the lane below the flip resolves to a crossing and the walk goes on;
-    # the flip lane's own shot then decides the flip.  Only the first three
-    # rounds are zeroed: within about 1e-14 of a* a trajectory shot and a
-    # kernel lane may depart in opposite directions
-    zeroed, shots = zeroed_kernel(monkeypatch,
-                                  lambda k, flip: (k == flip - 1) | (k == flip),
-                                  rounds=3)
-    prof = shoot(P37, *SHOOTING_BRACKETS[(3, 7.0)])
-    assert len(zeroed) == 6
-    assert shots[:-3] == zeroed
     assert prof.meta["a"] == profile37.meta["a"]
     assert prof.meta["bracket"] == profile37.meta["bracket"]
+
+
+def test_shoot_stops_on_an_undecided_flip_candidate(monkeypatch):
+    zeroed = zeroed_kernel(monkeypatch, lambda k, flip: k == flip)
+    with pytest.raises(ShootingError, match="inconclusive trajectory"):
+        shoot(P37, *SHOOTING_BRACKETS[(3, 7.0)])
+    assert len(zeroed) == 1
