@@ -17,6 +17,11 @@ Crank-Nicolson matrix is LU-factored (LAPACK gttrf) once per step size and
 each step solves with the factors (gttrs).  Spatially constant states
 therefore reproduce the exact scalar solution, and the constant
 equilibrium is preserved to rounding under the no-flux boundary.
+
+The cell volumes (integrals of m over the cells) are exact, from scipy's
+regularized incomplete gamma; the energy's gradient term is the quadratic
+form of the diffusion operator under that volume inner product, so the
+discrete energy is the scheme's own Lyapunov functional.
 """
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.special import gamma, gammainc, gammaincc
 
 from .core import (KIND_SINGULAR, ParameterError, Parameters, RadialProfile,
                    SelfsimError)
@@ -59,8 +65,9 @@ class FlowConfig:
         if self.bc not in (BC_NOFLUX, BC_DIRICHLET):
             raise ParameterError(f"boundary condition must be {BC_NOFLUX!r} "
                                  f"or {BC_DIRICHLET!r}, got {self.bc!r}")
-        # the one-sided edge triples of the gradient stencil built in
-        # _build_machinery need three nodes
+        # a node strictly between the axis and r_max: with one cell the
+        # Dirichlet diagnostics zone r <= DIAG_R_FRAC r_max holds the axis
+        # node alone
         if not float(self.n_points).is_integer() or self.n_points < 2:
             raise ParameterError(f"n_points must be an integer of at least 2, "
                                  f"got {self.n_points}")
@@ -124,46 +131,22 @@ def _build_machinery(params: Parameters, cfg: FlowConfig) -> dict:
     m_face[0] = 0.0
     if cfg.bc == BC_NOFLUX:
         m_face[-1] = 0.0
-    # cell volumes: a 17-point trapezoid rule of m over every cell at once.
-    # np.trapezoid(..., axis=-1) would add each row's 16 terms left to right;
-    # numpy sums one 16-term array pairwise (term j with term j + 8, then
-    # neighbours), so V adds them in that order and equals the rule applied
-    # cell by cell bit for bit.
-    xs = np.linspace(np.maximum(0.0, r - h / 2), np.minimum(cfg.r_max, r + h / 2),
-                     17, axis=-1)
-    y = xs ** (n - 1) * np.exp(-xs**2 / 4.0)
-    V = np.diff(xs, axis=-1) * (y[:, 1:] + y[:, :-1]) / 2.0
-    V = V[:, :8] + V[:, 8:]
-    while V.shape[1] > 1:
-        V = V[:, ::2] + V[:, 1::2]
-    V = V[:, 0]
-    quad_w = V / V.sum()
-    low = m_face[1:-1] / h**2
+    # cell volumes int r^{n-1} e^{-r^2/4} dr in closed form: with s = r^2/4
+    # the integrand is 2^{n-1} s^{n/2-1} e^{-s} ds, so a cell's volume is
+    # 2^{n-1} Gamma(n/2) times a difference of the regularized incomplete
+    # gamma P (cells below the mode s = n/2) or Q (cells above it), whichever
+    # is the small tail there, so neither difference cancels
+    a, s = 0.5 * n, faces**2 / 4.0
+    V = 2.0 ** (n - 1) * gamma(a) * np.where(
+        s[1:] <= a, np.diff(gammainc(a, s)), -np.diff(gammaincc(a, s)))
     mbar = V / h
-    # np.gradient(w, r, edge_order=2) as three-point coefficients: numpy's
-    # non-uniform formulas.  When np.diff(r) is exactly constant (n_points =
-    # 512, 1024, ...) numpy takes other formulas, so there is no stencil and
-    # _gradient calls np.gradient itself.
-    d = np.diff(r)
-    stencil = None
-    if not (d == d[0]).all():
-        d1, d2 = d[:-1], d[1:]
-        interior = (-d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2),
-                    d1 / (d2 * (d1 + d2)))
-        d1, d2 = d[0], d[1]
-        left = (-(2.0 * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2),
-                -d1 / (d2 * (d1 + d2)))
-        d1, d2 = d[-2], d[-1]
-        right = (d2 / (d1 * (d1 + d2)), -(d2 + d1) / (d1 * d2),
-                 (2.0 * d2 + d1) / (d2 * (d1 + d2)))
-        stencil = (interior, left, right)
     # the nodes dtau_estimate reports on (see there)
     diag = slice(None)
     if cfg.bc == BC_DIRICHLET:
         diag = slice(int(np.count_nonzero(r <= DIAG_R_FRAC * cfg.r_max)))
-    return {"r": r, "h": h, "low": low, "mbar": mbar, "quad_w": quad_w,
-            "outer_flux": m_face[-1] / h**2,
-            "stencil": stencil, "diag": diag}
+    return {"r": r, "low": m_face[1:-1] / h**2, "mbar": mbar,
+            "volume": mbar.sum(), "quad_w": V / V.sum(),
+            "outer_flux": m_face[-1] / h**2, "diag": diag}
 
 
 def _apply_diffusion(mach: dict, w: np.ndarray, bc: str) -> np.ndarray:
@@ -232,18 +215,6 @@ def _react_exact(w: np.ndarray, dt: float, p: float,
     return w_new, power / b
 
 
-def _gradient(mach: dict, w: np.ndarray) -> np.ndarray:
-    """w' by the machinery's three-point stencil."""
-    if mach["stencil"] is None:
-        return np.gradient(w, mach["r"], edge_order=2)
-    (a, b, c), left, right = mach["stencil"]
-    dw = np.empty_like(w)
-    dw[1:-1] = a * w[:-2] + b * w[1:-1] + c * w[2:]
-    dw[0] = left[0] * w[0] + left[1] * w[1] + left[2] * w[2]
-    dw[-1] = right[0] * w[-3] + right[1] * w[-2] + right[2] * w[-1]
-    return dw
-
-
 def init_flow(initial: RadialProfile, cfg: Optional[FlowConfig] = None,
               eigenfunction: Optional[Callable] = None,
               amplitude: float = 0.0) -> FlowState:
@@ -278,10 +249,12 @@ def _require_finite(w: np.ndarray, energy: float, what: str) -> None:
 
 
 def _energy(mach: dict, w: np.ndarray, power: np.ndarray, p: float) -> float:
-    dw = _gradient(mach, w)
+    dw = np.diff(w)
     w2 = w**2
-    return float(np.dot(mach["quad_w"], 0.5 * dw**2 + w2 / (2.0 * (p - 1.0))
-                        - power * w2 / (p + 1.0)))
+    grad = np.dot(mach["low"], dw * dw) + 2.0 * mach["outer_flux"] * w2[-1]
+    return float(0.5 * grad / mach["volume"]
+                 + np.dot(mach["quad_w"], w2 / (2.0 * (p - 1.0))
+                          - power * w2 / (p + 1.0)))
 
 
 def energy_of_state(state: FlowState, w: Optional[np.ndarray] = None,
@@ -289,9 +262,12 @@ def energy_of_state(state: FlowState, w: Optional[np.ndarray] = None,
     """Discrete Lyapunov energy of the grid function (state.w by default).
 
     power is |w|^{p-1} when the caller has it; |w|^{p+1} is taken as
-    |w|^{p-1} w^2.  w' equals np.gradient(w, r, edge_order=2) bit for bit;
-    _build_machinery precomputes numpy's non-uniform formulas as a
-    three-point stencil.
+    |w|^{p-1} w^2.  The gradient term is the quadratic form of the flow's
+    own diffusion operator D = _apply_diffusion under the cell-volume inner
+    product, -<w, D w> / (2 sum mbar) with <u, v> = sum mbar u v, so along
+    the semi-discrete flow dw/dtau = F(w) the energy changes at the rate
+    -sum quad_w F^2 exactly: the energy is the scheme's own Lyapunov
+    functional.
     """
     w = state.w if w is None else w
     if power is None:

@@ -95,6 +95,10 @@ class OdeTrajectory:
     dense: object = field(default=None, repr=False)
 
     def sample(self, r):
+        if self.r.size < 2:
+            raise ShootingError(f"the shot at a={self.a} failed before its "
+                                f"first accepted step; it has no trajectory "
+                                f"to sample")
         w, dw = self.dense(np.asarray(r, dtype=float))
         return w, dw
 

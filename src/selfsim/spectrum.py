@@ -128,6 +128,7 @@ def eigen_smallest(op: SectorOperator, k: int, refine: bool = True,
     With refine=True the eigenvalues are Richardson-extrapolated from the
     operator rebuilt at double resolution (requires the profile); the
     resolution-doubling shift is recorded as the convergence certificate.
+    meta["unrefined"] holds the eigenvalues of op itself either way.
     """
     if not 1 <= k <= op.meta["resolution"] // 4:
         raise ParameterError(f"k must be between 1 and resolution/4 = "
@@ -160,7 +161,7 @@ def eigen_smallest(op: SectorOperator, k: int, refine: bool = True,
     if np.any(ground < -1e-8 * scale) and np.any(ground > 1e-8 * scale):
         raise SpectrumError("computed ground state changes sign; "
                             "discretization failure")
-    meta = {"count_below_one": int(np.sum(lam < 1.0))}
+    meta = {"count_below_one": int(np.sum(lam < 1.0)), "unrefined": vals}
     return EigenResult(ell=op.ell, lambdas=lam, funcs=funcs, samples=samples,
                        r=op.r, certificates=cert, meta=meta)
 
@@ -208,7 +209,6 @@ def first_eigenfunction(profile: RadialProfile, resolution: int = 3000):
     cert["decay_sup"] = float(np.max((1.0 + op.r[tail]) ** power
                                      * np.abs(res.samples[0][tail])))
     # domain sensitivity at fixed spacing: same h, r_max scaled by 1.2
-    raw = eigen_smallest(op, 1, refine=False)
     op_ext = build_sector(profile, 0, resolution=int(resolution * 1.2),
                           r_max=R_MAX * 1.2)
     res_ext = eigen_smallest(op_ext, 1, refine=False)
@@ -216,5 +216,5 @@ def first_eigenfunction(profile: RadialProfile, resolution: int = 3000):
     cert["decay_sup_extended"] = float(np.max(
         (1.0 + op_ext.r[tail_ext]) ** power * np.abs(res_ext.samples[0][tail_ext])))
     cert["lambda_shift_extended"] = abs(float(res_ext.lambdas[0])
-                                        - float(raw.lambdas[0]))
+                                        - float(res.meta["unrefined"][0]))
     return lam1, f, cert

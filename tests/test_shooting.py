@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -185,6 +187,16 @@ def test_taylor_start_insensitivity(monkeypatch):
     monkeypatch.setattr(shooting, "R_START", 5e-7)
     w2 = integrate_radial(P37, a, tol=1e-12).sample(1.0)[0]
     assert abs(w1 - w2) < 1e-9
+
+
+def test_sampling_a_shot_without_an_accepted_step_is_refused():
+    # a = 1e3 fails its first step: no trajectory, a clean error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_radial(P37, 1e3, tol=1e-10)
+        assert traj.r.size == 1
+        with pytest.raises(ShootingError, match="no trajectory"):
+            traj.sample(1.0)
 
 
 def test_ode_residual_constant_and_singular():

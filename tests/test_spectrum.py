@@ -172,6 +172,34 @@ def test_first_eigenfunction_of_constants():
     assert lam0 == pytest.approx(0.5, abs=1e-7)  # 1/(p-1) at p=3
 
 
+def test_first_eigenfunction_solves_each_operator_once(wshoot, monkeypatch):
+    # three operators (resolution, doubled, extended domain), one eigensolve
+    # each; the certificates equal those of separate unrefined solves
+    from selfsim import spectrum
+    from selfsim.spectrum import R_MAX
+    solves, original = [], spectrum.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
+    lam1, _, cert = first_eigenfunction(wshoot, resolution=4000)
+    assert len(solves) == 3
+    op = build_sector(wshoot, 0, resolution=4000)
+    raw = eigen_smallest(op, 1, refine=False)
+    refined = eigen_smallest(op, 1, refine=True, profile=wshoot)
+    ext = eigen_smallest(build_sector(wshoot, 0, resolution=4800,
+                                      r_max=1.2 * R_MAX), 1, refine=False)
+    assert lam1 == refined.lambdas[0]
+    assert refined.meta["unrefined"].tobytes() == raw.lambdas.tobytes()
+    assert cert["lambda_shift_extended"] == abs(ext.lambdas[0] - raw.lambdas[0])
+    tail = op.r >= 0.5 * R_MAX
+    power = 2.0 * P37.p / (P37.p - 1.0)
+    assert cert["decay_sup"] == np.max((1.0 + op.r[tail]) ** power
+                                       * np.abs(raw.samples[0][tail]))
+
+
 def test_operator_symmetry_in_weighted_inner_product(wshoot):
     for ell in (0, 1):
         op = build_sector(wshoot, ell, resolution=1500)

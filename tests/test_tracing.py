@@ -13,7 +13,7 @@ sys.path[:0] = [{str(ROOT / "perfbench")!r}, {str(ROOT / "src")!r}]
 import numpy as np
 import tracing
 tr = tracing.install()
-from selfsim import core, functionals
+from selfsim import core, flow, functionals
 params = core.make_params(3, 7.0)
 grid = np.linspace(0.01, 5.0, 50)
 prof = core.RadialProfile(kind=core.KIND_TABULATED, params=params, grid=grid,
@@ -28,6 +28,18 @@ assert m["core.interpolant_builds"] == 1 and m["core.interpolant_knots"] == 50, 
 assert m["quadrature.offset_calls"] == 2, m
 assert m["quadrature.offset_nodes"] == 1600 + 16 * 24, m
 assert m["quadrature.composite_rule_builds"] == 2, m
+# a flow run: one energy per accepted step, plus the rebound initial data's
+p3 = core.make_params(3, 3.0)
+state = flow.init_flow(core.constant_profile(p3), flow.FlowConfig())
+state.w = np.full_like(state.w, 1.02 * p3.kappa)
+state.history = [(0.0, state.w)]
+rep = flow.run(state, tau_max=0.2)
+accepted = len(rep.series["tau"]) - 1
+m = tracing.layer_metrics(tr)
+assert accepted > 10 and m["flow.runs"] == 1, m
+assert m["flow.steps_accepted"] == m["flow.step_attempts"] == accepted, m
+assert m["flow.cn_solves"] == accepted, m
+assert m["flow.energy_evals"] == accepted + 1, m
 """
 
 
