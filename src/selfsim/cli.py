@@ -39,7 +39,9 @@ from .variations import stability_report
 GLOBAL = {"out": "selfsim_out"}
 HELP = {"profile": "kappa | -kappa (as --profile=-kappa) | zero | singular "
                    "| shoot ",
-        "init": "const:<level> | kappa | shoot "}
+        "init": "const:<level> | kappa | shoot ",
+        "dt_max": "largest flow step; a local error estimate sets each "
+                  "step below it "}
 CONSTANTS = {"kappa": "+", "zero": "0", "-kappa": "-"}
 
 
@@ -287,6 +289,11 @@ def cmd_flow(cfg):
         "min_dtau_w": report.min_dtau_w,
         "average_criterion_exceeded": report.criterion_exceeded,
         "energy_monotone": summary_d.energy_monotone,
+        "steps_accepted": report.steps.accepted,
+        "steps_rejected_by_error": report.steps.rejected_by_error,
+        "steps_rejected_by_energy": report.steps.rejected_by_energy,
+        "steps_rejected_by_reaction": report.steps.rejected_by_reaction,
+        "max_error_estimate": report.steps.max_error_estimate,
         "boundary_condition": report.bc,
         "flags": report.flags,
     }

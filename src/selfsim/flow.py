@@ -10,13 +10,24 @@ advanced exactly, w(dt) = w b^{-1/(p-1)} with
 b = e^{dt} - (p-1)(e^{dt}-1)|w|^{p-1} (the scalar flow of v = |w|^{1-p},
 v' = v - (p-1), solved for w), and the diffusion-drift part is a
 Crank-Nicolson solve of the conservative flux form (1/m)(m w')' with
-m = r^{n-1} e^{-r^2/4}.  The reaction also gives |w(dt)|^{p-1} = |w|^{p-1}/b,
-which the energy of the accepted state and the next step's first half
-reuse, so an accepted step takes three array powers.  The tridiagonal
-Crank-Nicolson matrix is LU-factored (LAPACK gttrf) once per step size and
-each step solves with the factors (gttrs).  Spatially constant states
-therefore reproduce the exact scalar solution, and the constant
-equilibrium is preserved to rounding under the no-flux boundary.
+m = r^{n-1} e^{-r^2/4}, taken in increment form w + (I - dt/2 D)^{-1} dt D w.
+The reaction also gives |w(dt)|^{p-1} = |w|^{p-1}/b, which the next
+reaction and the energy of the accepted state reuse.  Spatially constant
+data under the no-flux boundary has D w = 0 exactly, so it follows the
+exact scalar solution and the constant equilibrium comes back bit for bit.
+
+Each step chooses its size from an estimate of its own local error (step
+doubling): an attempt of dt takes one Strang step of dt and two of dt/2,
+keeps the two halves, and accepts when their distance to the single step in
+the Gaussian-weighted (quad_w) norm is at most ERROR_TOL times the norm of
+w off its weighted mean (constant data is exact, so a perturbation of a
+constant is resolved relative to itself), plus ERROR_FLOOR times the norm
+of w for rounding.  The sizes are the levels dt_max 2^{-k}, so the
+tridiagonal Crank-Nicolson matrices are LU-factored (LAPACK gttrf) once per
+level and every solve reuses the factors (gttrs).  A step is also at most
+REACTION_SAFETY of the scalar time to blow-up from sup |w|, and it must not
+raise the energy by more than ENERGY_SLACK; the last step of a run lands on
+tau_max.
 
 The cell volumes (integrals of m over the cells) are exact, from scipy's
 regularized incomplete gamma; the energy's gradient term is the quadratic
@@ -35,7 +46,6 @@ from scipy.special import gamma, gammainc, gammaincc
 
 from .core import (KIND_SINGULAR, ParameterError, Parameters, RadialProfile,
                    SelfsimError)
-from .numerics import fornberg_weights
 
 OUTCOME_BLEWUP = "blew_up"
 OUTCOME_CONVERGED = "converged_to_profile"
@@ -48,6 +58,9 @@ DT_MIN = 1e-13
 BLOWUP_CAP_MULT = 1e3     # in units of kappa
 ENERGY_SLACK = 1e-7       # tolerated per-step energy increase
 REACTION_SAFETY = 0.25    # fraction of scalar time-to-blow-up
+ERROR_TOL = 1e-5          # local error per step, relative to w off its mean
+ERROR_FLOOR = 1e-14       # local error per step relative to w: rounding
+ERROR_SAFETY = 0.8        # margin on the size the error estimate proposes
 DIAG_R_FRAC = 0.6         # dtau diagnostics mask beyond this fraction of
                           # r_max under Dirichlet
 MAX_STEPS = 200000        # step budget of one run
@@ -58,7 +71,7 @@ class FlowConfig:
     n_points: int = 800
     r_max: float = 20.0
     bc: str = BC_NOFLUX
-    dt_max: float = 0.01
+    dt_max: float = 1.0
     conv_tol: float = 1e-7
 
     def __post_init__(self):
@@ -74,8 +87,6 @@ class FlowConfig:
         if not 0.0 < self.r_max < math.inf:
             raise ParameterError(f"r_max must be positive and finite, "
                                  f"got {self.r_max}")
-        # the convergence stop needs steps of at least half the step's cap,
-        # min(dt_max, reaction limit)
         if not 0.0 < self.dt_max < math.inf:
             raise ParameterError(f"dt_max must be positive and finite, "
                                  f"got {self.dt_max}")
@@ -83,6 +94,17 @@ class FlowConfig:
         if not self.conv_tol >= 0.0:
             raise ParameterError(f"conv_tol must be nonnegative, "
                                  f"got {self.conv_tol}")
+
+
+@dataclass
+class StepCounts:
+    """What the steps of a run did: accepted steps, rejected attempts by
+    cause, and the largest local error estimate of an accepted step."""
+    accepted: int = 0
+    rejected_by_error: int = 0
+    rejected_by_energy: int = 0
+    rejected_by_reaction: int = 0
+    max_error_estimate: float = 0.0
 
 
 @dataclass
@@ -96,13 +118,17 @@ class FlowState:
     history: list = field(default_factory=list)   # recent (tau, w) snapshots
     machinery: dict = field(default_factory=dict)
     exhausted: bool = False
+    tau_stop: float = math.inf    # steps land on it rather than pass it
+    counts: StepCounts = field(default_factory=StepCounts)
     # what the flow knows of the array it accepted, valid while accepted_of
-    # is state.w: its energy, |w|^{p-1} and sup |w|.  Rebinding state.w
-    # invalidates all three; w is never changed in place.
+    # is state.w: its energy, |w|^{p-1}, sup |w| and the step size the error
+    # estimate proposes next.  Rebinding state.w invalidates all four; w is
+    # never changed in place.
     accepted_of: Optional[np.ndarray] = None
     energy: float = math.nan
     power: Optional[np.ndarray] = None
     sup: float = math.nan
+    dt_next: float = math.nan
 
 
 @dataclass
@@ -119,6 +145,7 @@ class FlowReport:
     criterion_exceeded: bool = False   # weighted average went above kappa
     bc: str = BC_NOFLUX
     flags: list = field(default_factory=list)
+    steps: StepCounts = field(default_factory=StepCounts)
 
 
 def _build_machinery(params: Parameters, cfg: FlowConfig) -> dict:
@@ -163,10 +190,12 @@ def _apply_diffusion(mach: dict, w: np.ndarray, bc: str) -> np.ndarray:
 
 def _cn_banded(mach: dict, dt: float, bc: str) -> tuple:
     """LU factors (LAPACK gttrf) of the tridiagonal Crank-Nicolson matrix
-    for step dt; the matrix is built and factored once per dt, and only a
-    change of dt refactors it."""
-    if mach.get("cn_dt") == dt:
-        return mach["cn"]
+    for step dt, built and factored once per dt: the steps take the levels
+    dt_max 2^{-k} (and a run's last step its remainder), so a run factors a
+    handful of matrices."""
+    cache = mach.setdefault("cn", {})
+    if dt in cache:
+        return cache[dt]
     N = len(mach["mbar"]) - 1
     low, mbar = mach["low"], mach["mbar"]
     diag = np.zeros(N + 1)
@@ -180,8 +209,8 @@ def _cn_banded(mach: dict, dt: float, bc: str) -> tuple:
     if info != 0:
         raise SelfsimError(f"Crank-Nicolson matrix for dt = {dt} cannot be "
                            f"factored (gttrf info {info})")
-    mach["cn_dt"], mach["cn"] = dt, tuple(lu)
-    return mach["cn"]
+    cache[dt] = tuple(lu)
+    return cache[dt]
 
 
 def solve_banded(lu: tuple, rhs: np.ndarray) -> np.ndarray:
@@ -192,6 +221,14 @@ def solve_banded(lu: tuple, rhs: np.ndarray) -> np.ndarray:
     return dgttrs(*lu, rhs, overwrite_b=1)[0]
 
 
+def _diffuse(mach: dict, w: np.ndarray, dt: float, bc: str) -> np.ndarray:
+    """Crank-Nicolson step of dt in increment form,
+    w + (I - dt/2 D)^{-1} (dt D w): data with D w = 0 comes back exactly."""
+    rhs = _apply_diffusion(mach, w, bc)
+    rhs *= dt
+    return w + solve_banded(_cn_banded(mach, dt, bc), rhs)
+
+
 def _react_exact(w: np.ndarray, dt: float, p: float,
                  power: Optional[np.ndarray] = None) -> Optional[tuple]:
     """Exact reaction flow over dt: (w(dt), |w(dt)|^{p-1}), or None if an
@@ -200,14 +237,17 @@ def _react_exact(w: np.ndarray, dt: float, p: float,
     power is |w|^{p-1} when the caller has it.  With E = e^{dt} the flow of
     v = |w|^{1-p}, v(dt) = (p-1) + (v - (p-1)) E, reads
     w(dt) = w b^{-1/(p-1)} with b = E - (p-1)(E-1)|w|^{p-1}, and an entry
-    blows up inside dt iff b <= 0 (a NaN also counts as blow-up).  Zero
-    entries stay +0.0, and entries so small that |w|^{p-1} underflows get
-    their exact decayed value w e^{-dt/(p-1)}.  Callers ignore overflow.
+    blows up inside dt iff b <= 0 (a NaN also counts as blow-up).  b is
+    formed as 1 + (E-1)(1 - (p-1)|w|^{p-1}) with E - 1 from expm1, which
+    keeps a short step's full precision.  Zero entries stay +0.0, and
+    entries so small that |w|^{p-1} underflows get their exact decayed value
+    w e^{-dt/(p-1)}.  Callers ignore overflow.
     """
     if power is None:
         power = np.abs(w) ** (p - 1.0)
-    E = math.exp(dt)
-    b = E - (p - 1.0) * (E - 1.0) * power
+    b = 1.0 - (p - 1.0) * power
+    b *= math.expm1(dt)
+    b += 1.0
     if not b.min() > 0.0:
         return None
     w_new = w * b ** (-1.0 / (p - 1.0))
@@ -233,7 +273,8 @@ def init_flow(initial: RadialProfile, cfg: Optional[FlowConfig] = None,
                       dt=cfg.dt_max, machinery=mach)
     with np.errstate(over="ignore", invalid="ignore"):
         power = np.abs(w) ** (initial.params.p - 1.0)
-        _accept(state, w, power, _energy(mach, w, power, initial.params.p))
+        _accept(state, w, power, _energy(mach, w, power, initial.params.p),
+                cfg.dt_max)
     _require_finite(w, state.energy, "initial data")
     state.history.append((0.0, w))
     return state
@@ -276,21 +317,25 @@ def energy_of_state(state: FlowState, w: Optional[np.ndarray] = None,
 
 
 def _accept(state: FlowState, w: np.ndarray, power: np.ndarray,
-            energy: float) -> None:
-    """Make w the state's array, with its record: energy, power and sup."""
+            energy: float, dt_next: float) -> None:
+    """Make w the state's array, with its record: energy, power, sup and
+    the next step size to try."""
     state.w = state.accepted_of = w
     state.power, state.energy = power, energy
     state.sup = float(np.abs(w).max())
+    state.dt_next = dt_next
 
 
 def _accepted(state: FlowState) -> FlowState:
     """state with the record of state.w current: the flow keeps the energy,
-    |w|^{p-1} and sup of the array it accepted, and evaluates them afresh
-    only for an array bound to state.w from outside."""
+    |w|^{p-1}, sup and proposed step of the array it accepted, and evaluates
+    them afresh (the step from dt_max) only for an array bound to state.w
+    from outside."""
     if state.accepted_of is not state.w:
         w = state.w
         power = np.abs(w) ** (state.params.p - 1.0)
-        _accept(state, w, power, energy_of_state(state, w, power))
+        _accept(state, w, power, energy_of_state(state, w, power),
+                state.cfg.dt_max)
     return state
 
 
@@ -303,54 +348,120 @@ def blowup_criterion(state: FlowState) -> float:
     return weighted_average(state) - state.params.kappa
 
 
+def _norm(mach: dict, v: np.ndarray) -> float:
+    return math.sqrt(np.dot(mach["quad_w"], v * v))
+
+
 @np.errstate(over="ignore")
 def _try_step(state: FlowState, dt: float) -> Optional[tuple]:
-    """(w, |w|^{p-1}) after one Strang step of dt from the accepted state,
-    or None if the reaction blows up inside it.  A non-finite
-    Crank-Nicolson solution also gives None: its |w|^{p-1} makes b NaN or
-    -inf in the second half."""
-    p = state.params.p
-    half = _react_exact(state.w, 0.5 * dt, p, state.power)
-    if half is None:
+    """One attempt at a step of dt from the accepted state, by step
+    doubling: (w, |w|^{p-1}, error, allowed error) after two Strang steps of
+    dt/2, with error the quad_w-norm distance from one Strang step of dt, or
+    None if the reaction blows up inside dt or the result is not finite (a
+    non-finite Crank-Nicolson solution makes b NaN or -inf in the reaction
+    after it).
+
+    The splitting is exact on constant data, so the error lives in the
+    part of w off its weighted mean, and the allowed error is ERROR_TOL
+    times that part's norm: a small perturbation of a constant is resolved
+    relative to itself.  ERROR_FLOOR times the norm of w covers rounding, so
+    that an equilibrium never stalls the steps.
+    """
+    p, mach, bc = state.params.p, state.machinery, state.cfg.bc
+    w = state.w
+    whole = _react_exact(w, 0.5 * dt, p, state.power)
+    if whole is not None:
+        whole = _react_exact(_diffuse(mach, whole[0], dt, bc), 0.5 * dt, p)
+    if whole is None:
         return None
-    w1 = half[0]
-    rhs = w1 + 0.5 * dt * _apply_diffusion(state.machinery, w1, state.cfg.bc)
-    w2 = solve_banded(_cn_banded(state.machinery, dt, state.cfg.bc), rhs)
-    return _react_exact(w2, 0.5 * dt, p)
+    # two steps of dt/2, whose inner reaction quarters make one exact half
+    out = _react_exact(w, 0.25 * dt, p, state.power)
+    if out is not None:
+        out = _react_exact(_diffuse(mach, out[0], 0.5 * dt, bc), 0.5 * dt, p)
+    if out is not None:
+        out = _react_exact(_diffuse(mach, out[0], 0.5 * dt, bc), 0.25 * dt, p)
+    if out is None or not np.isfinite(out[0]).all():
+        return None
+    w_new = out[0]
+    off_mean = w_new - np.dot(mach["quad_w"], w_new)
+    allowed = ERROR_TOL * _norm(mach, off_mean) \
+        + ERROR_FLOOR * _norm(mach, w_new)
+    return w_new, out[1], _norm(mach, w_new - whole[0]), allowed
 
 
-def _dt_cap(state: FlowState) -> float:
-    """The first dt a step from the accepted state tries: dt_max, or
-    REACTION_SAFETY of the scalar time to blow-up from sup |w| if shorter."""
+def _level(state: FlowState, dt: float) -> float:
+    """The largest step dt_max 2^{-k} (k >= 0) not above dt."""
+    dt_max = state.cfg.dt_max
+    if dt >= dt_max:
+        return dt_max
+    if not dt > 0.0:
+        return 0.0
+    return math.ldexp(dt_max, math.frexp(dt / dt_max)[1] - 1)
+
+
+def _first_try(state: FlowState) -> float:
+    """The first dt a step from the accepted state tries: the size the last
+    error estimate proposes, at most the largest level within
+    REACTION_SAFETY of the scalar time to blow-up from sup |w|, and the time
+    left to state.tau_stop when less (or when less than DT_MIN would be
+    left over)."""
     p = state.params.p
     sup = _accepted(state).sup
-    dt = state.cfg.dt_max
+    limit = state.cfg.dt_max
     if sup > 0.0:
         try:
-            dt = min(dt, REACTION_SAFETY * sup ** (1.0 - p) / (p - 1.0))
+            limit = min(limit, REACTION_SAFETY * sup ** (1.0 - p) / (p - 1.0))
         except OverflowError:   # sup^{1-p} beyond the float range: no limit
             pass
-    return dt
+    dt = min(state.dt_next, _level(state, limit))
+    left = state.tau_stop - state.tau
+    return left if left - dt < DT_MIN else dt
+
+
+def _resize(error: float, allowed: float) -> float:
+    """Factor on dt that brings a local error of order dt^3 to
+    ERROR_SAFETY^3 times the allowed one, within [1/16, 2]."""
+    if error == 0.0:
+        return 2.0
+    return min(2.0, max(0.0625,
+                        ERROR_SAFETY * (allowed / error) ** (1.0 / 3.0)))
 
 
 def step(state: FlowState) -> FlowState:
-    """One adaptive step; halves dt on in-step blow-up or energy increase."""
-    dt = _dt_cap(state)
+    """One step of the size the local error estimate allows, within the
+    reaction limit; a rejected attempt retries at a lower level (by the
+    estimate after an error rejection, halved after an in-step blow-up or an
+    energy increase)."""
+    dt = _first_try(state)
     e_before = state.energy
+    counts = state.counts
     while dt >= DT_MIN:
         new = _try_step(state, dt)
-        if new is not None and np.isfinite(new[0]).all():
-            w_new, power = new
-            e_new = energy_of_state(state, w_new, power)
-            if e_new <= e_before + ENERGY_SLACK:
-                _accept(state, w_new, power, e_new)
-                state.tau += dt
-                state.dt = dt
-                state.history.append((state.tau, w_new))
-                if len(state.history) > 3:
-                    state.history.pop(0)
-                return state
-        dt *= 0.5
+        if new is None:
+            counts.rejected_by_reaction += 1
+            dt = _level(state, 0.5 * dt)
+            continue
+        w_new, power, error, allowed = new
+        if not error <= allowed:
+            counts.rejected_by_error += 1
+            dt = _level(state, dt * _resize(error, allowed))
+            continue
+        e_new = energy_of_state(state, w_new, power)
+        if not e_new <= e_before + ENERGY_SLACK:
+            counts.rejected_by_energy += 1
+            dt = _level(state, 0.5 * dt)
+            continue
+        landed = dt == state.tau_stop - state.tau
+        _accept(state, w_new, power, e_new,
+                _level(state, dt * _resize(error, allowed)))
+        state.tau = state.tau_stop if landed else state.tau + dt
+        state.dt = dt
+        counts.accepted += 1
+        counts.max_error_estimate = max(counts.max_error_estimate, error)
+        state.history.append((state.tau, w_new))
+        if len(state.history) > 3:
+            state.history.pop(0)
+        return state
     state.exhausted = True
     return state
 
@@ -367,17 +478,13 @@ def dtau_estimate(state: FlowState) -> Optional[np.ndarray]:
     if len(state.history) < 3:
         return None
     (t0, w0), (t1, w1), (t2, w2) = state.history[-3:]
-    # the weights depend on the nodes only through these differences (the
-    # recursion also uses t2 - t0 and t2 - t1, their exact negatives), so
-    # one cached entry serves every run of equal steps
-    key = (t0 - t2, t1 - t2, t1 - t0)
-    cached = state.machinery.get("fornberg")
-    if cached is None or cached[0] != key:
-        cached = key, fornberg_weights(t2, np.array([t0, t1, t2]), 1)[1]
-        state.machinery["fornberg"] = cached
-    wts = cached[1]
+    # derivative at t2 of the quadratic through the three snapshots
+    h1, h2 = t1 - t0, t2 - t1
+    c0 = h2 / (h1 * (h1 + h2))
+    c1 = -(h1 + h2) / (h1 * h2)
+    c2 = (h1 + 2.0 * h2) / (h2 * (h1 + h2))
     keep = state.machinery["diag"]
-    return wts[0] * w0[keep] + wts[1] * w1[keep] + wts[2] * w2[keep]
+    return c0 * w0[keep] + c1 * w1[keep] + c2 * w2[keep]
 
 
 def run(state: FlowState, tau_max: float) -> FlowReport:
@@ -420,28 +527,33 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
 
     flags = []
     record()
-    for _ in range(MAX_STEPS):
-        if state.tau >= tau_max:
-            break
-        dt_cap = _dt_cap(state)
-        step(state)
-        dtau_sup = record()
-        sup = state.sup
-        if state.exhausted:
-            if sup > 10.0 * kap:
+    state.counts, state.tau_stop = StepCounts(), tau_max
+    try:
+        for _ in range(MAX_STEPS):
+            if state.tau >= tau_max:
+                break
+            tried = _first_try(state)
+            step(state)
+            dtau_sup = record()
+            sup = state.sup
+            if state.exhausted:
+                if sup > 10.0 * kap:
+                    outcome = OUTCOME_BLEWUP
+                else:
+                    flags.append("step size exhausted without clear growth")
+                break
+            if sup > cap:
                 outcome = OUTCOME_BLEWUP
-            else:
-                flags.append("step size exhausted without clear growth")
-            break
-        if sup > cap:
-            outcome = OUTCOME_BLEWUP
-            break
-        if cfg.conv_tol > 0.0 and dtau_sup < cfg.conv_tol \
-                and state.dt >= 0.5 * dt_cap:
-            outcome = OUTCOME_CONVERGED
-            break
-    else:
-        flags.append("step budget exhausted")
+                break
+            # a step cut below half its first try says little of dtau w
+            if cfg.conv_tol > 0.0 and dtau_sup < cfg.conv_tol \
+                    and state.dt >= 0.5 * tried:
+                outcome = OUTCOME_CONVERGED
+                break
+        else:
+            flags.append("step budget exhausted")
+    finally:
+        state.tau_stop = math.inf
 
     if outcome == OUTCOME_BLEWUP:
         tau1 = _extrapolate_blowup_time(cols, p)
@@ -452,7 +564,7 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
                         criterion_exceeded=criterion_exceeded,
                         min_dtau_w=None if math.isinf(min_dtau_overall)
                         else min_dtau_overall,
-                        bc=cfg.bc, flags=flags)
+                        bc=cfg.bc, flags=flags, steps=state.counts)
     if outcome == OUTCOME_BLEWUP:
         report.blowup_location = float(state.r[int(np.argmax(np.abs(state.w)))])
         sup = report.series["sup_norm"]

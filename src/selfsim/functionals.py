@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .core import KIND_SINGULAR, ParameterError, RadialProfile
-from .quadrature import (QuadratureRule, composite_rule, offset_integral_many,
-                         weighted_integral)
+from .quadrature import (QuadratureRule, default_composite_rule,
+                         offset_integral_many, weighted_integral)
 
 # relative disagreement of the two energy forms flagged on a solution
 CONSISTENCY_TOL = 1e-4
@@ -67,7 +67,7 @@ class EntropyResult:
 
 def default_rule(profile: RadialProfile) -> QuadratureRule:
     """Composite log rule; resolves singular tails and sharp shooting cores."""
-    return composite_rule(profile.params.n)
+    return default_composite_rule(profile.params.n)
 
 
 def _core_integrals(profile: RadialProfile, rule: QuadratureRule,
@@ -113,7 +113,7 @@ def f_functional(profile: RadialProfile, x0_norm: float, t0: float,
     """Recentered functional F_{x0,t0}(w) for t0 < 0.
 
     rule is the radial rule of x0 = 0; without one that case uses
-    default_rule's composite rule, built only when it is read."""
+    default_rule's composite rule."""
     if not t0 < 0.0:
         raise ParameterError(f"F functional needs t0 < 0, got {t0}")
     p = profile.params.p

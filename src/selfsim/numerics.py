@@ -1,11 +1,9 @@
-"""Finite-difference weights and derivatives of sampled functions.
+"""Finite-difference derivatives of sampled functions.
 
-``fornberg_weights`` runs Fornberg's recursion for one stencil, in scalars:
-the flow calls it on a 3-point stencil, where that is about 4x faster than
-array arithmetic.  ``derivative_on_grid`` differentiates a whole grid in one
-array pass: ``_fornberg_columns`` runs the same recursion once with every
-scalar replaced by a length-N array, one entry per grid point, so each
-point's weights equal ``fornberg_weights`` on its stencil bit for bit.
+``derivative_on_grid`` differentiates a whole grid in one array pass:
+``_fornberg_columns`` runs Fornberg's recursion once with every scalar
+replaced by a length-N array, one entry per grid point, so each point gets
+the weights of its own stencil.
 """
 from __future__ import annotations
 
@@ -14,41 +12,13 @@ import numpy as np
 from .core import ParameterError
 
 
-def fornberg_weights(x0: float, x: np.ndarray, m: int) -> np.ndarray:
-    """Finite-difference weights for derivatives 0..m at x0 from nodes x.
-
-    Returns an array of shape (m+1, len(x)); row k holds the weights of the
-    k-th derivative.  Standard recursive construction, stable for the short
-    stencils (<= 9 nodes) used here.
-    """
-    n = len(x)
-    c = np.zeros((m + 1, n))
-    c1, c4 = 1.0, x[0] - x0
-    c[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2, c5 = 1.0, c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[k, i] = c1 * (k * c[k - 1, i - 1] - c5 * c[k, i - 1]) / c2
-                c[0, i] = -c1 * c5 * c[0, i - 1] / c2
-            for k in range(mn, 0, -1):
-                c[k, j] = (c4 * c[k, j] - k * c[k - 1, j]) / c3
-            c[0, j] = c4 * c[0, j] / c3
-        c1 = c2
-    return c
-
-
 def _fornberg_columns(x0: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """Fornberg's recursion for N stencils at once.
 
     x0 has shape (N,) and x shape (s, N), column i holding the stencil of
-    x0[i]; returns shape (m+1, s, N).  The operations are those of
-    fornberg_weights in the same order, so each column is bit-identical.
+    x0[i]; returns shape (m+1, s, N).  The operations are those of the
+    scalar recursion for one stencil, in the same order, so each column is
+    bit-identical to it.
     """
     s, npts = x.shape
     c = np.zeros((m + 1, s, npts))

@@ -155,7 +155,7 @@ def offset_integral_many(f: Callable, x0_norm: float, t0: float,
     b = float(x0_norm)
     sa = math.sqrt(a)
     if b == 0.0:
-        rule = rule_r if rule_r is not None else composite_rule(n)
+        rule = rule_r if rule_r is not None else default_composite_rule(n)
         return np.array([weighted_integral(rule, lambda r, v=v: v)
                          for v in f(sa * rule.nodes)])
     grid, gw = _panel_nodes(max(0.0, b - 16.0 * sa), b + 16.0 * sa,
@@ -169,6 +169,15 @@ def offset_integral_many(f: Callable, x0_norm: float, t0: float,
             raise QuadratureError("offset integrand is not finite on the window")
         out[i] = float(np.dot(base, vals))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def default_composite_rule(n: int) -> QuadratureRule:
+    """composite_rule(n) with read-only arrays, built once per n and shared
+    by every caller that takes the default rule."""
+    rule = composite_rule(n)
+    rule.nodes.flags.writeable = rule.weights.flags.writeable = False
+    return rule
 
 
 @functools.lru_cache(maxsize=None)

@@ -52,6 +52,11 @@ def test_flow_constant_blowup(tmp_path):
     assert csv_text[0].split(",") == ["tau", "sup_norm", "weighted_avg",
                                       "energy", "dt", "min_dtau_w"]
     assert len(csv_text) > 10
+    # one row for the initial data and one per accepted step
+    assert data["steps_accepted"] == len(csv_text) - 2
+    for cause in ("error", "energy", "reaction"):
+        assert data[f"steps_rejected_by_{cause}"] >= 0
+    assert 0.0 < data["max_error_estimate"] < 1e-6
 
 
 def test_flow_of_tiny_constant_data_reports_without_warning(tmp_path, capsys):

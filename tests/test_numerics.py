@@ -4,7 +4,9 @@ import pytest
 
 from selfsim import numerics
 from selfsim.core import ParameterError
-from selfsim.numerics import derivative_on_grid, fornberg_weights
+from selfsim.numerics import derivative_on_grid
+
+from fornberg_oracle import fornberg_weights
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

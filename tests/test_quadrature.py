@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from selfsim.core import make_params, singular_profile
+from selfsim import quadrature
+from selfsim.core import constant_profile, make_params, singular_profile
+from selfsim.functionals import default_rule
 from selfsim.quadrature import (QuadratureError, composite_rule,
                                 offset_integral_many, radial_rule,
                                 weighted_integral)
@@ -158,6 +160,23 @@ def test_offset_smooth_function_random_cross_checks():
         f = lambda r, a=amp, s=scale, c=shift: a * np.exp(-s * (r - c) ** 2 / (1 + r))
         assert offset_integral_many(lambda r: [f(r)], 0.0, -1.0, n, rule_r=rule)[0] \
             == pytest.approx(weighted_integral(rule, f), rel=1e-9)
+
+
+def test_default_rule_is_built_once_per_n(monkeypatch):
+    built, original = [], quadrature.composite_rule
+    monkeypatch.setattr(quadrature, "composite_rule",
+                        lambda n, *args: built.append(n) or original(n, *args))
+    quadrature.default_composite_rule.cache_clear()
+    f = lambda r: [np.exp(-r), 1.0 / (1.0 + r**2)]
+    for n in (3, 3, 5, 3, 5):
+        got = offset_integral_many(f, 0.0, -0.7, n)
+        fresh = offset_integral_many(f, 0.0, -0.7, n, rule_r=original(n))
+        assert got.tobytes() == fresh.tobytes()
+        prof = constant_profile(make_params(n, 3.0), "+")
+        assert default_rule(prof) is quadrature.default_composite_rule(n)
+    assert built == [3, 5]
+    rule = quadrature.default_composite_rule(3)
+    assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
 
 
 def test_offset_rejects_bad_t0():
