@@ -534,14 +534,14 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
                 break
             tried = _first_try(state)
             step(state)
-            dtau_sup = record()
-            sup = state.sup
-            if state.exhausted:
-                if sup > 10.0 * kap:
+            if state.exhausted:    # no step accepted: nothing new to record
+                if state.sup > 10.0 * kap:
                     outcome = OUTCOME_BLEWUP
                 else:
                     flags.append("step size exhausted without clear growth")
                 break
+            dtau_sup = record()
+            sup = state.sup
             if sup > cap:
                 outcome = OUTCOME_BLEWUP
                 break

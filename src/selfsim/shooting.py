@@ -15,12 +15,18 @@ directions pins the bounded positive profile: each round shoots 255 heights
 classifies the two bracket ends.
 
 One integrator does every shot: a private lane kernel that integrates a
-vector of heights at once as numpy arrays.  Each lane repeats
-``solve_ivp(method="DOP853")``'s steps: the same tableau and initial step,
-the same error norm and step-size controller, the same two-phase
-``max_step`` schedule and the same event rule at accepted-step ends.  A
-lane's arithmetic does not depend on how many lanes share its call: every
-stage and error sum adds its terms in a fixed order per lane.  So the final
+vector of heights at once as numpy arrays.  Each lane repeats the steps of
+one ``solve_ivp(method="DOP853")`` call from R_START to r_max, with no
+``max_step``: the same tableau and initial step, the same error norm and
+step-size controller, and the same event rule at accepted-step ends.  So the
+tolerance alone sizes the steps, and a long step could jump over a rebound
+whose minimum lies inside it.  One guard closes that gap: a step whose
+rebound value is negative at both ends, whose w range meets the rebound
+window and one of whose stage slopes w' is positive is rejected and halved,
+until the minimum lies between two step ends.  That guard is the one place
+where a lane may take more steps than ``solve_ivp``.  A lane's arithmetic
+does not depend on how many lanes share its call: every stage and error sum
+adds its terms in a fixed order per lane.  So the final
 3-lane call of ``shoot`` repeats the multisection's decisions on the final
 bracket ends bit for bit.  On request the kernel also keeps each accepted
 step's dense-output rows, built as ``DOP853._dense_output_impl`` builds
@@ -29,6 +35,7 @@ them, and returns trajectories whose ``sample`` evaluates them as
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,12 +58,6 @@ INCONCLUSIVE_CONSTANT = "inconclusive_constant"
 
 R_START = 1e-6     # radius of the Taylor start
 R_MAX = 30.0       # default end of a shot
-# step schedule: a small max_step through the core keeps the dense-output
-# interpolant accurate enough to difference (residual checks amplify
-# interpolation noise by 1/h); the tail tolerates a coarser cap
-R_SPLIT = 2.0
-MAX_STEP_CORE = 0.01
-MAX_STEP_TAIL = 0.05
 # events: a rebound is a local minimum of w below this fraction of kappa;
 # the cap is this multiple of max(|a|, kappa)
 REBOUND_FRACTION = 0.75
@@ -68,7 +69,7 @@ _FRACTIONS = np.arange(1, SECTIONS + 1) / (SECTIONS + 1)
 # shoot: integrator tolerance, relative bracket width that ends the
 # multisection, largest accepted equation residual, and the tail grid step
 # of the returned profile (a quarter of it through the core)
-SHOOT_TOL = 1e-12
+SHOOT_TOL = 3e-14
 BISECT_TOL = 5e-14
 RESIDUAL_TOL = 1e-7
 GRID_STEP = 0.004
@@ -134,6 +135,16 @@ def _fired(g, g_new):
     return up & (d >= 0) | down & (d <= 0)
 
 
+def _hidden_rebound(w, w_new, g, g_new, slopes, kap):
+    """Lanes whose step may jump over a rebound: the rebound value is
+    negative at both step ends, the step's w range meets the rebound window,
+    and a stage slope w' (one row per stage) is positive."""
+    return ((g < 0) & (g_new < 0)
+            & (np.maximum(w, w_new) > 0.0)
+            & (np.minimum(w, w_new) < REBOUND_FRACTION * kap)
+            & (slopes > 0).any(axis=0))
+
+
 def _taylor_start(a, n, p, eps):
     w2 = (a / (p - 1.0) - np.abs(a) ** (p - 1.0) * a) / n
     return np.array([a + 0.5 * w2 * eps**2, w2 * eps])
@@ -190,7 +201,7 @@ def _rms(x):
     return np.sqrt(np.sum(x * x, axis=0)) / x.shape[0] ** 0.5
 
 
-def _initial_step(rhs, r, y, f, bound, max_step, rtol, atol):
+def _initial_step(rhs, r, y, f, bound, rtol, atol):
     """scipy's select_initial_step, lane by lane."""
     interval = bound - r
     scale = atol + np.abs(y) * rtol
@@ -201,7 +212,7 @@ def _initial_step(rhs, r, y, f, bound, max_step, rtol, atol):
     d2 = _rms((f1 - f) / scale) / h0
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / np.maximum(d1, d2)) ** -_ERROR_EXPONENT)
-    return np.minimum(np.minimum(100 * h0, h1), np.minimum(interval, max_step))
+    return np.minimum(np.minimum(100 * h0, h1), interval)
 
 
 def _dense_output(r, y_old, F):
@@ -220,18 +231,21 @@ def _dense_output(r, y_old, F):
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _departures(params: Parameters, heights, r_max: float, tol: float,
-                dense: bool = False):
+                dense: bool = False, work: Counter | None = None):
     """Departure signs of many shots at once, or with dense their trajectories.
 
-    Every lane takes the steps of solve_ivp(method="DOP853") restarted at
-    R_SPLIT, and stops at its first accepted step where an event fires.  The
+    Every lane takes the steps of solve_ivp(method="DOP853") from R_START to
+    r_max, and stops at its first accepted step where an event fires.  A step
+    that may hide a rebound is rejected and halved (_hidden_rebound).  The
     departure is -1 where w crosses zero (alone, or with the rebound that an
     upward crossing opens), +1 where the cap or the rebound fires alone, and
     0 for equilibria and where the events do not decide: no event by r_max,
     a failed step, or another pair of events in one step.  A lane's
     arithmetic does not depend on the other lanes of the call.  With dense,
     every lane also keeps its accepted steps' dense-output rows, and the
-    call returns one labelled OdeTrajectory per height.
+    call returns one labelled OdeTrajectory per height.  A work Counter,
+    when given, adds the call's kernel_calls, lane_steps (step attempts
+    summed over lanes) and hidden_rebound_rejections.
     """
     n, p, kap = params.n, params.p, params.kappa
     rhs = _rhs(n, p)
@@ -241,7 +255,7 @@ def _departures(params: Parameters, heights, r_max: float, tol: float,
     a = np.asarray(heights, dtype=float)
     out = np.zeros(a.size, dtype=int)
     reached = np.zeros(a.size, dtype=bool)        # r_max without an event
-    r_split = min(R_SPLIT, r_max)
+    lane_steps = hidden_rejections = 0
     stages = len(_A) if dense else _STAGES + 1
     # exact equilibria (a = 0 included) are labelled, not integrated: their
     # roundoff would only grow
@@ -260,17 +274,16 @@ def _departures(params: Parameters, heights, r_max: float, tol: float,
     f = np.array(rhs(r, y))
     cap = CAP_MULT * np.maximum(np.abs(a[lane]), kap)
     g = _event_values(y, cap, kap)
-    bound = np.full(lane.size, r_split)
-    max_step = np.full(lane.size, MAX_STEP_CORE)
-    h = _initial_step(rhs, r, y, f, bound, max_step, rtol, atol)
+    h = _initial_step(rhs, r, y, f, r_max, rtol, atol)
     retry = np.zeros(lane.size, dtype=bool)
     while lane.size:
         min_step = 10 * np.abs(np.nextafter(r, np.inf) - r)
-        h = np.where(retry, h, np.minimum(np.maximum(h, min_step), max_step))
+        h = np.where(retry, h, np.maximum(h, min_step))
         failed = ~(h >= min_step)                  # a NaN step fails too
-        r_new = np.minimum(r + h, bound)
+        r_new = np.minimum(r + h, r_max)
         h = r_new - r
         m = lane.size
+        lane_steps += m
         # radii of every stage after the first (the step end is r_new) and
         # their drift coefficients, each in one array pass
         rs = np.vstack((r + _C[1:, None] * h, r_new,
@@ -296,6 +309,11 @@ def _departures(params: Parameters, heights, r_max: float, tol: float,
                        h * e5 / np.sqrt((e5 + 0.01 * e3) * 2))
         gain = SAFETY * err ** _ERROR_EXPONENT
         ok = (err < 1) & ~failed
+        g_new = _event_values(y_new, cap, kap)
+        hidden = ok & _hidden_rebound(y[0], y_new[0], g[2], g_new[2],
+                                      K3[1:_STAGES, 0], kap)
+        hidden_rejections += int(hidden.sum())
+        ok &= ~hidden
         if dense and ok.any():
             # rk.DOP853._dense_output_impl's interpolant rows of the step
             dy = y_new - y
@@ -305,35 +323,30 @@ def _departures(params: Parameters, heights, r_max: float, tol: float,
             steps.append((lane[ok], r_new[ok], y_new[:, ok], F[:, :, ok]))
         grow = np.where(err == 0, MAX_FACTOR, np.minimum(MAX_FACTOR, gain))
         grow = np.where(retry, np.minimum(1, grow), grow)
-        h = h * np.where(ok, grow, np.maximum(MIN_FACTOR, gain))
+        h = h * np.where(ok, grow, np.where(hidden, 0.5,
+                                            np.maximum(MIN_FACTOR, gain)))
         retry = ~ok
 
+        fired = _fired(g, g_new) & ok
         r = np.where(ok, r_new, r)
         y = np.where(ok, y_new, y)
         f = np.where(ok, f_new, f)
-        g_new = _event_values(y, cap, kap)
-        fired = _fired(g, g_new) & ok
-        g = g_new
+        g = np.where(ok, g_new, g)
         count = fired.sum(axis=0)
-        at_bound = ok & (count == 0) & (r >= bound)
-        switch = at_bound & (bound < r_max)
-        if switch.any():
-            # second solve_ivp call: fresh initial step, tail step cap
-            bound[switch] = r_max
-            max_step[switch] = MAX_STEP_TAIL
-            h[switch] = _initial_step(rhs, r[switch], y[:, switch], f[:, switch],
-                                      bound[switch], max_step[switch], rtol, atol)
-        done = failed | (count > 0) | (at_bound & ~switch)
+        at_bound = ok & (count == 0) & (r >= r_max)
+        done = failed | (count > 0) | at_bound
         if done.any():
             # a zero crossing upward opens the rebound window in its own
             # step, so a zero firing with the rebound still comes first
             out[lane[done]] = np.where(fired[0] & ~fired[1], -1,
                                        np.where(count == 1, 1, 0))[done]
-            reached[lane[done]] = (at_bound & ~switch)[done]
+            reached[lane[done]] = at_bound[done]
             keep = ~done
-            lane, r, h, retry, bound, max_step, cap = (
-                v[keep] for v in (lane, r, h, retry, bound, max_step, cap))
+            lane, r, h, retry, cap = (v[keep] for v in (lane, r, h, retry, cap))
             y, f, g = y[:, keep], f[:, keep], g[:, keep]
+    if work is not None:
+        work.update(kernel_calls=1, lane_steps=lane_steps,
+                    hidden_rebound_rejections=hidden_rejections)
     if not dense:
         return out
 
@@ -403,15 +416,18 @@ def shoot(params: Parameters, a_lo: float, a_hi: float) -> RadialProfile:
     ends' trajectories, which sandwich the decaying orbit, and the midpoint
     shot; the returned profile is the midpoint shot truncated where the
     sandwich width exceeds 1e-9, with the tail coefficient fitted from
-    q = r^{2/(p-1)} w.
+    q = r^{2/(p-1)} w.  Its meta holds the kernel work of the whole search:
+    kernel_calls, lane_steps and hidden_rebound_rejections.
     """
     _check_inputs([a_lo, a_hi], SHOOT_TOL)
     if not a_lo < a_hi:
         raise ParameterError(f"bracket needs a_lo < a_hi, got a_lo={a_lo} "
                              f"and a_hi={a_hi}")
 
+    work = Counter()
     inner = _sections(a_lo, a_hi)
-    deps = _departures(params, [a_lo, *inner, a_hi], R_MAX, SHOOT_TOL).tolist()
+    deps = _departures(params, [a_lo, *inner, a_hi], R_MAX, SHOOT_TOL,
+                       work=work).tolist()
     lo_dep, hi_dep = deps[0], deps[-1]
     if lo_dep == 0 or hi_dep == 0 or lo_dep == hi_dep:
         raise ShootingError(
@@ -426,13 +442,13 @@ def shoot(params: Parameters, a_lo: float, a_hi: float) -> RadialProfile:
         lo_a, hi_a = heights[k - 1], heights[k]
         inner = _sections(lo_a, hi_a)
         if inner:
-            deps = [lo_dep, *_departures(params, inner, R_MAX,
-                                         SHOOT_TOL).tolist(), hi_dep]
+            deps = [lo_dep, *_departures(params, inner, R_MAX, SHOOT_TOL,
+                                         work=work).tolist(), hi_dep]
     a_star = 0.5 * (lo_a + hi_a)
 
     # the final lanes repeat the multisection's own lo and hi lanes
     lo, hi, mid = _departures(params, [lo_a, hi_a, a_star], R_MAX, SHOOT_TOL,
-                              dense=True)
+                              dense=True, work=work)
     r_common = min(lo.r_end, hi.r_end, mid.r_end) * 0.999
     probe = np.linspace(R_START, r_common, 1500)
     gap = np.abs(lo.sample(probe)[0] - hi.sample(probe)[0])
@@ -461,7 +477,7 @@ def shoot(params: Parameters, a_lo: float, a_hi: float) -> RadialProfile:
                             classification=DECAYING, second_derivs=w2,
                             meta={"a": a_star, "axis_value": a_star,
                                   "bracket": (lo_a, hi_a), "r_cut": r_cut,
-                                  "ode_tol": SHOOT_TOL})
+                                  "ode_tol": SHOOT_TOL, **work})
     res = ode_residual(profile)
     if res > RESIDUAL_TOL:
         raise ShootingError(f"profile residual {res:.3e} exceeds {RESIDUAL_TOL}")

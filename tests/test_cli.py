@@ -165,7 +165,6 @@ def test_determinism_flow_writes_identical_files(tmp_path, init):
             (tmp_path / "b" / name).read_bytes()
 
 
-# verify-all is left out: its JSON records each criterion's wall time
 @pytest.mark.parametrize("argv", [
     ["energy", "--profile", "shoot"],
     ["identities", "--profile", "shoot"],
@@ -177,13 +176,14 @@ def test_determinism_flow_writes_identical_files(tmp_path, init):
     ["perturb", "--profile", "shoot"],
     ["gamma"],
     ["gap-scan"],
+    ["verify-all"],
 ])
 def test_determinism_profile_commands_write_identical_files(tmp_path,
                                                             monkeypatch, argv):
     name = argv[0].replace("-", "_")
     params = ["--n", "3", "--p", "7"] if "n" in SUBCOMMANDS[argv[0]][1] else []
     for out in ("a", "b"):
-        if "shoot" in argv:
+        if "shoot" in argv or name == "verify_all":
             # every run shoots and builds its interpolant afresh
             monkeypatch.setattr(fixtures, "_PROFILE_CACHE", {})
         assert main(["--out", str(tmp_path / out), argv[0], *params,
@@ -191,8 +191,11 @@ def test_determinism_profile_commands_write_identical_files(tmp_path,
     written = sorted(f.name for f in (tmp_path / "a").iterdir())
     assert f"{name}.json" in written
     for fname in written:
-        assert (tmp_path / "a" / fname).read_bytes() == \
-            (tmp_path / "b" / fname).read_bytes()
+        a, b = ((tmp_path / out / fname).read_bytes() for out in ("a", "b"))
+        if name == "verify_all":   # only the wall times may differ
+            a, b = (json.dumps({k: v for k, v in json.loads(x).items()
+                                if k != "timings"}) for x in (a, b))
+        assert a == b
 
 
 def test_flow_from_kappa_converges_when_dt_max_exceeds_the_reaction_limit(
@@ -238,6 +241,8 @@ def test_shoot_uses_recorded_bracket(tmp_path):
     assert abs(data["initial_height"] - 2.3025214117) < 1e-6
     assert data["ode_residual_sup"] <= 1e-7
     assert data["energy"] > data["kappa_energy"]
+    assert data["kernel_calls"] == 6 and data["lane_steps"] > 0
+    assert data["hidden_rebound_rejections"] == 0
     assert (tmp_path / "shoot.csv").exists()
 
 

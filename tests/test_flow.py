@@ -80,6 +80,10 @@ def test_constant_data_blowup_time(p, expected):
     report = run(state, tau_max=10.0)
     assert report.outcome == OUTCOME_BLEWUP
     assert report.tau1 == pytest.approx(expected, rel=1e-2)
+    # one row per accepted step: the step that exhausts adds none
+    taus = report.series["tau"]
+    assert np.all(np.diff(taus) > 0)
+    assert taus.size == report.steps.accepted + 1
     assert report.criterion_exceeded  # average exceeds kappa from the start
     assert report.type1_indicator is not None and np.isfinite(report.type1_indicator)
 

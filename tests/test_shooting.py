@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from selfsim.fixtures import (A_STAR_REFERENCE, REGRESSION_LABELS,
                               SHOOTING_BRACKETS, SUBCRITICAL_SCAN,
                               reference_profile, supercritical_scan_grid)
 from selfsim.shooting import (DECAYING, GROWING, INCONCLUSIVE,
-                              INCONCLUSIVE_CONSTANT, R_SPLIT, R_START,
+                              INCONCLUSIVE_CONSTANT, R_START,
                               SECTIONS, SHOOT_TOL, SIGN_CHANGING,
                               ShootingError, _departures, find_brackets,
                               integrate_radial, ode_residual,
@@ -20,6 +21,7 @@ from selfsim.shooting import (DECAYING, GROWING, INCONCLUSIVE,
 P37 = make_params(3, 7.0, require_supercritical=True)
 P45 = make_params(4, 5.0, require_supercritical=True)
 P47 = make_params(4, 7.0, require_supercritical=True)
+P311 = make_params(3, 11.0, require_supercritical=True)
 BISECT_TOL = 5e-14     # shoot's default
 # a* from one-bit bisection (the method before multisection), per bracket
 A_STAR_BISECTED = {
@@ -28,15 +30,15 @@ A_STAR_BISECTED = {
     ((4, 5.0), "scan"): 2.3655797613161464,
 }
 # largest gap between the kernel's dense samples of the (3,7) profile and the
-# oracle's: 1.3e-10 in w and 5.1e-10 in w' at the last knots, where the two
-# shots at a* start to part; below r = 6 both stay under 1.1e-13.  The bound
-# is the sandwich width that sets r_cut
+# oracle's: 5.2e-12 in w and 2.0e-11 in w' at the last knot, where the two
+# shots at a* start to part; below r = 6 they stay under 7.4e-14 and
+# 6.3e-13.  The bound is the sandwich width that sets r_cut
 DENSE_VS_ORACLE = 1e-9
 
 
-def oracle_shot(params, a, tol, r_max=shooting.R_MAX):
-    """One shot as two solve_ivp(method="DOP853") calls split at R_SPLIT,
-    with scipy's own events: (departure, dense output (w, w') of r)."""
+def oracle_shot(params, a, tol, r_max=shooting.R_MAX, max_step=np.inf):
+    """One shot as one solve_ivp(method="DOP853") call with scipy's own
+    events: (departure, dense output (w, w') of r)."""
     n, p, kap = params.n, params.p, params.kappa
     cap = shooting.CAP_MULT * max(abs(a), kap)
 
@@ -52,27 +54,12 @@ def oracle_shot(params, a, tol, r_max=shooting.R_MAX):
         ev.terminal, ev.direction = True, direction
     w2 = (a / (p - 1.0) - np.abs(a) ** (p - 1.0) * a) / n
     y = np.array([a + 0.5 * w2 * R_START**2, w2 * R_START])
-    pieces = []
-    for r0, r1, max_step in ((R_START, R_SPLIT, shooting.MAX_STEP_CORE),
-                             (R_SPLIT, r_max, shooting.MAX_STEP_TAIL)):
-        sol = solve_ivp(rhs, (r0, r1), y, method="DOP853", rtol=tol,
-                        atol=min(tol * 1e-2, 1e-14), events=events,
-                        dense_output=True, max_step=max_step)
-        pieces.append(sol)
-        if sol.status != 0:
-            break
-        y = sol.y[:, -1]
-    zero, cap_hit, rebound = (sum(s.t_events[k].size for s in pieces)
-                              for k in range(3))
+    sol = solve_ivp(rhs, (R_START, r_max), y, method="DOP853", rtol=tol,
+                    atol=min(tol * 1e-2, 1e-14), events=events,
+                    dense_output=True, max_step=max_step)
+    zero, cap_hit, rebound = (sol.t_events[k].size for k in range(3))
     departure = -1 if zero else 1 if cap_hit or rebound else 0
-
-    def dense(r):
-        r = np.asarray(r, dtype=float)
-        if len(pieces) == 1:
-            return pieces[0].sol(r)
-        return np.where(r <= R_SPLIT, pieces[0].sol(np.minimum(r, R_SPLIT)),
-                        pieces[1].sol(np.maximum(r, R_SPLIT)))
-    return departure, dense
+    return departure, sol.sol
 
 
 def lowest_scan_bracket(params):
@@ -361,7 +348,7 @@ def test_shoot_resolves_the_lowest_flip(spied_shoots):
     (b0, b1) = lowest_flip_bracket_4_7()[1]
     lo, hi = prof.meta["bracket"]
     assert b0 < lo < hi < b1
-    assert _departures(P47, [lo, hi], 30.0, 1e-12).tolist() == [-1, 1]
+    assert _departures(P47, [lo, hi], 30.0, SHOOT_TOL).tolist() == [-1, 1]
 
 
 @pytest.mark.parametrize("case", ["(3,7) recorded", "(3,7) scan", "(4,5) scan",
@@ -373,6 +360,33 @@ def test_final_bracket_lanes_sandwich_the_orbit(spied_shoots, case):
     assert (lo.a, hi.a, mid.a) == (*prof.meta["bracket"], prof.meta["a"])
     assert (lo.departure, hi.departure) == (-1, 1)
     assert (lo.classification, hi.classification) == (SIGN_CHANGING, GROWING)
+
+
+def test_shoot_reports_its_kernel_work(profile37, spied_shoots):
+    # the counts of shoot(3, 7) from the recorded bracket are deterministic
+    work = {key: profile37.meta[key] for key in
+            ("kernel_calls", "lane_steps", "hidden_rebound_rejections")}
+    assert work == {"kernel_calls": 6, "lane_steps": 345534,
+                    "hidden_rebound_rejections": 0}
+    assert work["kernel_calls"] == len(spied_shoots["(3,7) recorded"][2])
+
+
+def test_scan_catches_a_rebound_inside_one_step():
+    # at (3, 11) the shot from scan height 12 has its rebound at r = 4.39;
+    # one long step jumps over it unless its stage slopes reject the step
+    grid = supercritical_scan_grid(P311.kappa)
+    assert grid[12] == 1.4732714299672915
+    rows = scan_initial_values(P311, grid)
+    assert [rows[k][2] for k in (11, 12, 13)] == [-1, 1, -1]
+    work = Counter()
+    _departures(P311, grid[12:13], 30.0, 1e-10, work=work)
+    assert work["hidden_rebound_rejections"] > 0
+    assert [rows[k][2] for k in (11, 12, 13)] == [
+        oracle_shot(P311, grid[k], 1e-12, max_step=0.002)[0]
+        for k in (11, 12, 13)]
+    bracket = min(find_brackets(P311, grid))
+    assert bracket == (grid[11], grid[12])
+    assert shoot(P311, *bracket).meta["a"] == pytest.approx(1.452382, abs=1e-6)
 
 
 def test_shoot_makes_one_kernel_call_per_round(spied_shoots):
@@ -391,8 +405,8 @@ def zeroed_kernel(monkeypatch, zero):
     real = shooting._departures
     zeroed = []
 
-    def departures(params, heights, r_max, tol, dense=False):
-        dep = real(params, heights, r_max, tol, dense)
+    def departures(params, heights, r_max, tol, dense=False, work=None):
+        dep = real(params, heights, r_max, tol, dense, work)
         if dense:
             return dep
         heights = np.asarray(heights)
