@@ -19,7 +19,8 @@ from .fixtures import SUBCRITICAL_SCAN, reference_profile
 from .flow import (BC_NOFLUX, FlowConfig, OUTCOME_BLEWUP, init_flow, run,
                    entropy_perturbation_experiment, step)
 from .functionals import energy, entropy, f_functional, identities
-from .quadrature import composite_rule, radial_rule, weighted_integral
+from .quadrature import (_sums, default_composite_rule, radial_rule,
+                         weighted_integral)
 from .shooting import SIGN_CHANGING, find_brackets, scan_initial_values
 from .spectrum import (apply_L, build_sector, eigen_smallest,
                        first_eigenfunction, rayleigh_quotient)
@@ -55,8 +56,8 @@ def check_gaussian_normalization():
         worst_mass, worst_moment = 0.0, 0.0
         for n in range(3, 11):
             rule = radial_rule(n, 64)
-            mass = weighted_integral(rule, lambda r: np.ones_like(r))
-            mom = weighted_integral(rule, lambda r: r**2)
+            mass = weighted_integral(rule, np.ones_like)
+            mom = weighted_integral(rule, np.square)
             worst_mass = max(worst_mass, abs(mass - 1.0))
             worst_moment = max(worst_moment, abs(mom - 2.0 * n))
         ok = worst_mass <= 1e-12 and worst_moment <= 1e-10
@@ -190,30 +191,27 @@ def check_identities():
 def check_eigen_relations():
     def body():
         details, ok = {}, True
-        rule = composite_rule(3)
 
         def omega_residual(prof, fun, target, ell, grid):
+            """rho-norm of L fun - target on grid, taken as 0 off grid."""
             _, Lv = apply_L(prof, fun, ell=ell, grid=grid)
-            resid = Lv - target(grid)
-            rule_loc = composite_rule(prof.params.n)
-            rc = lambda r: np.interp(r, grid, resid, left=0.0, right=0.0)
-            tc = lambda r: np.interp(r, grid, target(grid), left=0.0, right=0.0)
-            num = weighted_integral(rule_loc, lambda r: rc(r) ** 2) ** 0.5
-            den = max(weighted_integral(rule_loc, lambda r: tc(r) ** 2) ** 0.5,
-                      1e-300)
-            return num, den
+            rule = default_composite_rule(prof.params.n)
+            rc = np.interp(rule.nodes, grid, Lv - target(grid), left=0.0,
+                           right=0.0)
+            (norm2,) = _sums(rule.nodes, rule.weights, (rc ** 2,)).tolist()
+            return norm2 ** 0.5
 
         wshoot = reference_profile(3, 7.0)
         p = wshoot.params.p
         lam_fun = lambda r: 2.0 * wshoot.value(r) / (p - 1.0) \
             + r * wshoot.deriv(r)
-        num, den = omega_residual(wshoot, lam_fun, lam_fun, 0, wshoot.grid)
+        num = omega_residual(wshoot, lam_fun, lam_fun, 0, wshoot.grid)
         details["scaling_mode_residual"] = num
         ok &= num <= 1e-5
         dw_fun = lambda r: wshoot.deriv(r)
         grid1 = wshoot.grid[4:-4]
-        num1, den1 = omega_residual(wshoot, dw_fun,
-                                    lambda r: 0.5 * dw_fun(r), 1, grid1)
+        num1 = omega_residual(wshoot, dw_fun, lambda r: 0.5 * dw_fun(r), 1,
+                              grid1)
         details["translation_mode_residual"] = num1
         ok &= num1 <= 1e-5
         # constant: the scaling field is the constant eigenfunction
@@ -241,11 +239,9 @@ def check_flow_oracle():
         runs = []
         for p, expected, label in ((3.0, math.log(2.0), "tau1_p3"),
                                    (7.0, math.log(6.0 / 5.0), "tau1_p7")):
-            params = make_params(3, p)
-            prof = constant_profile(params, "+")
-            state = init_flow(prof, FlowConfig(bc=BC_NOFLUX))
-            state.w = np.ones_like(state.w)
-            state.history = [(0.0, state.w.copy())]
+            state = init_flow(constant_profile(make_params(3, p), "0"),
+                              FlowConfig(bc=BC_NOFLUX),
+                              eigenfunction=np.ones_like, amplitude=1.0)
             report = run(state, tau_max=10.0)
             runs.append(report)
             rel = abs(report.tau1 - expected) / expected \
@@ -264,9 +260,10 @@ def check_flow_oracle():
         ok &= drift <= 1e-6
         # more runs for the criterion-soundness sweep
         for level in (0.8, 1.02, 1.6):
-            state = init_flow(prof, FlowConfig(bc=BC_NOFLUX))
-            state.w = np.full_like(state.w, level * params.kappa)
-            state.history = [(0.0, state.w.copy())]
+            state = init_flow(constant_profile(params, "0"),
+                              FlowConfig(bc=BC_NOFLUX),
+                              eigenfunction=np.ones_like,
+                              amplitude=level * params.kappa)
             runs.append(run(state, tau_max=40.0))
         # energy monotone on every run; A > kappa always ends in blow-up
         worst_inc, counterexamples = 0.0, 0

@@ -153,26 +153,19 @@ def gap_scan(n_values: Iterable[int], p_count: int = 40,
             params = make_params(int(n), float(p))
             g_pos = _gamma_argument(params) > 0.0
             e_kap = kappa_energy(params)
-            if not g_pos:
-                rows.append(GapScanRow(
-                    n=int(n), p=float(p), beta=params.beta,
-                    e_singular=math.inf, e_kappa=e_kap, ratio=math.inf,
-                    inequality_lhs=math.inf,
-                    supercritical=params.is_supercritical,
-                    gamma_argument_positive=False,
-                    in_uniqueness_range=sphere_constant(params)[1]
-                    if params.beta > 0 else False,
-                    flagged="gamma argument <= 0: energy diverges"))
-                continue
-            e_sing = singular_energy(params)
-            lhs = gap_inequality(params) + 1.0
+            e_sing = ratio = lhs = math.inf
+            flagged = "gamma argument <= 0: energy diverges"
+            if g_pos:
+                e_sing = singular_energy(params)
+                ratio, lhs = e_sing / e_kap, gap_inequality(params) + 1.0
+                flagged = "" if params.is_supercritical \
+                    else "outside the supercritical hypothesis; data exploratory"
             rows.append(GapScanRow(
                 n=int(n), p=float(p), beta=params.beta, e_singular=e_sing,
-                e_kappa=e_kap, ratio=e_sing / e_kap, inequality_lhs=lhs,
+                e_kappa=e_kap, ratio=ratio, inequality_lhs=lhs,
                 supercritical=params.is_supercritical,
-                gamma_argument_positive=True,
-                in_uniqueness_range=sphere_constant(params)[1],
-                flagged="" if params.is_supercritical
-                else "outside the supercritical hypothesis; data exploratory"))
+                gamma_argument_positive=g_pos,
+                in_uniqueness_range=params.beta > 0 and sphere_constant(params)[1],
+                flagged=flagged))
     return rows
 

@@ -176,19 +176,18 @@ def _build_machinery(params: Parameters, cfg: FlowConfig) -> dict:
             "outer_flux": m_face[-1] / h**2, "diag": diag}
 
 
-def _apply_diffusion(mach: dict, w: np.ndarray, bc: str) -> np.ndarray:
+def _apply_diffusion(mach: dict, w: np.ndarray) -> np.ndarray:
     flux = mach["low"] * (w[1:] - w[:-1])
     out = np.empty_like(w)
     out[0] = flux[0]
     np.subtract(flux[1:], flux[:-1], out=out[1:-1])
-    out[-1] = -flux[-1]
-    if bc == BC_DIRICHLET:
-        out[-1] -= mach["outer_flux"] * w[-1] * 2.0  # ghost value 0 at r_max+h/2
+    # Dirichlet: ghost value 0 at r_max + h/2; no-flux has outer_flux = 0
+    out[-1] = -flux[-1] - mach["outer_flux"] * w[-1] * 2.0
     out /= mach["mbar"]
     return out
 
 
-def _cn_banded(mach: dict, dt: float, bc: str) -> tuple:
+def _cn_banded(mach: dict, dt: float) -> tuple:
     """LU factors (LAPACK gttrf) of the tridiagonal Crank-Nicolson matrix
     for step dt, built and factored once per dt: the steps take the levels
     dt_max 2^{-k} (and a run's last step its remainder), so a run factors a
@@ -201,8 +200,7 @@ def _cn_banded(mach: dict, dt: float, bc: str) -> tuple:
     diag = np.zeros(N + 1)
     diag[:-1] += low
     diag[1:] += low
-    if bc == BC_DIRICHLET:
-        diag[-1] += 2.0 * mach["outer_flux"]
+    diag[-1] += 2.0 * mach["outer_flux"]
     *lu, info = dgttrf(-0.5 * dt * low / mbar[1:],
                        1.0 + 0.5 * dt * diag / mbar,
                        -0.5 * dt * low / mbar[:-1])
@@ -221,12 +219,12 @@ def solve_banded(lu: tuple, rhs: np.ndarray) -> np.ndarray:
     return dgttrs(*lu, rhs, overwrite_b=1)[0]
 
 
-def _diffuse(mach: dict, w: np.ndarray, dt: float, bc: str) -> np.ndarray:
+def _diffuse(mach: dict, w: np.ndarray, dt: float) -> np.ndarray:
     """Crank-Nicolson step of dt in increment form,
     w + (I - dt/2 D)^{-1} (dt D w): data with D w = 0 comes back exactly."""
-    rhs = _apply_diffusion(mach, w, bc)
+    rhs = _apply_diffusion(mach, w)
     rhs *= dt
-    return w + solve_banded(_cn_banded(mach, dt, bc), rhs)
+    return w + solve_banded(_cn_banded(mach, dt), rhs)
 
 
 def _react_exact(w: np.ndarray, dt: float, p: float,
@@ -367,19 +365,19 @@ def _try_step(state: FlowState, dt: float) -> Optional[tuple]:
     relative to itself.  ERROR_FLOOR times the norm of w covers rounding, so
     that an equilibrium never stalls the steps.
     """
-    p, mach, bc = state.params.p, state.machinery, state.cfg.bc
+    p, mach = state.params.p, state.machinery
     w = state.w
     whole = _react_exact(w, 0.5 * dt, p, state.power)
     if whole is not None:
-        whole = _react_exact(_diffuse(mach, whole[0], dt, bc), 0.5 * dt, p)
+        whole = _react_exact(_diffuse(mach, whole[0], dt), 0.5 * dt, p)
     if whole is None:
         return None
     # two steps of dt/2, whose inner reaction quarters make one exact half
     out = _react_exact(w, 0.25 * dt, p, state.power)
     if out is not None:
-        out = _react_exact(_diffuse(mach, out[0], 0.5 * dt, bc), 0.5 * dt, p)
+        out = _react_exact(_diffuse(mach, out[0], 0.5 * dt), 0.5 * dt, p)
     if out is not None:
-        out = _react_exact(_diffuse(mach, out[0], 0.5 * dt, bc), 0.25 * dt, p)
+        out = _react_exact(_diffuse(mach, out[0], 0.5 * dt), 0.25 * dt, p)
     if out is None or not np.isfinite(out[0]).all():
         return None
     w_new = out[0]

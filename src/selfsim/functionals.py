@@ -21,8 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import KIND_SINGULAR, ParameterError, RadialProfile
-from .quadrature import (QuadratureRule, default_composite_rule,
-                         offset_integral_many, weighted_integral)
+from .quadrature import _sums, default_composite_rule, offset_integral_many
 
 # relative disagreement of the two energy forms flagged on a solution
 CONSISTENCY_TOL = 1e-4
@@ -65,22 +64,25 @@ class EntropyResult:
     flags: list = field(default_factory=list)
 
 
-def default_rule(profile: RadialProfile) -> QuadratureRule:
-    """Composite log rule; resolves singular tails and sharp shooting cores."""
-    return default_composite_rule(profile.params.n)
-
-
-def _core_integrals(profile: RadialProfile, rule: QuadratureRule,
-                    moments: bool = False):
-    """Weighted integrals of |w'|^2, w^2 and |w|^{p+1}, then, with moments,
-    of the same times r^2; one evaluation each of w and w' serves all."""
-    w, dw = profile.value(rule.nodes), profile.deriv(rule.nodes)
-    terms = (dw ** 2, w ** 2, np.abs(w) ** (profile.params.p + 1.0))
-    out = tuple(weighted_integral(rule, lambda r, v=v: v) for v in terms)
+def _core_terms(r: np.ndarray, w: np.ndarray, dw: np.ndarray, p: float,
+                moments: bool = False) -> tuple:
+    """|w'|^2, w^2 and |w|^{p+1} from samples of w and w' on the nodes r,
+    then, with moments, the same times r^2."""
+    terms = (dw ** 2, w ** 2, np.abs(w) ** (p + 1.0))
     if moments:
-        out += tuple(weighted_integral(rule, lambda r, v=v: r**2 * v)
-                     for v in terms)
-    return out
+        terms += tuple(r**2 * v for v in terms)
+    return terms
+
+
+def _core_integrals(profile: RadialProfile, moments: bool = False) -> tuple:
+    """Weighted integrals of _core_terms on the composite log rule, which
+    resolves singular tails and sharp shooting cores; one evaluation each of
+    w and w' serves all."""
+    rule = default_composite_rule(profile.params.n)
+    r = rule.nodes
+    terms = _core_terms(r, profile.value(r), profile.deriv(r),
+                        profile.params.p, moments)
+    return tuple(_sums(r, rule.weights, terms).tolist())
 
 
 def energy(profile: RadialProfile) -> FunctionalReport:
@@ -90,9 +92,8 @@ def energy(profile: RadialProfile) -> FunctionalReport:
     stationary profiles; a disagreement beyond CONSISTENCY_TOL on a profile
     claiming to solve the equation is flagged (not fatal).
     """
-    rule = default_rule(profile)
     p = profile.params.p
-    grad2, mass, pot = _core_integrals(profile, rule)
+    grad2, mass, pot = _core_integrals(profile)
     e3 = 0.5 * grad2 + mass / (2.0 * (p - 1.0)) - pot / (p + 1.0)
     e_short = (0.5 - 1.0 / (p + 1.0)) * pot
     report = FunctionalReport(energy=e3, grad_term=0.5 * grad2,
@@ -108,23 +109,19 @@ def energy(profile: RadialProfile) -> FunctionalReport:
     return report
 
 
-def f_functional(profile: RadialProfile, x0_norm: float, t0: float,
-                 rule: Optional[QuadratureRule] = None) -> float:
-    """Recentered functional F_{x0,t0}(w) for t0 < 0.
-
-    rule is the radial rule of x0 = 0; without one that case uses
-    default_rule's composite rule."""
+def f_functional(profile: RadialProfile, x0_norm: float, t0: float) -> float:
+    """Recentered functional F_{x0,t0}(w) for t0 < 0; x0 = 0 integrates on
+    the default composite rule."""
     if not t0 < 0.0:
         raise ParameterError(f"F functional needs t0 < 0, got {t0}")
     p = profile.params.p
     a = -t0
 
     def integrands(r):
-        w = profile.value(r)
-        return profile.deriv(r) ** 2, np.abs(w) ** (p + 1.0), w ** 2
+        return _core_terms(r, profile.value(r), profile.deriv(r), p)
 
-    grad2, pot, mass = offset_integral_many(integrands, x0_norm, t0,
-                                            profile.params.n, rule_r=rule)
+    grad2, mass, pot = offset_integral_many(integrands, x0_norm, t0,
+                                            profile.params.n)
     s_main = a ** ((p + 1.0) / (p - 1.0))
     s_mass = a ** (2.0 / (p - 1.0))
     return 0.5 * s_main * grad2 - s_main * pot / (p + 1.0) \
@@ -167,10 +164,9 @@ def entropy(profile: RadialProfile) -> EntropyResult:
         result.ring_margin_t = lam - max(F_const(RING_EPS),
                                          F_const(-RING_EPS))
         return result
-    rule = default_rule(profile)
 
     def F(b, la):
-        return f_functional(profile, b, -math.exp(la), rule=rule)
+        return f_functional(profile, b, -math.exp(la))
 
     trace = []
     best = (-math.inf, 0.0, 0.0)
@@ -233,10 +229,9 @@ def identities(profile: RadialProfile) -> FunctionalReport:
     (The odd first-moment identity holds termwise for radial profiles, so it
     is not reported.)
     """
-    rule = default_rule(profile)
     params = profile.params
     n, p = params.n, params.p
-    grad2, mass, pot, y2grad2, y2mass, y2pot = _core_integrals(profile, rule,
+    grad2, mass, pot, y2grad2, y2mass, y2pot = _core_integrals(profile,
                                                                moments=True)
     scale = max(grad2, mass, pot, y2grad2, y2mass, y2pot, 1e-300)
 
@@ -281,8 +276,7 @@ def density(profile: RadialProfile, x0_norm: float,
     if len(s_values) < 4 or np.any(s_values >= 0) or np.any(np.diff(-s_values) >= 0):
         raise ParameterError(
             "need a decreasing-|s| sequence of at least 4 negative s")
-    rule = default_rule(profile)
-    vals = np.array([f_functional(profile, x0_norm / math.sqrt(-s), -1.0, rule=rule)
+    vals = np.array([f_functional(profile, x0_norm / math.sqrt(-s), -1.0)
                      for s in s_values])
     flags = []
     monotone = bool(np.all(np.diff(vals) <= MONOTONE_SLACK))

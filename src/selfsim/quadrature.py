@@ -16,6 +16,9 @@ G(y, t) = (-4 pi t)^{-n/2} exp(|y|^2/(4t)) reduce the angular direction
 exactly, in closed form for n = 1 and n = 3 and through a scaled modified
 Bessel function otherwise, and integrate radially on Gauss-Legendre panels
 around the kernel peak.
+
+Every sum against a rule samples its integrands once on the nodes and goes
+through one helper, _sums, which checks that each sample is finite.
 """
 from __future__ import annotations
 
@@ -89,15 +92,28 @@ def composite_rule(n: int, N: int = 1600) -> QuadratureRule:
     return QuadratureRule(r, w)
 
 
+def _sums(nodes: np.ndarray, weights: np.ndarray, rows) -> np.ndarray:
+    """Quadrature sums of each sampled integrand row against the weights.
+
+    The one place a rho-weighted sum is taken: a non-finite sample is a
+    QuadratureError naming its node.  A sum with a non-finite sample is
+    itself non-finite, so only such a sum has its row searched."""
+    out = np.empty(len(rows))
+    for k, row in enumerate(rows):
+        out[k] = np.dot(weights, row)
+        if not math.isfinite(out[k]):
+            bad = ~np.isfinite(row)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise QuadratureError(f"integrand is not finite at node "
+                                      f"r={float(nodes[i])!r} (index {i})")
+    return out
+
+
 def weighted_integral(rule: QuadratureRule, f: Callable) -> float:
     """Quadrature sum of a radial function against the rule's weight."""
     vals = np.broadcast_to(np.asarray(f(rule.nodes), dtype=float), rule.nodes.shape)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise QuadratureError(
-            f"integrand is not finite at node r={rule.nodes[i]!r} (index {i})")
-    return float(np.dot(rule.weights, vals))
+    return float(_sums(rule.nodes, rule.weights, (vals,))[0])
 
 
 def _sphere_average(c: np.ndarray, n: int) -> np.ndarray:
@@ -156,19 +172,12 @@ def offset_integral_many(f: Callable, x0_norm: float, t0: float,
     sa = math.sqrt(a)
     if b == 0.0:
         rule = rule_r if rule_r is not None else default_composite_rule(n)
-        return np.array([weighted_integral(rule, lambda r, v=v: v)
-                         for v in f(sa * rule.nodes)])
-    grid, gw = _panel_nodes(max(0.0, b - 16.0 * sa), b + 16.0 * sa,
-                            n_panel, n_gl)
-    base = _offset_weights(grid, gw, b, a, n)
-    rows = f(grid)
-    out = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        vals = np.asarray(row, dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError("offset integrand is not finite on the window")
-        out[i] = float(np.dot(base, vals))
-    return out
+        nodes, weights = sa * rule.nodes, rule.weights
+    else:
+        edges = np.linspace(max(0.0, b - 16.0 * sa), b + 16.0 * sa, n_panel + 1)
+        nodes, gw = _gl_panels(edges, n_gl)
+        weights = _offset_weights(nodes, gw, b, a, n)
+    return _sums(nodes, weights, f(nodes))
 
 
 @functools.lru_cache(maxsize=None)
@@ -197,6 +206,3 @@ def _gl_panels(edges: np.ndarray, n_gl: int):
     weights = (half[:, None] * gw[None, :]).ravel()
     return nodes, weights
 
-
-def _panel_nodes(lo: float, hi: float, n_panel: int, n_gl: int):
-    return _gl_panels(np.linspace(lo, hi, n_panel + 1), n_gl)

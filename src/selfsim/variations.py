@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .core import ParameterError, RadialProfile
-from .quadrature import (QuadratureRule, _gl_panels, _offset_weights,
-                         weighted_integral)
-from .functionals import _core_integrals, default_rule
+from .quadrature import (_gl_panels, _offset_weights, _sums,
+                         default_composite_rule)
+from .functionals import _core_terms
 from .shooting import ode_residual
 
 # largest equation residual of a profile the closed form accepts as stationary
@@ -83,40 +83,44 @@ def lambda_field(profile: RadialProfile):
     return lam, changes_sign
 
 
-def _lambda_call(profile: RadialProfile):
-    p = profile.params.p
-    return lambda r: 2.0 * profile.value(r) / (p - 1.0) + r * profile.deriv(r)
+def _samples(profile: RadialProfile, var: Variation) -> tuple:
+    """The default composite rule, then w, w', phi and phi' on its nodes,
+    each evaluated once."""
+    rule = default_composite_rule(profile.params.n)
+    r = rule.nodes
+    return rule, profile.value(r), profile.deriv(r), var.phi(r), var.dphi(r)
 
 
 def first_variation(profile: RadialProfile, var: Variation) -> float:
     """d/ds F at s=0 through the canonical point (x0=0, t0=-1), term by term."""
-    rule = default_rule(profile)
     params = profile.params
     n, p = params.n, params.p
-    w, dw = profile.value, profile.deriv
-    phi, dphi = var.phi, var.dphi
     h = var.h
-
-    grad2, mass, pot = _core_integrals(profile, rule)
-    cross_grad = weighted_integral(rule, lambda r: dw(r) * dphi(r))
-    cross_pot = weighted_integral(rule, lambda r: np.abs(w(r)) ** (p - 1.0) * w(r) * phi(r))
-    cross_mass = weighted_integral(rule, lambda r: w(r) * phi(r))
+    rule, w, dw, phi, dphi = _samples(profile, var)
+    (grad2, mass, pot, y2grad2, y2mass, y2pot,
+     cross_grad, cross_pot, cross_mass) = _sums(
+        rule.nodes, rule.weights,
+        _core_terms(rule.nodes, w, dw, p, moments=True)
+        + (dw * dphi, np.abs(w) ** (p - 1.0) * w * phi, w * phi)).tolist()
     # moment kernel nh/2 + (y.y0)/2 - h|y|^2/4; odd part drops on radial pairs
-    mom = lambda total, f: h * (0.5 * n * total - 0.25 * weighted_integral(
-        rule, lambda r: r**2 * f(r)))
+    mom = lambda total, moment: h * (0.5 * n * total - 0.25 * moment)
     out = (-(p + 1.0) / (2.0 * (p - 1.0)) * h * grad2
            + h / (p - 1.0) * pot
            - h / (p - 1.0) ** 2 * mass
            + cross_grad - cross_pot + cross_mass / (p - 1.0)
-           + 0.5 * mom(grad2, lambda r: dw(r) ** 2)
-           - mom(pot, lambda r: np.abs(w(r)) ** (p + 1.0)) / (p + 1.0)
-           + 0.5 * mom(mass, lambda r: w(r) ** 2) / (p - 1.0))
+           + 0.5 * mom(grad2, y2grad2)
+           - mom(pot, y2pot) / (p + 1.0)
+           + 0.5 * mom(mass, y2mass) / (p - 1.0))
     return float(out)
 
 
-def second_variation(profile: RadialProfile, var: Variation,
-                     rule: Optional[QuadratureRule] = None) -> float:
+def second_variation(profile: RadialProfile, var: Variation) -> float:
     """Closed-form second variation, valid only at stationary profiles."""
+    return _second_variation(profile, var)[0]
+
+
+def _second_variation(profile: RadialProfile, var: Variation) -> tuple:
+    """(second_variation, <Lam(w), phi>): the pairing is one of its sums."""
     res = profile.meta.get("ode_residual")
     if res is None:
         res = ode_residual(profile)
@@ -125,26 +129,20 @@ def second_variation(profile: RadialProfile, var: Variation,
         raise ParameterError(
             f"second_variation needs a stationary profile "
             f"(residual {res:.2e}, solution status {profile.is_solution})")
-    if rule is None:
-        rule = default_rule(profile)
     params = profile.params
     n, p = params.n, params.p
-    w, dw = profile.value, profile.deriv
-    phi, dphi = var.phi, var.dphi
-    lam = _lambda_call(profile)
-
-    q_form = (weighted_integral(rule, lambda r: dphi(r) ** 2)
-              + weighted_integral(rule, lambda r: phi(r) ** 2) / (p - 1.0)
-              - p * weighted_integral(rule,
-                                      lambda r: np.abs(w(r)) ** (p - 1.0) * phi(r) ** 2))
-    cross_scale = weighted_integral(rule, lambda r: lam(r) * phi(r))
-    lam2 = weighted_integral(rule, lambda r: lam(r) ** 2)
-    grad2 = weighted_integral(rule, lambda r: dw(r) ** 2)
+    rule, w, dw, phi, dphi = _samples(profile, var)
+    lam = 2.0 * w / (p - 1.0) + rule.nodes * dw     # Lam(w)
+    dphi2, phi2, pot_phi2, cross_scale, lam2, grad2 = _sums(
+        rule.nodes, rule.weights,
+        (dphi ** 2, phi ** 2, np.abs(w) ** (p - 1.0) * phi ** 2, lam * phi,
+         lam ** 2, dw ** 2)).tolist()
+    q_form = dphi2 + phi2 / (p - 1.0) - p * pot_phi2
     # <phi, dw . y0> vanishes for radial phi; the square averages (e.y)^2 = 1/n
     out = (q_form + var.h * cross_scale
            - 0.5 * var.y0 ** 2 / n * grad2
            - 0.25 * var.h ** 2 * lam2)
-    return float(out)
+    return float(out), cross_scale
 
 
 def general_second_variation_fd(profile: RadialProfile, var: Variation,
@@ -184,9 +182,8 @@ def general_second_variation_fd(profile: RadialProfile, var: Variation,
         b, a = b_of(s), -t_of(s)
         base = _offset_weights(nodes, gw, b, a, n)
         W, DW = wv + s * ph, dwv + s * dph
-        grad2 = float(np.dot(base, DW**2))
-        pot = float(np.dot(base, np.abs(W) ** (p + 1.0)))
-        mass = float(np.dot(base, W**2))
+        grad2, pot, mass = _sums(nodes, base, (DW**2, np.abs(W) ** (p + 1.0),
+                                               W**2)).tolist()
         s_main = a ** ((p + 1.0) / (p - 1.0))
         s_mass = a ** (2.0 / (p - 1.0))
         return (0.5 * s_main * grad2 - s_main * pot / (p + 1.0)
@@ -239,14 +236,12 @@ def stability_report(profile: RadialProfile, eig0) -> StabilityReport:
         return StabilityReport(verdict="marginal", lambda_1=lam1,
                                margin=lam1 + 1.0)
 
-    rule = default_rule(profile)
     f = eig0.funcs[0]
-    lam_call = _lambda_call(profile)
-    ortho_scale = weighted_integral(rule, lambda r: f(r) * lam_call(r))
     var = Variation(phi=f, dphi=f.derivative(), h=0.3, y0=0.7)
-    sv = second_variation(profile, var, rule=rule)
+    # the certificate <f, Lam(w)> is the second variation's cross term
+    sv, ortho_scale = _second_variation(profile, var)
     return StabilityReport(verdict="unstable", lambda_1=lam1,
                            margin=-(lam1 + 1.0),
                            second_variation_value=sv,
-                           orthogonality_scale=float(ortho_scale),
+                           orthogonality_scale=ortho_scale,
                            details={"direction": "radial ground state"})

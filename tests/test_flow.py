@@ -58,7 +58,7 @@ def test_kappa_is_held_to_tau_40(n):
     state = init_flow(constant_profile(params, "+"),
                       FlowConfig(bc=BC_NOFLUX, conv_tol=0.0))
     for dt in (1.0, 0.25, 1e-3):
-        again = flow._diffuse(state.machinery, state.w, dt, BC_NOFLUX)
+        again = flow._diffuse(state.machinery, state.w, dt)
         assert again.tobytes() == state.w.tobytes()
     report = run(state, tau_max=40.0)
     assert report.tau_end == 40.0
@@ -284,7 +284,7 @@ def test_gradient_term_is_the_diffusion_operators_quadratic_form(n_points, bc,
     mach = state.machinery
     w = np.random.default_rng(7).normal(size=state.r.size)
     grad = energy_of_state(state, w) - potential_energy(state, w)
-    expected = -np.dot(mach["mbar"], w * flow._apply_diffusion(mach, w, bc)) \
+    expected = -np.dot(mach["mbar"], w * flow._apply_diffusion(mach, w)) \
         / (2.0 * mach["mbar"].sum())
     assert grad == pytest.approx(expected, rel=1e-13)
 
@@ -299,7 +299,7 @@ def test_energy_is_the_lyapunov_functional_of_the_scheme(n_points, bc, params):
                       FlowConfig(bc=bc, n_points=n_points))
     mach, r, p = state.machinery, state.r, params.p
     w = params.kappa * (1.0 + 0.3 * np.cos(r) * np.exp(-r / 5.0))
-    F = flow._apply_diffusion(mach, w, bc) - w / (p - 1.0) \
+    F = flow._apply_diffusion(mach, w) - w / (p - 1.0) \
         + np.abs(w) ** (p - 1.0) * w
     eps = 1e-6
     rate = (energy_of_state(state, w + eps * F)
@@ -493,7 +493,7 @@ def test_cn_factors_solve_like_scipy_solve_banded(n_points, bc):
     factored = {}
     # a dt seen before reuses its factors; a new dt factors its own matrix
     for dt in (0.01, 0.01, 0.005, 0.0025, 1e-6, 1e-6, 0.01, 0.005):
-        lu = flow._cn_banded(mach, dt, bc)
+        lu = flow._cn_banded(mach, dt)
         assert lu is factored.setdefault(dt, lu)
         expected = solve_banded((1, 1), cn_matrix(mach, dt, bc), rhs)
         assert flow.solve_banded(lu, rhs.copy()).tobytes() == expected.tobytes()

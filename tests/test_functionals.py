@@ -1,13 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from selfsim.core import constant_profile, make_params, singular_profile
 from selfsim.fixtures import reference_profile
-from selfsim.functionals import (constant_f_closed_form, default_rule, density,
-                                 energy, entropy, f_functional, identities)
-from selfsim.quadrature import offset_integral_many, weighted_integral
+from selfsim.functionals import (constant_f_closed_form, density, energy,
+                                 entropy, f_functional, identities)
+from selfsim.quadrature import (QuadratureError, default_composite_rule,
+                                offset_integral_many, weighted_integral)
 
 P33 = make_params(3, 3.0)
 P37 = make_params(3, 7.0, require_supercritical=True)
@@ -209,10 +211,9 @@ def test_entropy_of_constants_is_the_closed_form(params, sign):
     e = energy(prof).energy
     assert abs(res.lam - e) <= 1e-12 * abs(e)
     assert len(res.trace) == 169
-    rule = default_rule(prof)
     for b, la, val in res.trace:
         assert val == constant_f_closed_form(prof, -math.exp(la))
-        assert res.lam >= f_functional(prof, b, -math.exp(la), rule=rule) - 1e-12
+        assert res.lam >= f_functional(prof, b, -math.exp(la)) - 1e-12
 
 
 def separate_integrands_f(profile, x0_norm, t0, rule):
@@ -232,24 +233,38 @@ def separate_integrands_f(profile, x0_norm, t0, rule):
 
 def test_f_evaluates_the_profile_once_and_matches_bit_for_bit(wshoot,
                                                              monkeypatch):
-    rule = default_rule(wshoot)
+    rule = default_composite_rule(wshoot.params.n)
     rng = np.random.default_rng(3)
     for x0 in [0.0] * 5 + list(rng.uniform(0.05, 5.0, 15)):
         t0 = -math.exp(rng.uniform(-2.0, 2.0))
-        assert f_functional(wshoot, float(x0), t0, rule=rule) \
+        assert f_functional(wshoot, float(x0), t0) \
             == separate_integrands_f(wshoot, float(x0), t0, rule)
     calls = []
     value = wshoot.value
     monkeypatch.setattr(wshoot, "value", lambda r: calls.append(1) or value(r))
     for x0 in (0.0, 1.5):
-        f_functional(wshoot, x0, -1.0, rule=rule)
+        f_functional(wshoot, x0, -1.0)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("x0,t0", [(2.0, -1.0), (0.0, -4.0)],
+                         ids=["offset-window", "rescaled-rule"])
+def test_f_names_the_node_of_a_nonfinite_sample(x0, t0, monkeypatch):
+    # a band of infinite values around r = 2 lies in the panels around the
+    # offset x0 = 2, and at x0 = 0 on the rule's nodes scaled by sqrt(-t0)
+    prof = constant_profile(P37, "+")
+    monkeypatch.setattr(prof, "value", lambda r: np.where(
+        np.abs(r - 2.0) < 0.05, np.inf, P37.kappa))
+    with pytest.raises(QuadratureError, match="not finite at node") as err:
+        f_functional(prof, x0, t0)
+    node = float(re.search(r"r=(\S+)", str(err.value)).group(1))
+    assert abs(node - 2.0) < 0.05
 
 
 def separate_integrand_reports(profile):
     """energy and identities figures from one weighted integral per
     integrand, each evaluating the profile."""
-    rule = default_rule(profile)
+    rule = default_composite_rule(profile.params.n)
     n, p = profile.params.n, profile.params.p
     grad2, mass, pot, y2grad2, y2mass, y2pot = (
         weighted_integral(rule, g) for g in (

@@ -6,10 +6,11 @@ from scipy.special import roots_jacobi
 
 from selfsim import quadrature
 from selfsim.core import constant_profile, make_params, singular_profile
-from selfsim.functionals import default_rule
+from selfsim.functionals import energy
 from selfsim.quadrature import (QuadratureError, composite_rule,
                                 offset_integral_many, radial_rule,
                                 weighted_integral)
+from selfsim.variations import first_variation, gaussian_bump
 
 
 def gaussian_even_moment(n: int, k: int) -> float:
@@ -172,8 +173,10 @@ def test_default_rule_is_built_once_per_n(monkeypatch):
         got = offset_integral_many(f, 0.0, -0.7, n)
         fresh = offset_integral_many(f, 0.0, -0.7, n, rule_r=original(n))
         assert got.tobytes() == fresh.tobytes()
+        # the energy and the variations integrate on the same cached rule
         prof = constant_profile(make_params(n, 3.0), "+")
-        assert default_rule(prof) is quadrature.default_composite_rule(n)
+        energy(prof)
+        first_variation(prof, gaussian_bump(0.5, 1.0, 1.0))
     assert built == [3, 5]
     rule = quadrature.default_composite_rule(3)
     assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable

@@ -3,6 +3,7 @@ import pytest
 
 from selfsim.core import constant_profile, make_params, singular_profile
 from selfsim.fixtures import reference_profile
+from selfsim.quadrature import default_composite_rule, weighted_integral
 from selfsim.variations import (Variation, first_variation, gaussian_bump,
                                 general_second_variation_fd, lambda_field,
                                 random_variations, second_variation)
@@ -55,6 +56,54 @@ def test_first_variation_matches_fd_on_non_solution():
     fd = (F(d) - F(-d)) / (2 * d)
     an = first_variation(prof, var)
     assert an == pytest.approx(fd, rel=1e-6)
+
+
+def separate_integrand_variations(profile, var):
+    """First and second variation from one weighted integral per integrand,
+    each evaluating the profile and the test function."""
+    rule = default_composite_rule(profile.params.n)
+    n, p, h = profile.params.n, profile.params.p, var.h
+    w, dw, phi, dphi = profile.value, profile.deriv, var.phi, var.dphi
+    lam = lambda r: 2.0 * w(r) / (p - 1.0) + r * dw(r)
+    integral = lambda g: weighted_integral(rule, g)
+    grad2 = integral(lambda r: dw(r) ** 2)
+    mass = integral(lambda r: w(r) ** 2)
+    pot = integral(lambda r: np.abs(w(r)) ** (p + 1.0))
+    mom = lambda total, g: h * (0.5 * n * total
+                                - 0.25 * integral(lambda r: r**2 * g(r)))
+    first = (-(p + 1.0) / (2.0 * (p - 1.0)) * h * grad2
+             + h / (p - 1.0) * pot
+             - h / (p - 1.0) ** 2 * mass
+             + integral(lambda r: dw(r) * dphi(r))
+             - integral(lambda r: np.abs(w(r)) ** (p - 1.0) * w(r) * phi(r))
+             + integral(lambda r: w(r) * phi(r)) / (p - 1.0)
+             + 0.5 * mom(grad2, lambda r: dw(r) ** 2)
+             - mom(pot, lambda r: np.abs(w(r)) ** (p + 1.0)) / (p + 1.0)
+             + 0.5 * mom(mass, lambda r: w(r) ** 2) / (p - 1.0))
+    second = (integral(lambda r: dphi(r) ** 2)
+              + integral(lambda r: phi(r) ** 2) / (p - 1.0)
+              - p * integral(lambda r: np.abs(w(r)) ** (p - 1.0) * phi(r) ** 2)
+              + h * integral(lambda r: lam(r) * phi(r))
+              - 0.5 * var.y0 ** 2 / n * grad2
+              - 0.25 * h ** 2 * integral(lambda r: lam(r) ** 2))
+    return first, second
+
+
+def test_variations_evaluate_the_profile_once_and_match_bit_for_bit(
+        wshoot, monkeypatch):
+    for prof in (constant_profile(P37, "+"), wshoot):
+        for var in random_variations(10, seed=5):
+            assert (first_variation(prof, var), second_variation(prof, var)) \
+                == separate_integrand_variations(prof, var)
+    calls = []
+    for name in ("value", "deriv"):
+        method = getattr(wshoot, name)
+        monkeypatch.setattr(wshoot, name, lambda r, name=name, method=method:
+                            calls.append(name) or method(r))
+    var = random_variations(1, seed=5)[0]
+    first_variation(wshoot, var)
+    second_variation(wshoot, var)
+    assert calls == ["value", "deriv"] * 2
 
 
 def test_second_variation_kappa_dilation_only():
@@ -147,6 +196,13 @@ def test_stability_report_orthogonality_certificates(wshoot):
     op0 = build_sector(wshoot, 0, resolution=6000)
     e0 = eigen_smallest(op0, 1, refine=True, profile=wshoot)
     rep = stability_report(wshoot, e0)
+    # the certificate is the second variation's own <Lam(w), f> pairing
+    f, p = e0.funcs[0], wshoot.params.p
+    lam = lambda r: 2.0 * wshoot.value(r) / (p - 1.0) + r * wshoot.deriv(r)
+    assert rep.orthogonality_scale == weighted_integral(
+        default_composite_rule(3), lambda r: f(r) * lam(r))
+    assert rep.second_variation_value == second_variation(
+        wshoot, Variation(phi=f, dphi=f.derivative(), h=0.3, y0=0.7))
     assert rep.verdict == "unstable"
     assert rep.lambda_1 < -1.0
     assert abs(rep.orthogonality_scale) <= 1e-6
