@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import BPoly, CubicHermiteSpline, PPoly
+# not called here: perfbench/tracing.py wraps core.BPoly.from_derivatives by name
+from scipy.interpolate import BPoly  # noqa: F401
+from scipy.interpolate import CubicHermiteSpline, PPoly
+from scipy.special import comb, poch
 
 
 class SelfsimError(Exception):
@@ -135,10 +138,22 @@ class RadialProfile:
         self.grid = np.asarray(self.grid, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         self.derivs = np.asarray(self.derivs, dtype=float)
+        if self.second_derivs is not None:
+            self.second_derivs = np.asarray(self.second_derivs, dtype=float)
         if self.grid.ndim != 1 or np.any(np.diff(self.grid) <= 0):
             raise ParameterError("profile grid must be strictly increasing")
-        if self.kind != KIND_SINGULAR and not np.all(np.isfinite(self.values)):
-            raise ParameterError("profile values must be finite")
+        if len(self.grid) < 2:
+            raise ParameterError("profile grid needs at least two knots")
+        for name in ("values", "derivs", "second_derivs"):
+            data = getattr(self, name)
+            if data is None:
+                continue
+            if data.shape != self.grid.shape:
+                raise ParameterError(
+                    f"profile {name} must be 1-D with one entry per grid "
+                    f"point ({len(self.grid)}), got shape {data.shape}")
+            if self.kind != KIND_SINGULAR and not np.all(np.isfinite(data)):
+                raise ParameterError(f"profile {name} must be finite")
 
     # -- closed-form data ---------------------------------------------------
     @property
@@ -162,10 +177,10 @@ class RadialProfile:
             if self.second_derivs is not None:
                 # quintic Hermite: C^2, keeps panel quadrature smooth in the
                 # recentering offset
-                data = np.column_stack([self.values, self.derivs,
-                                        self.second_derivs])
+                data = np.stack([self.values, self.derivs,
+                                 self.second_derivs])
                 self._spline = _power_basis(
-                    BPoly.from_derivatives(self.grid, data))
+                    _hermite_bernstein(self.grid, data), self.grid)
             else:
                 self._spline = CubicHermiteSpline(self.grid, self.values,
                                                   self.derivs)
@@ -206,21 +221,50 @@ class RadialProfile:
         return self._eval(r, 1)
 
 
-def _power_basis(bp: BPoly) -> PPoly:
-    """bp in the power basis, whose Horner evaluation costs a fraction of
+def _hermite_bernstein(x: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Bernstein coefficients, shape (2m, len(x) - 1), of the piecewise
+    Hermite polynomial whose j-th derivative at x[i] is data[j, i], for m
+    rows of data.  This is scipy's BPoly._construct_from_derivatives
+    recurrence run over every interval at once, with its factors in its
+    order, so the result equals BPoly.from_derivatives(x, data.T).c bit for
+    bit without its Python loop over the intervals."""
+    m = data.shape[0]
+    k = 2 * m
+    ya, yb = data[:, :-1], data[:, 1:]
+    c = np.empty((k, len(x) - 1))
+    # h**q as scipy's scalar power takes it, by libm pow; the array power
+    # squares for q = 2, which can differ in the last bit
+    h = np.diff(x)
+    hq = [np.float_power(h, q) for q in range(m)]
+    # walk left to right
+    for q in range(m):
+        c[q] = ya[q] / poch(k - q, q) * hq[q]
+        for j in range(q):
+            c[q] -= (-1)**(j + q) * comb(q, j) * c[j]
+    # walk right to left
+    for q in range(m):
+        c[-q - 1] = yb[q] / poch(k - q, q) * (-1)**q * hq[q]
+        for j in range(q):
+            c[-q - 1] -= (-1)**(j + 1) * comb(q, j + 1) * c[-q + j]
+    return c
+
+
+def _power_basis(c: np.ndarray, x: np.ndarray) -> PPoly:
+    """The piecewise polynomial with Bernstein coefficients c on the knots x,
+    in the power basis, whose Horner evaluation costs a fraction of
     BPoly's.  On a piece of width h the coefficient of (x - x_i)^s is
     C(k, s) Delta^s b_0 / h^s, with Delta^s the s-th forward difference of
     the Bernstein coefficients b.  Differencing neighbours that nearly agree
     loses no digits; PPoly.from_bernstein_basis sums binomial multiples of
     the b instead, and on the (3, 7) profile that raised the value error
     from 9e-16 to 1.4e-14 and the derivative error from 1.1e-12 to 4.6e-11."""
-    k = bp.c.shape[0] - 1
-    h = np.diff(bp.x)
-    diffs, rows = bp.c, []
+    k = c.shape[0] - 1
+    h = np.diff(x)
+    diffs, rows = c, []
     for s in range(k + 1):
         rows.append(math.comb(k, s) * diffs[0] / h**s)
         diffs = np.diff(diffs, axis=0)
-    return PPoly(np.array(rows[::-1]), bp.x)
+    return PPoly(np.array(rows[::-1]), x)
 
 
 def constant_profile(params: Parameters,

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from scipy.interpolate import BPoly
 
-from selfsim.core import (ParameterError, constant_profile, default_grid,
-                          kappa, make_params, singular_profile)
+from selfsim import core
+from selfsim.core import (KIND_SINGULAR, KIND_TABULATED, ParameterError,
+                          RadialProfile, _power_basis, constant_profile,
+                          default_grid, kappa, make_params, singular_profile)
+from selfsim.fixtures import reference_profile
 
 
 def test_make_params_supercritical_gate():
@@ -100,3 +104,91 @@ def test_default_grid_shape():
     g = default_grid()
     assert g[0] == pytest.approx(1e-6) and g[-1] == pytest.approx(20.0)
     assert np.all(np.diff(g) > 0)
+
+
+def _tabulated(grid, **fields):
+    data = dict(values=np.exp(-grid), derivs=-np.exp(-grid),
+                second_derivs=np.exp(-grid))
+    data.update(fields)
+    return RadialProfile(kind=KIND_TABULATED, params=make_params(3, 7.0),
+                         grid=grid, **data)
+
+
+@pytest.mark.parametrize("name", ["derivs", "second_derivs"])
+def test_profile_rejects_derivative_data_that_is_not_1d(name):
+    grid = np.linspace(0.1, 2.0, 20)
+    with pytest.raises(ParameterError, match=name):
+        _tabulated(grid, **{name: np.exp(-grid)[:, None]})
+
+
+@pytest.mark.parametrize("name", ["derivs", "second_derivs"])
+def test_profile_rejects_derivative_data_off_the_grid_length(name):
+    grid = np.linspace(0.1, 2.0, 20)
+    with pytest.raises(ParameterError, match=name):
+        _tabulated(grid, **{name: np.exp(-grid)[:-1]})
+
+
+@pytest.mark.parametrize("name", ["derivs", "second_derivs"])
+def test_profile_rejects_nonfinite_derivative_data(name):
+    grid = np.linspace(0.1, 2.0, 20)
+    bad = np.exp(-grid)
+    bad[7] = np.nan
+    with pytest.raises(ParameterError, match=name):
+        _tabulated(grid, **{name: bad})
+    # the singular kind may carry non-finite data, as for its values
+    sp = singular_profile(make_params(3, 7.0))
+    derivs = sp.derivs.copy()
+    derivs[0] = -np.inf
+    RadialProfile(kind=KIND_SINGULAR, params=sp.params, grid=sp.grid,
+                  values=sp.values, derivs=derivs, decay_coeff=sp.decay_coeff)
+
+
+def test_profile_rejects_a_grid_of_one_knot():
+    with pytest.raises(ParameterError, match="two knots"):
+        _tabulated(np.array([1.0]))
+
+
+def parent_quintic(grid, values, derivs, second_derivs):
+    """The oracle: the quintic as scipy's per-interval
+    BPoly.from_derivatives builds it, taken to the power basis."""
+    bp = BPoly.from_derivatives(
+        grid, np.column_stack([values, derivs, second_derivs]))
+    return _power_basis(bp.c, bp.x)
+
+
+def _quintic_coefficients(grid, values, derivs, second_derivs):
+    prof = _tabulated(grid, values=values, derivs=derivs,
+                      second_derivs=second_derivs)
+    prof._ensure_spline()
+    return prof._spline.c
+
+
+def test_quintic_build_equals_scipys_per_interval_build_bit_for_bit():
+    ref = reference_profile(3, 7.0)
+    data = (ref.grid, ref.values, ref.derivs, ref.second_derivs)
+    assert np.array_equal(_quintic_coefficients(*data),
+                          parent_quintic(*data).c)
+    # seeded non-uniform grids whose widths span 1e-6 to 1
+    rng = np.random.default_rng(19)
+    for size in (2, 3, 50, 700):
+        widths = 10.0 ** rng.uniform(-6.0, 0.0, size - 1)
+        grid = np.concatenate([[0.0], np.cumsum(widths)]) + rng.uniform(0, 1)
+        data = (grid, *(rng.standard_normal((3, size))
+                        * 10.0 ** rng.uniform(-3, 3, (3, 1))))
+        assert np.array_equal(_quintic_coefficients(*data),
+                              parent_quintic(*data).c)
+
+
+def test_quintic_build_does_not_call_bpoly(monkeypatch):
+    class Refuses:
+        @staticmethod
+        def from_derivatives(*args, **kwargs):
+            raise AssertionError("BPoly.from_derivatives was called")
+
+    grid = np.linspace(0.1, 2.0, 20)
+    expected = parent_quintic(grid, np.exp(-grid), -np.exp(-grid),
+                              np.exp(-grid)).c
+    monkeypatch.setattr(core, "BPoly", Refuses)
+    prof = _tabulated(grid)
+    prof.value(grid)
+    assert np.array_equal(prof._spline.c, expected)

@@ -17,8 +17,7 @@ from selfsim import core, flow, functionals
 params = core.make_params(3, 7.0)
 grid = np.linspace(0.01, 5.0, 50)
 prof = core.RadialProfile(kind=core.KIND_TABULATED, params=params, grid=grid,
-                          values=np.exp(-grid), derivs=-np.exp(-grid),
-                          second_derivs=np.exp(-grid))
+                          values=np.exp(-grid), derivs=-np.exp(-grid))
 for x0 in (0.0, 1.0):
     functionals.f_functional(prof, x0, -1.0)
 functionals.energy(core.constant_profile(params))
