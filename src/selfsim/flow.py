@@ -29,6 +29,11 @@ REACTION_SAFETY of the scalar time to blow-up from sup |w|, and it must not
 raise the energy by more than ENERGY_SLACK; the last step of a run lands on
 tau_max.
 
+The run's dtau w diagnostics (min_dtau_w and the convergence stop) read
+the semi-discrete right-hand side F(w) = D w - w/(p-1) + |w|^{p-1} w at
+each accepted state, which the energy falls along at the rate
+sum quad_w F^2.
+
 The cell volumes (integrals of m over the cells) are exact, from scipy's
 regularized incomplete gamma; the energy's gradient term is the quadratic
 form of the diffusion operator under that volume inner product, so the
@@ -62,7 +67,7 @@ ERROR_TOL = 1e-5          # local error per step, relative to w off its mean
 ERROR_FLOOR = 1e-14       # local error per step relative to w: rounding
 ERROR_SAFETY = 0.8        # margin on the size the error estimate proposes
 DIAG_R_FRAC = 0.6         # dtau diagnostics mask beyond this fraction of
-                          # r_max under Dirichlet
+                          # r_max under Dirichlet (see _rhs)
 MAX_STEPS = 200000        # step budget of one run
 
 
@@ -115,7 +120,6 @@ class FlowState:
     r: np.ndarray
     w: np.ndarray
     dt: float
-    history: list = field(default_factory=list)   # recent (tau, w) snapshots
     machinery: dict = field(default_factory=dict)
     exhausted: bool = False
     tau_stop: float = math.inf    # steps land on it rather than pass it
@@ -141,7 +145,7 @@ class FlowReport:
     r: np.ndarray
     blowup_location: Optional[float] = None
     type1_indicator: Optional[float] = None
-    min_dtau_w: Optional[float] = None
+    min_dtau_w: float = math.nan
     criterion_exceeded: bool = False   # weighted average went above kappa
     bc: str = BC_NOFLUX
     flags: list = field(default_factory=list)
@@ -167,7 +171,7 @@ def _build_machinery(params: Parameters, cfg: FlowConfig) -> dict:
     V = 2.0 ** (n - 1) * gamma(a) * np.where(
         s[1:] <= a, np.diff(gammainc(a, s)), -np.diff(gammaincc(a, s)))
     mbar = V / h
-    # the nodes dtau_estimate reports on (see there)
+    # the nodes the dtau diagnostics read (see _rhs)
     diag = slice(None)
     if cfg.bc == BC_DIRICHLET:
         diag = slice(int(np.count_nonzero(r <= DIAG_R_FRAC * cfg.r_max)))
@@ -274,7 +278,6 @@ def init_flow(initial: RadialProfile, cfg: Optional[FlowConfig] = None,
         _accept(state, w, power, _energy(mach, w, power, initial.params.p),
                 cfg.dt_max)
     _require_finite(w, state.energy, "initial data")
-    state.history.append((0.0, w))
     return state
 
 
@@ -456,33 +459,24 @@ def step(state: FlowState) -> FlowState:
         state.dt = dt
         counts.accepted += 1
         counts.max_error_estimate = max(counts.max_error_estimate, error)
-        state.history.append((state.tau, w_new))
-        if len(state.history) > 3:
-            state.history.pop(0)
         return state
     state.exhausted = True
     return state
 
 
-def dtau_estimate(state: FlowState) -> Optional[np.ndarray]:
-    """Backward-difference time derivative from the stored snapshots.
+def _rhs(state: FlowState) -> np.ndarray:
+    """The semi-discrete right-hand side F(w) = D w - w/(p-1) + |w|^{p-1} w
+    at the accepted state, from its |w|^{p-1}: dtau w, exactly.
 
-    Under the Dirichlet boundary the outer zone is masked: clamping a slowly
-    decaying tail at r_max creates a boundary layer relaxing at the 1/h^2
-    rate that hugs the boundary (the drift characteristics point outward)
-    and carries Gaussian weight ~ e^{-r_max^2/4}; it is a truncation
-    artifact, not free dynamics.
+    run reads it on machinery["diag"].  Under the Dirichlet boundary that
+    mask drops the outer zone: clamping a slowly decaying tail at r_max
+    creates a boundary layer relaxing at the 1/h^2 rate that hugs the
+    boundary (the drift characteristics point outward) and carries Gaussian
+    weight ~ e^{-r_max^2/4}; it is a truncation artifact, not free dynamics.
     """
-    if len(state.history) < 3:
-        return None
-    (t0, w0), (t1, w1), (t2, w2) = state.history[-3:]
-    # derivative at t2 of the quadratic through the three snapshots
-    h1, h2 = t1 - t0, t2 - t1
-    c0 = h2 / (h1 * (h1 + h2))
-    c1 = -(h1 + h2) / (h1 * h2)
-    c2 = (h1 + 2.0 * h2) / (h2 * (h1 + h2))
-    keep = state.machinery["diag"]
-    return c0 * w0[keep] + c1 * w1[keep] + c2 * w2[keep]
+    w, power = state.w, _accepted(state).power
+    return _apply_diffusion(state.machinery, w) \
+        + w * (power - 1.0 / (state.params.p - 1.0))
 
 
 def run(state: FlowState, tau_max: float) -> FlowReport:
@@ -501,23 +495,19 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
     cols = {k: [] for k in ("tau", "sup_norm", "weighted_avg", "energy",
                             "dt", "min_dtau_w")}
     criterion_exceeded = False
-    min_dtau_overall = math.inf
     outcome, tau1 = OUTCOME_MAXTIME, None
 
     def record():
-        """Append the accepted state; returns max |dtau w| (nan if none)."""
-        nonlocal criterion_exceeded, min_dtau_overall
+        """Append the accepted state; returns max |dtau w|."""
+        nonlocal criterion_exceeded
         cols["tau"].append(state.tau)
         cols["sup_norm"].append(state.sup)
         avg = weighted_average(state)
         cols["weighted_avg"].append(avg)
         cols["energy"].append(state.energy)
         cols["dt"].append(state.dt)
-        dtau = dtau_estimate(state)
-        lo = hi = math.nan
-        if dtau is not None:
-            lo, hi = float(dtau.min()), float(dtau.max())
-            min_dtau_overall = min(min_dtau_overall, lo)
+        dtau = _rhs(state)[state.machinery["diag"]]
+        lo, hi = float(dtau.min()), float(dtau.max())
         cols["min_dtau_w"].append(lo)
         if avg > kap + 1e-12:
             criterion_exceeded = True
@@ -530,7 +520,6 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
         for _ in range(MAX_STEPS):
             if state.tau >= tau_max:
                 break
-            tried = _first_try(state)
             step(state)
             if state.exhausted:    # no step accepted: nothing new to record
                 if state.sup > 10.0 * kap:
@@ -543,9 +532,7 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
             if sup > cap:
                 outcome = OUTCOME_BLEWUP
                 break
-            # a step cut below half its first try says little of dtau w
-            if cfg.conv_tol > 0.0 and dtau_sup < cfg.conv_tol \
-                    and state.dt >= 0.5 * tried:
+            if cfg.conv_tol > 0.0 and dtau_sup < cfg.conv_tol:
                 outcome = OUTCOME_CONVERGED
                 break
         else:
@@ -556,17 +543,15 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
     if outcome == OUTCOME_BLEWUP:
         tau1 = _extrapolate_blowup_time(cols, p)
 
+    series = {k: np.array(v) for k, v in cols.items()}
     report = FlowReport(outcome=outcome, tau_end=state.tau, tau1=tau1,
-                        series={k: np.array(v) for k, v in cols.items()},
-                        final_w=state.w.copy(), r=state.r,
+                        series=series, final_w=state.w.copy(), r=state.r,
                         criterion_exceeded=criterion_exceeded,
-                        min_dtau_w=None if math.isinf(min_dtau_overall)
-                        else min_dtau_overall,
+                        min_dtau_w=float(series["min_dtau_w"].min()),
                         bc=cfg.bc, flags=flags, steps=state.counts)
     if outcome == OUTCOME_BLEWUP:
         report.blowup_location = float(state.r[int(np.argmax(np.abs(state.w)))])
-        sup = report.series["sup_norm"]
-        taus = report.series["tau"]
+        sup, taus = series["sup_norm"], series["tau"]
         if tau1 is not None and tau1 > taus[-1]:
             report.type1_indicator = float(
                 np.max((tau1 - taus) ** (1.0 / (p - 1.0)) * sup))
@@ -594,7 +579,7 @@ def _extrapolate_blowup_time(cols: dict, p: float) -> Optional[float]:
 class FlowSummary:
     outcome: str
     tau1: Optional[float]
-    min_dtau_w: Optional[float]
+    min_dtau_w: float
     type1_indicator: Optional[float]
     blowup_location: Optional[float]
     outer_sup: float

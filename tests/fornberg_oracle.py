@@ -1,5 +1,5 @@
 """Fornberg's recursion for one stencil, in scalars: the tests' oracle for
-the program's array recursion and its closed-form backward difference."""
+the program's array recursion (numerics._fornberg_columns)."""
 import numpy as np
 
 

@@ -3,6 +3,10 @@
 Each test prints the criterion verdict line so a plain pytest run shows one
 pass/fail line per criterion (use -s to see them live).
 """
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from selfsim import acceptance
@@ -15,3 +19,23 @@ def test_acceptance_criterion(check):
     result = check()
     print(result.verdict_line())
     assert result.passed, f"{result.name}: {result.details}"
+
+
+STALLED_STEP = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / "src")!r})
+from selfsim import acceptance, flow
+flow._try_step = lambda state, dt: None     # every attempt fails
+result = acceptance.check_flow_oracle()
+assert result.cid == 8 and not result.passed, result
+assert result.details["kappa_flags"] == [
+    "step size exhausted without clear growth"], result.details
+"""
+
+
+def test_flow_oracle_fails_on_a_stalled_step_instead_of_hanging():
+    # in a subprocess with a timeout: a kappa hold that ignores an exhausted
+    # step spins forever with tau fixed
+    proc = subprocess.run([sys.executable, "-c", STALLED_STEP],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

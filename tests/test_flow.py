@@ -16,8 +16,6 @@ from selfsim.flow import (BC_DIRICHLET, BC_NOFLUX, FlowConfig,
                           flow_diagnostics, init_flow, run, step,
                           weighted_average)
 
-from fornberg_oracle import fornberg_weights
-
 P33 = make_params(3, 3.0)
 P37 = make_params(3, 7.0, require_supercritical=True)
 
@@ -26,7 +24,6 @@ def constant_data_state(params, level, **cfg_kwargs):
     prof = constant_profile(params, "+")
     state = init_flow(prof, FlowConfig(bc=BC_NOFLUX, **cfg_kwargs))
     state.w = np.full_like(state.w, level)
-    state.history = [(0.0, state.w.copy())]
     return state
 
 
@@ -183,10 +180,10 @@ def test_kappa_plus_ground_state_blows_up_monotonically():
 
 
 def test_perturbed_shooting_run_diagnostics():
-    # blow-up at the origin with bounded outer half; the minimum time
-    # derivative is only meaningful while the collapsing core is resolved
-    # (features shrink like sqrt(tau1 - tau)), so the recorded minimum is a
-    # transient-scale number, not the continuum zero
+    # blow-up at the origin with bounded outer half.  The minimum of
+    # dtau w, -0.0425, is read at tau = 0 at r ~ 8.30: the shot profile's
+    # jump where its tail takes over at r_cut, which the flow grid sees as a
+    # residual of size jump / h^2, not the continuum zero
     from selfsim.flow import flow_diagnostics
     from selfsim.spectrum import first_eigenfunction
     prof = reference_profile(3, 7.0)
@@ -201,7 +198,7 @@ def test_perturbed_shooting_run_diagnostics():
     assert summary.blowup_location == pytest.approx(0.0, abs=0.5)
     assert summary.outer_sup < 1.0             # compact blow-up region
     assert summary.type1_indicator is not None and summary.type1_indicator < 10.0
-    assert summary.min_dtau_w > -0.05          # early interpolation transient
+    assert summary.min_dtau_w > -0.05          # the profile's jump at r_cut
 
 
 def test_perturbation_experiment_entropy_drop_and_blowup():
@@ -307,6 +304,56 @@ def test_energy_is_the_lyapunov_functional_of_the_scheme(n_points, bc, params):
     assert rate == pytest.approx(-np.dot(mach["quad_w"], F * F), rel=1e-8)
 
 
+@pytest.mark.parametrize("bc", [BC_NOFLUX, BC_DIRICHLET])
+def test_rhs_is_the_energys_descent_direction(bc):
+    # dE(w + eps v)/deps = -sum quad_w F v at eps = 0 for every direction v:
+    # F is minus the energy's gradient in the quad_w inner product (measured
+    # worst 9.6e-8 relative)
+    state = init_flow(reference_profile(3, 7.0),
+                      FlowConfig(bc=bc, n_points=800))
+    F, w = flow._rhs(state), state.w
+    quad_w, eps = state.machinery["quad_w"], 1e-6
+    for v in (F, np.cos(state.r),
+              np.random.default_rng(5).normal(size=w.size)):
+        rate = (energy_of_state(state, w + eps * v)
+                - energy_of_state(state, w - eps * v)) / (2.0 * eps)
+        assert rate == pytest.approx(-np.dot(quad_w, F * v), rel=1e-6)
+
+
+def test_shot_profile_is_a_steady_state_of_the_flow_to_second_order():
+    # the (3,7) profile's residual on the Dirichlet flow grid, in the rho
+    # norm, falls at second order (measured 0.0520, 0.0133, 0.00334 at 800,
+    # 1600, 3200 points); max |F| is not bounded: past 3200 points the
+    # profile's jump at r_cut sets it
+    prof = reference_profile(3, 7.0)
+    norms = []
+    for n_points in (800, 1600, 3200):
+        state = init_flow(prof, FlowConfig(bc=BC_DIRICHLET, n_points=n_points))
+        F = flow._rhs(state)
+        norms.append(math.sqrt(np.dot(state.machinery["quad_w"], F * F)))
+    assert norms[0] < 0.06
+    for coarse, fine in zip(norms, norms[1:]):
+        assert coarse / fine >= 3.5, norms
+
+
+@pytest.mark.parametrize("p,level,tau_max", [(3.0, 1.0, 10.0),
+                                             (3.0, 0.8 * P33.kappa, 40.0)],
+                         ids=["unit", "0.8kappa"])
+def test_min_dtau_w_of_constant_data_is_the_scalar_rate(p, level, tau_max):
+    # under no-flux D w = 0 exactly on constant data, so every row of
+    # min_dtau_w is the scalar right-hand side s (s^{p-1} - 1/(p-1)) at
+    # s = sup_norm, to rounding of its larger term
+    report = run(constant_data_state(make_params(3, p), level), tau_max=tau_max)
+    s = report.series["sup_norm"]
+    got = report.series["min_dtau_w"]
+    assert got.size > 10
+    terms = np.maximum(s ** p, s / (p - 1.0))
+    expected = s * (s ** (p - 1.0) - 1.0 / (p - 1.0))
+    assert (np.abs(got - expected)
+            <= 8.0 * (p + 1.0) * np.spacing(terms)).all()
+    assert report.min_dtau_w == got.min()
+
+
 @pytest.mark.parametrize("n_points,bound", [(800, 1e-3), (1600, 1e-4)])
 def test_linearized_flow_at_kappa_grows_at_the_spectrums_rates(n_points, bound):
     # the flow from kappa + eps f_k, f_k the k-th radial eigenfunction of
@@ -332,7 +379,6 @@ def test_energy_cache_follows_a_rebound_w():
     state = init_flow(constant_profile(P33, "+"), FlowConfig(bc=BC_NOFLUX))
     run(state, tau_max=0.05)             # caches the energy of kappa data
     state.w = np.full_like(state.w, 1.02 * P33.kappa)
-    state.history = [(0.0, state.w.copy())]
     expected = energy_of_state(state)
     assert expected != energy_of_state(state, np.full_like(state.w, P33.kappa))
     assert run(state, tau_max=0.1).series["energy"][0] == expected
@@ -392,7 +438,7 @@ def test_rebound_state_runs_like_fresh_data():
     fresh = init_flow(constant_profile(params, "0"), cfg,
                       eigenfunction=lambda r: data, amplitude=1.0)
     assert fresh.w.tobytes() == data.tobytes()
-    state.w, state.history = data, [(0.0, data)]
+    state.w = data
     state.tau, state.dt = 0.0, cfg.dt_max
     rebound_series = run(state, tau_max=1.0).series
     fresh_series = run(fresh, tau_max=1.0).series
@@ -498,32 +544,6 @@ def test_cn_factors_solve_like_scipy_solve_banded(n_points, bc):
         expected = solve_banded((1, 1), cn_matrix(mach, dt, bc), rhs)
         assert flow.solve_banded(lu, rhs.copy()).tobytes() == expected.tobytes()
     assert len(mach["cn"]) == len(factored) == 4
-
-
-@pytest.mark.parametrize("level,steps", [(1.6, None),   # blows up
-                                         (0.8, 600)])   # converges
-def test_dtau_estimate_equals_fresh_fornberg_weights(level, steps):
-    # along a run of varying steps, the closed-form backward difference
-    # equals the one from Fornberg's recursion to a few rounding units
-    state = constant_data_state(P33, level * P33.kappa)
-    state.w = state.w * (1.0 + 0.01 * np.cos(state.r))  # not constant in r
-    state.history = [(0.0, state.w.copy())]
-    checked, sizes = 0, set()
-    while not state.exhausted and np.abs(state.w).max() < 1e3 * P33.kappa \
-            and checked != steps:
-        step(state)
-        sizes.add(state.dt)
-        if len(state.history) < 3:
-            continue
-        taus = np.array([t for t, _ in state.history])
-        ws = [w for _, w in state.history]
-        wts = fornberg_weights(taus[-1], taus, 1)[1]
-        terms = [c * w for c, w in zip(wts, ws)]
-        size = sum(np.abs(t) for t in terms)
-        got = flow.dtau_estimate(state)
-        assert (np.abs(got - sum(terms)) <= 8.0 * np.finfo(float).eps * size).all()
-        checked += 1
-    assert checked > 50 and len(sizes) >= 3
 
 
 @pytest.mark.parametrize("n,p,n_points,bc", [(3, 3.0, 800, BC_NOFLUX),

@@ -1,5 +1,4 @@
-"""Property tests of the flow's exact reaction step against an ODE solver,
-and of its backward difference against Fornberg's recursion."""
+"""Property tests of the flow's exact reaction step against an ODE solver."""
 import math
 
 import numpy as np
@@ -7,9 +6,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from selfsim import flow
-from selfsim.core import constant_profile, make_params
-
-from fornberg_oracle import fornberg_weights
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -58,26 +54,3 @@ def test_react_exact_is_the_scalar_flow(w0, negative, dt, p):
                     (0.0, dt), [w0], method="DOP853", rtol=1e-13, atol=0.0)
     assert sol.success
     assert w_new == pytest.approx(sol.y[0, -1], rel=1e-9, abs=0.0)
-
-
-def unit_history_state(taus):
-    """A state whose snapshots are the unit vectors at the given times, so
-    that dtau_estimate returns the backward-difference weights."""
-    state = flow.init_flow(constant_profile(make_params(3, 3.0), "+"))
-    state.history = [(t, row) for t, row in zip(taus, np.eye(3))]
-    return state
-
-
-@settings(max_examples=300, deadline=None)
-@given(t0=st.floats(-50.0, 50.0), h1=st.floats(1e-9, 1.0),
-       ratio=st.floats(1e-3, 1e3))
-def test_backward_difference_weights_are_fornbergs(t0, h1, ratio):
-    t1 = t0 + h1
-    t2 = t1 + h1 * ratio
-    assume(t0 < t1 < t2)
-    taus = np.array([t0, t1, t2])
-    got = flow.dtau_estimate(unit_history_state(taus))
-    want = fornberg_weights(t2, taus, 1)[1]
-    # each weight within a few rounding units of the largest
-    assert np.abs(got - want).max() <= 16.0 * np.finfo(float).eps \
-        * np.abs(want).max()

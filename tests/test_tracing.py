@@ -33,7 +33,6 @@ assert m["quadrature.composite_rule_builds"] == 1, m
 p3 = core.make_params(3, 3.0)
 state = flow.init_flow(core.constant_profile(p3), flow.FlowConfig(dt_max=0.01))
 state.w = np.full_like(state.w, 1.02 * p3.kappa)
-state.history = [(0.0, state.w)]
 rep = flow.run(state, tau_max=0.2)
 accepted = len(rep.series["tau"]) - 1
 m = tracing.layer_metrics(tr)
