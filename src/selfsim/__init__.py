@@ -3,7 +3,7 @@ semilinear heat equation: profiles, Gaussian-weighted functionals, entropy,
 linearized spectra, closed-form singular energies, and the rescaled flow."""
 
 from .core import (ParameterError, Parameters, RadialProfile, SelfsimError,
-                   constant_profile, default_grid, kappa, make_params,
+                   constant_profile, default_grid, make_params,
                    singular_profile, tabulated_profile)
 from .quadrature import (QuadratureRule, composite_rule, offset_integral_many,
                          radial_rule, weighted_integral)
@@ -18,8 +18,7 @@ from .variations import (Variation, first_variation, gaussian_bump,
 from .spectrum import (EigenResult, SectorOperator, apply_L, build_sector,
                        eigen_smallest, first_eigenfunction, rayleigh_quotient)
 from .flow import (FlowConfig, FlowReport, FlowState, blowup_criterion,
-                   entropy_perturbation_experiment, flow_diagnostics,
-                   init_flow, run, step)
+                   entropy_perturbation_experiment, init_flow, run, step)
 from .closedform import (GapScanRow, gap_inequality, gap_scan, kappa_energy,
                          phi_diagnostics, singular_energy, sphere_constant)
 

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.special import digamma, polygamma
 
-from .core import ParameterError, Parameters, make_params
+from .core import ParameterError, Parameters, make_params, sobolev_critical
 
 # the exponent grid starts this fraction above the critical exponent
 P_GRID_MARGIN = 0.15
@@ -137,7 +137,7 @@ def supercritical_p_grid(n: int, count: int) -> np.ndarray:
         raise ParameterError(f"supercritical exponents need n >= 3, got {n}")
     if count < 1:
         raise ParameterError(f"exponent count must be at least 1, got {count}")
-    p_crit = (n + 2.0) / (n - 2.0)
+    p_crit = sobolev_critical(n)
     lo = p_crit * (1.0 + P_GRID_MARGIN)
     return np.geomspace(lo, max(4.0 * p_crit, 30.0), count)
 

@@ -82,11 +82,6 @@ def make_params(n: int, p: float,
     return params
 
 
-def kappa(params: Parameters) -> float:
-    """The positive constant equilibrium (1/(p-1))^{1/(p-1)}."""
-    return params.kappa
-
-
 # ---------------------------------------------------------------------------
 # radial profiles
 # ---------------------------------------------------------------------------

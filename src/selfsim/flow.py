@@ -146,6 +146,8 @@ class FlowReport:
     blowup_location: Optional[float] = None
     type1_indicator: Optional[float] = None
     min_dtau_w: float = math.nan
+    max_energy_increase: float = 0.0   # largest rise of the energy series
+    energy_monotone: bool = True       # that rise is at most ENERGY_SLACK
     criterion_exceeded: bool = False   # weighted average went above kappa
     bc: str = BC_NOFLUX
     flags: list = field(default_factory=list)
@@ -544,10 +546,14 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
         tau1 = _extrapolate_blowup_time(cols, p)
 
     series = {k: np.array(v) for k, v in cols.items()}
+    rises = np.diff(series["energy"])
+    max_inc = float(rises.max()) if len(rises) else 0.0
     report = FlowReport(outcome=outcome, tau_end=state.tau, tau1=tau1,
                         series=series, final_w=state.w.copy(), r=state.r,
                         criterion_exceeded=criterion_exceeded,
                         min_dtau_w=float(series["min_dtau_w"].min()),
+                        max_energy_increase=max_inc,
+                        energy_monotone=bool(max_inc <= ENERGY_SLACK),
                         bc=cfg.bc, flags=flags, steps=state.counts)
     if outcome == OUTCOME_BLEWUP:
         report.blowup_location = float(state.r[int(np.argmax(np.abs(state.w)))])
@@ -573,34 +579,6 @@ def _extrapolate_blowup_time(cols: dict, p: float) -> Optional[float]:
     if slope >= 0.0:
         return None
     return float(-icpt / slope)
-
-
-@dataclass
-class FlowSummary:
-    outcome: str
-    tau1: Optional[float]
-    min_dtau_w: float
-    type1_indicator: Optional[float]
-    blowup_location: Optional[float]
-    outer_sup: float
-    energy_monotone: bool
-    max_energy_increase: float
-
-
-def flow_diagnostics(report: FlowReport) -> FlowSummary:
-    """Post-run summary: monotonicity, type-I data, compactness check."""
-    e = report.series["energy"]
-    increases = np.diff(e)
-    max_inc = float(increases.max()) if len(increases) else 0.0
-    outer = report.r >= 0.5 * report.r[-1]
-    outer_sup = float(np.abs(report.final_w[outer]).max())
-    return FlowSummary(outcome=report.outcome, tau1=report.tau1,
-                       min_dtau_w=report.min_dtau_w,
-                       type1_indicator=report.type1_indicator,
-                       blowup_location=report.blowup_location,
-                       outer_sup=outer_sup,
-                       energy_monotone=bool(max_inc <= ENERGY_SLACK),
-                       max_energy_increase=max_inc)
 
 
 @dataclass

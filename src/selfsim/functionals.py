@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .core import KIND_SINGULAR, ParameterError, RadialProfile
 from .quadrature import _sums, default_composite_rule, offset_integral_many
@@ -26,7 +27,7 @@ from .quadrature import _sums, default_composite_rule, offset_integral_many
 # relative disagreement of the two energy forms flagged on a solution
 CONSISTENCY_TOL = 1e-4
 # entropy search: coarse grid over x0_norm in [0, X0_MAX] and log(-t0) in
-# [-LOG_A_MAX, LOG_A_MAX], golden refinement to REFINE_TOL, ties within
+# [-LOG_A_MAX, LOG_A_MAX], bounded Brent refinement to REFINE_TOL, ties within
 # TIE_TOL (relative) broken toward the canonical point, ring probes RING_EPS
 # away from the maximizer
 X0_MAX = 10.0
@@ -85,6 +86,27 @@ def _core_integrals(profile: RadialProfile, moments: bool = False) -> tuple:
     return tuple(_sums(r, rule.weights, terms).tolist())
 
 
+def _f_value(p: float, a: float, grad2: float, mass: float,
+             pot: float) -> float:
+    """F from its three weighted integrals at a = -t0: the gradient and
+    potential terms carry a^{(p+1)/(p-1)}, the mass term a^{2/(p-1)}.  At
+    a = 1 this is the energy."""
+    s_main = a ** ((p + 1.0) / (p - 1.0))
+    s_mass = a ** (2.0 / (p - 1.0))
+    return 0.5 * s_main * grad2 - s_main * pot / (p + 1.0) \
+        + s_mass * mass / (2.0 * (p - 1.0))
+
+
+def _energy_fields(p: float, grad2: float, mass: float, pot: float) -> dict:
+    """The energy, its three terms and the stationary shortcut form, from
+    the three weighted integrals."""
+    return {"energy": _f_value(p, 1.0, grad2, mass, pot),
+            "grad_term": 0.5 * grad2,
+            "mass_term": mass / (2.0 * (p - 1.0)),
+            "potential_term": pot / (p + 1.0),
+            "energy_shortcut": (0.5 - 1.0 / (p + 1.0)) * pot}
+
+
 def energy(profile: RadialProfile) -> FunctionalReport:
     """Three-term weighted energy, plus the stationary shortcut form.
 
@@ -92,15 +114,10 @@ def energy(profile: RadialProfile) -> FunctionalReport:
     stationary profiles; a disagreement beyond CONSISTENCY_TOL on a profile
     claiming to solve the equation is flagged (not fatal).
     """
-    p = profile.params.p
-    grad2, mass, pot = _core_integrals(profile)
-    e3 = 0.5 * grad2 + mass / (2.0 * (p - 1.0)) - pot / (p + 1.0)
-    e_short = (0.5 - 1.0 / (p + 1.0)) * pot
-    report = FunctionalReport(energy=e3, grad_term=0.5 * grad2,
-                              mass_term=mass / (2.0 * (p - 1.0)),
-                              potential_term=pot / (p + 1.0),
-                              energy_shortcut=e_short,
-                              scale=max(abs(e3), abs(e_short), 1e-300))
+    report = FunctionalReport(**_energy_fields(profile.params.p,
+                                               *_core_integrals(profile)))
+    e3, e_short = report.energy, report.energy_shortcut
+    report.scale = max(abs(e3), abs(e_short), 1e-300)
     if profile.is_solution:
         rel = abs(e3 - e_short) / report.scale
         if rel > CONSISTENCY_TOL:
@@ -115,30 +132,25 @@ def f_functional(profile: RadialProfile, x0_norm: float, t0: float) -> float:
     if not t0 < 0.0:
         raise ParameterError(f"F functional needs t0 < 0, got {t0}")
     p = profile.params.p
-    a = -t0
 
     def integrands(r):
         return _core_terms(r, profile.value(r), profile.deriv(r), p)
 
     grad2, mass, pot = offset_integral_many(integrands, x0_norm, t0,
                                             profile.params.n)
-    s_main = a ** ((p + 1.0) / (p - 1.0))
-    s_mass = a ** (2.0 / (p - 1.0))
-    return 0.5 * s_main * grad2 - s_main * pot / (p + 1.0) \
-        + s_mass * mass / (2.0 * (p - 1.0))
+    return _f_value(p, -t0, grad2, mass, pot)
 
 
 def constant_f_closed_form(profile: RadialProfile, t0: float) -> float:
     """F of a constant profile: kernel mass is 1, so only prefactors remain."""
     p = profile.params.p
     c = abs(profile.constant_value)
-    a = -t0
-    return a ** (2.0 / (p - 1.0)) * c**2 / (2.0 * (p - 1.0)) \
-        - a ** ((p + 1.0) / (p - 1.0)) * c ** (p + 1.0) / (p + 1.0)
+    return _f_value(p, -t0, 0.0, c**2, c ** (p + 1.0))
 
 
 def entropy(profile: RadialProfile) -> EntropyResult:
-    """Supremum of F over (x0_norm, log(-t0)) by coarse grid + golden refine.
+    """Supremum of F over (x0_norm, log(-t0)): a coarse grid, then two
+    rounds of scipy's bounded Brent search (minimize_scalar) along each axis.
 
     Not defined for the singular profile (unbounded).  Ties in the x0
     direction break toward x0 = 0 so the reported argmax is canonical.
@@ -181,23 +193,9 @@ def entropy(profile: RadialProfile) -> EntropyResult:
     _, b, la = best
 
     def refine(fun, lo, hi, x, span):
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a_, b_ = max(lo, x - span), min(hi, x + span)
-        c_ = b_ - phi * (b_ - a_)
-        d_ = a_ + phi * (b_ - a_)
-        fc, fd = fun(c_), fun(d_)
-        for _ in range(40):
-            if b_ - a_ < REFINE_TOL:
-                break
-            if fc > fd:
-                b_, d_, fd = d_, c_, fc
-                c_ = b_ - phi * (b_ - a_)
-                fc = fun(c_)
-            else:
-                a_, c_, fc = c_, d_, fd
-                d_ = a_ + phi * (b_ - a_)
-                fd = fun(d_)
-        return 0.5 * (a_ + b_)
+        return minimize_scalar(lambda t: -fun(t), method="bounded",
+                               bounds=(max(lo, x - span), min(hi, x + span)),
+                               options={"xatol": REFINE_TOL}).x
 
     span_x = X0_MAX / (COARSE_POINTS - 1)
     span_la = 2.0 * LOG_A_MAX / (COARSE_POINTS - 1)
@@ -242,11 +240,8 @@ def identities(profile: RadialProfile) -> FunctionalReport:
                       + n / (p + 1.0) * pot + 0.25 * y2grad2
                       + y2mass / (4.0 * (p - 1.0)) - y2pot / (2.0 * (p + 1.0)))
 
-    e3 = 0.5 * grad2 + mass / (2.0 * (p - 1.0)) - pot / (p + 1.0)
     return FunctionalReport(
-        energy=e3, grad_term=0.5 * grad2, mass_term=mass / (2.0 * (p - 1.0)),
-        potential_term=pot / (p + 1.0),
-        energy_shortcut=(0.5 - 1.0 / (p + 1.0)) * pot,
+        **_energy_fields(p, grad2, mass, pot),
         pohozaev_residual=pohozaev / scale,
         mass_balance_residual=mass_balance / scale,
         moment_balance_residual=moment_balance / scale,

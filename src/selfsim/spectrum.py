@@ -38,30 +38,12 @@ class SpectrumError(SelfsimError, RuntimeError):
 @dataclass
 class SectorOperator:
     ell: int
-    params: object
     r: np.ndarray                 # cell centers
-    h: float
     d_sym: np.ndarray             # diagonal of the symmetrized -L matrix
     e_sym: np.ndarray             # off-diagonal of the symmetrized -L matrix
     sqrt_measure: np.ndarray      # D with  S = D (-L) D^{-1}
     measure: np.ndarray           # normalized cell weights of the rho-inner product
-    potential: np.ndarray         # p |w|^{p-1} samples on cell centers
-    n_eff: int
     meta: dict = field(default_factory=dict)
-
-    def symmetry_defect(self) -> float:
-        """Entrywise defect of M A - A^T M for the measure M.
-
-        The couplings are assembled as one symmetric expression, so this is
-        rounding-level by construction; computed explicitly for the record.
-        """
-        m = self.sqrt_measure**2
-        upper = m[:-1] * (self.e_sym * self.sqrt_measure[1:]
-                          / self.sqrt_measure[:-1])
-        lower = m[1:] * (self.e_sym * self.sqrt_measure[:-1]
-                         / self.sqrt_measure[1:])
-        scale = max(float(np.abs(upper).max()), 1e-300)
-        return float(np.abs(upper - lower).max() / scale)
 
 
 @dataclass
@@ -96,8 +78,7 @@ def build_sector(profile: RadialProfile, ell: int, resolution: int = 3000,
     m_face[0] = 0.0   # no flux through the axis
     m_face[-1] = 0.0  # no flux at the truncation radius (weight ~ e^{-r_max^2/4})
     m_cell = r ** (n_eff - 1) * np.exp(-r**2 / 4.0)
-    pot = p * np.abs(profile.value(r)) ** (p - 1.0)
-    V = -1.0 / (p - 1.0) + pot - 0.5 * ell
+    V = -1.0 / (p - 1.0) + p * np.abs(profile.value(r)) ** (p - 1.0) - 0.5 * ell
     lower = m_face[1:-1] / h**2
     diag_flux = -(m_face[:-1] + m_face[1:]) / h**2
     d_sym = -(diag_flux / m_cell + V)
@@ -106,9 +87,8 @@ def build_sector(profile: RadialProfile, ell: int, resolution: int = 3000,
     # sector function u = r^l v, so it lacks the r^{2l} of the n_eff weight
     measure = (4.0 * math.pi) ** (-n / 2.0) * _sphere_area(n) \
         * r ** (n - 1) * np.exp(-r**2 / 4.0) * h
-    return SectorOperator(ell=ell, params=params, r=r, h=h, d_sym=d_sym,
-                          e_sym=e_sym, sqrt_measure=np.sqrt(m_cell),
-                          measure=measure, potential=pot, n_eff=n_eff,
+    return SectorOperator(ell=ell, r=r, d_sym=d_sym, e_sym=e_sym,
+                          sqrt_measure=np.sqrt(m_cell), measure=measure,
                           meta={"resolution": N, "r_max": r_max})
 
 
@@ -143,7 +123,6 @@ def eigen_smallest(op: SectorOperator, k: int, refine: bool = True,
                            r_max=op.meta["r_max"])
         vals2, _ = _solve(op2, k)
         cert["doubling_shift"] = np.abs(vals2 - vals).max()
-        cert["per_eigenvalue_shift"] = np.abs(vals2 - vals)
         lam = (4.0 * vals2 - vals) / 3.0   # second-order scheme
     funcs, samples = [], []
     for j in range(k):

@@ -24,7 +24,7 @@ import numpy as np
 from .core import ParameterError, RadialProfile
 from .quadrature import (_gl_panels, _offset_weights, _sums,
                          default_composite_rule)
-from .functionals import _core_terms
+from .functionals import _core_terms, _f_value
 from .shooting import ode_residual
 
 # largest equation residual of a profile the closed form accepts as stationary
@@ -184,10 +184,7 @@ def general_second_variation_fd(profile: RadialProfile, var: Variation,
         W, DW = wv + s * ph, dwv + s * dph
         grad2, pot, mass = _sums(nodes, base, (DW**2, np.abs(W) ** (p + 1.0),
                                                W**2)).tolist()
-        s_main = a ** ((p + 1.0) / (p - 1.0))
-        s_mass = a ** (2.0 / (p - 1.0))
-        return (0.5 * s_main * grad2 - s_main * pot / (p + 1.0)
-                + s_mass * mass / (2.0 * (p - 1.0)))
+        return _f_value(p, a, grad2, mass, pot)
 
     return (F(delta) - 2.0 * F(0.0) + F(-delta)) / delta**2
 

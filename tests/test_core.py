@@ -5,7 +5,7 @@ from scipy.interpolate import BPoly
 from selfsim import core
 from selfsim.core import (KIND_SINGULAR, KIND_TABULATED, ParameterError,
                           RadialProfile, _power_basis, constant_profile,
-                          default_grid, kappa, make_params, singular_profile)
+                          default_grid, make_params, singular_profile)
 from selfsim.fixtures import reference_profile
 
 
@@ -26,9 +26,9 @@ def test_make_params_rejects_bad_inputs():
 
 def test_kappa_values():
     # oracle: mpmath mp.power(mp.mpf(1)/(p-1), mp.mpf(1)/(p-1))
-    assert kappa(make_params(3, 2.0)) == pytest.approx(1.0, abs=1e-15)
-    assert kappa(make_params(3, 3.0)) == pytest.approx(0.7071067811865476, abs=1e-12)
-    assert kappa(make_params(3, 7.0)) == pytest.approx(0.7418363755904022, abs=1e-12)
+    assert make_params(3, 2.0).kappa == pytest.approx(1.0, abs=1e-15)
+    assert make_params(3, 3.0).kappa == pytest.approx(0.7071067811865476, abs=1e-12)
+    assert make_params(3, 7.0).kappa == pytest.approx(0.7418363755904022, abs=1e-12)
 
 
 def test_kappa_defining_identity_scanned():

@@ -13,8 +13,7 @@ from selfsim.fixtures import reference_profile
 from selfsim.flow import (BC_DIRICHLET, BC_NOFLUX, FlowConfig,
                           OUTCOME_BLEWUP, OUTCOME_CONVERGED, blowup_criterion,
                           energy_of_state, entropy_perturbation_experiment,
-                          flow_diagnostics, init_flow, run, step,
-                          weighted_average)
+                          init_flow, run, step, weighted_average)
 
 P33 = make_params(3, 3.0)
 P37 = make_params(3, 7.0, require_supercritical=True)
@@ -41,8 +40,9 @@ def scalar_blowup_time(params, w0):
 def test_kappa_is_preserved():
     prof = constant_profile(P33, "+")
     state = init_flow(prof, FlowConfig(bc=BC_NOFLUX, conv_tol=0.0))
-    while state.tau < 5.0:
+    while state.tau < 5.0 and not state.exhausted:
         step(state)
+    assert not state.exhausted
     assert np.abs(state.w - P33.kappa).max() < 1e-9
 
 
@@ -89,10 +89,11 @@ def test_constant_run_matches_scalar_solution():
     params = make_params(3, 3.0)
     state = constant_data_state(params, 1.0)
     worst = 0.0
-    while np.abs(state.w).max() < 100.0:
+    while np.abs(state.w).max() < 100.0 and not state.exhausted:
         step(state)
         exact = scalar_exact(params, 1.0, state.tau)
         worst = max(worst, abs(state.w[0] - exact) / exact)
+    assert not state.exhausted
     assert worst < 1e-6
 
 
@@ -110,9 +111,21 @@ def test_energy_monotone_on_generic_run():
                              np.gradient(vals, grid, edge_order=2))
     state = init_flow(prof, FlowConfig(bc=BC_NOFLUX, dt_max=0.005))
     report = run(state, tau_max=4.0)
-    summary = flow_diagnostics(report)
-    assert summary.energy_monotone
-    assert summary.max_energy_increase <= 1e-7
+    assert report.energy_monotone
+    assert report.max_energy_increase <= 1e-7
+
+
+@pytest.mark.parametrize("level,outcome",
+                         [(1.0, OUTCOME_BLEWUP),
+                          (0.9 * P33.kappa, OUTCOME_CONVERGED)],
+                         ids=["blowup", "converging"])
+def test_report_carries_the_largest_energy_rise(level, outcome):
+    report = run(constant_data_state(P33, level), tau_max=60.0)
+    assert report.outcome == outcome
+    rise = np.diff(report.series["energy"]).max()
+    assert report.max_energy_increase == rise
+    assert report.energy_monotone == (rise <= flow.ENERGY_SLACK)
+    assert report.energy_monotone
 
 
 def test_average_above_kappa_forces_blowup():
@@ -184,7 +197,6 @@ def test_perturbed_shooting_run_diagnostics():
     # dtau w, -0.0425, is read at tau = 0 at r ~ 8.30: the shot profile's
     # jump where its tail takes over at r_cut, which the flow grid sees as a
     # residual of size jump / h^2, not the continuum zero
-    from selfsim.flow import flow_diagnostics
     from selfsim.spectrum import first_eigenfunction
     prof = reference_profile(3, 7.0)
     _, f, _ = first_eigenfunction(prof, resolution=4000)
@@ -194,11 +206,11 @@ def test_perturbed_shooting_run_diagnostics():
                       eigenfunction=lambda r: f(r) / peak, amplitude=0.05)
     rep = run(state, tau_max=20.0)
     assert rep.outcome == OUTCOME_BLEWUP
-    summary = flow_diagnostics(rep)
-    assert summary.blowup_location == pytest.approx(0.0, abs=0.5)
-    assert summary.outer_sup < 1.0             # compact blow-up region
-    assert summary.type1_indicator is not None and summary.type1_indicator < 10.0
-    assert summary.min_dtau_w > -0.05          # the profile's jump at r_cut
+    assert rep.blowup_location == pytest.approx(0.0, abs=0.5)
+    outer = rep.r >= 0.5 * rep.r[-1]
+    assert np.abs(rep.final_w[outer]).max() < 1.0    # compact blow-up region
+    assert rep.type1_indicator is not None and rep.type1_indicator < 10.0
+    assert rep.min_dtau_w > -0.05          # the profile's jump at r_cut
 
 
 def test_perturbation_experiment_entropy_drop_and_blowup():

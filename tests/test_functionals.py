@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from selfsim import functionals
 from selfsim.core import constant_profile, make_params, singular_profile
 from selfsim.fixtures import reference_profile
 from selfsim.functionals import (constant_f_closed_form, density, energy,
@@ -70,6 +71,15 @@ def test_f_equals_energy_at_origin():
         assert f == pytest.approx(e, rel=1e-10)
 
 
+def test_energy_is_f_at_the_canonical_point_bit_for_bit(wshoot):
+    # both integrate the same three terms on the default composite rule
+    # (x0 = 0, t0 = -1 leaves its nodes unscaled) and share one formula
+    for prof in (constant_profile(P33, "+"), constant_profile(P37, "+"),
+                 constant_profile(P37, "-"), constant_profile(P37, "0"),
+                 wshoot):
+        assert energy(prof).energy == f_functional(prof, 0.0, -1.0)
+
+
 def test_f_of_constant_closed_form():
     # g(a) = kappa^2 a^{2/(p-1)} / (2(p-1)) - kappa^{p+1} a^{(p+1)/(p-1)}/(p+1)
     prof = constant_profile(P33, "+")
@@ -106,6 +116,18 @@ def test_entropy_of_shooting_profile(wshoot):
     assert abs(res.x0_norm) <= 1e-4
     assert abs(math.log(-res.t0)) <= 1e-4
     assert res.ring_margin_t > 0 and res.ring_margin_x > 0
+    assert not res.flags
+
+
+def test_entropy_search_budget(wshoot, monkeypatch):
+    # 169 coarse points, two rounds of bounded Brent along each axis, the
+    # snaps and the ring probes
+    calls = []
+    f = functionals.f_functional
+    monkeypatch.setattr(functionals, "f_functional",
+                        lambda *args: calls.append(args) or f(*args))
+    res = entropy(wshoot)
+    assert len(calls) <= 260
     assert not res.flags
 
 

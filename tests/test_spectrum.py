@@ -49,19 +49,21 @@ def test_doubling_certificate_small():
     assert res.certificates["doubling_shift"] < 1e-6
 
 
-def test_eigenfunctions_orthonormal():
+def test_eigenfunctions_orthonormal(wshoot):
     # int u_j u_k rho = delta_jk in every sector, with rho the n-dimensional
-    # weight (sector functions u = r^l v, not v, are normalized)
-    prof = constant_profile(P33, "+")
+    # weight (sector functions u = r^l v, not v, are normalized); the Gram
+    # matrix of the shot profile's sectors checks the weighted symmetry of
+    # the discretization on a nonconstant potential
     rho = composite_rule(P33.n)
-    for ell in (0, 1):
-        op = build_sector(prof, ell, resolution=2000)
-        res = eigen_smallest(op, 4, refine=True, profile=prof)
-        G = res.samples @ (op.measure[None, :] * res.samples).T
-        assert np.max(np.abs(G - np.eye(4))) < 1e-8
-        norms = [weighted_integral(rho, lambda r, f=f: f(r) ** 2)
-                 for f in res.funcs]
-        assert np.allclose(norms, 1.0, atol=1e-6)
+    for prof in (constant_profile(P33, "+"), wshoot):
+        for ell in (0, 1):
+            op = build_sector(prof, ell, resolution=2000)
+            res = eigen_smallest(op, 4, refine=True, profile=prof)
+            G = res.samples @ (op.measure[None, :] * res.samples).T
+            assert np.max(np.abs(G - np.eye(4))) < 1e-8
+            norms = [weighted_integral(rho, lambda r, f=f: f(r) ** 2)
+                     for f in res.funcs]
+            assert np.allclose(norms, 1.0, atol=1e-6)
 
 
 def test_rayleigh_quotient_matches_lambda1():
@@ -198,12 +200,6 @@ def test_first_eigenfunction_solves_each_operator_once(wshoot, monkeypatch):
     power = 2.0 * P37.p / (P37.p - 1.0)
     assert cert["decay_sup"] == np.max((1.0 + op.r[tail]) ** power
                                        * np.abs(raw.samples[0][tail]))
-
-
-def test_operator_symmetry_in_weighted_inner_product(wshoot):
-    for ell in (0, 1):
-        op = build_sector(wshoot, ell, resolution=1500)
-        assert op.symmetry_defect() <= 1e-12
 
 
 def test_singular_profile_rejected():
