@@ -31,7 +31,7 @@ from .core import (ParameterError, SelfsimError, constant_profile, make_params,
 from .fixtures import SHOOTING_BRACKETS, reference_profile
 from .flow import (OUTCOME_BLEWUP, FlowConfig, entropy_perturbation_experiment,
                    init_flow, run as flow_run)
-from .functionals import energy, entropy, f_functional, identities
+from .functionals import _f_values, energy, entropy, identities
 from .shooting import shoot
 from .spectrum import build_sector, eigen_smallest
 from .variations import stability_report
@@ -164,15 +164,19 @@ def cmd_f_scan(cfg):
     prof = _profile_from(cfg["profile"], params)
     if cfg["x0_count"] < 1 or cfg["t0_count"] < 1:
         raise ParameterError("x0_count and t0_count must be at least 1")
+    for key in ("x0_max", "log_a_min", "log_a_max"):
+        if not math.isfinite(cfg[key]):
+            raise ParameterError(f"{key} must be finite, got {cfg[key]}")
     x0s = np.linspace(0.0, cfg["x0_max"], cfg["x0_count"])
     las = np.linspace(cfg["log_a_min"], cfg["log_a_max"], cfg["t0_count"])
-    rows = {"x0_norm": [], "t0": [], "F": []}
-    for b in x0s:
-        for la in las:
-            t0 = -math.exp(la)
-            rows["x0_norm"].append(float(b))
-            rows["t0"].append(t0)
-            rows["F"].append(f_functional(prof, float(b), t0))
+    try:
+        t0s = [-math.exp(la) for la in las]
+    except OverflowError:
+        raise ParameterError(f"log(-t0) = {float(max(las))!r} puts t0 past "
+                             f"the float range") from None
+    rows = {"x0_norm": [float(b) for b in x0s for _ in t0s],
+            "t0": [t0 for _ in x0s for t0 in t0s]}
+    rows["F"] = _f_values(prof, rows["x0_norm"], rows["t0"]).tolist()
     summary = {"quantity": "recentering_functional_scan",
                "max_F": max(rows["F"]), "grid_points": len(rows["F"])}
     return True, summary, rows

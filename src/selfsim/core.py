@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 # not called here: perfbench/tracing.py wraps core.BPoly.from_derivatives by name
@@ -109,12 +109,12 @@ class RadialProfile:
     """A radial candidate function with values and first derivatives.
 
     Derivatives are carried explicitly (never re-differenced from values) so
-    functional evaluation is quadrature-limited.  ``value``/``deriv`` accept
-    arbitrary radii: constants and the singular solution evaluate in closed
-    form, sampled kinds interpolate with a piecewise polynomial in the power
-    basis (a quintic Hermite when second derivatives are stored, else a
-    cubic Hermite) and follow their fitted power-law tail beyond the stored
-    grid.
+    functional evaluation is quadrature-limited.  ``sample`` gives both at
+    arbitrary radii, ``value``/``deriv`` one each: constants and the
+    singular solution evaluate in closed form, sampled kinds interpolate
+    with a piecewise polynomial in the power basis (a quintic Hermite when
+    second derivatives are stored, else a cubic Hermite) and follow their
+    fitted power-law tail beyond the stored grid.
     """
 
     kind: str
@@ -127,7 +127,7 @@ class RadialProfile:
     second_derivs: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
     _spline: object = field(default=None, repr=False)
-    _dspline: Optional[Callable] = field(default=None, repr=False)
+    _sampler: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -179,29 +179,48 @@ class RadialProfile:
             else:
                 self._spline = CubicHermiteSpline(self.grid, self.values,
                                                   self.derivs)
-            self._dspline = self._spline.derivative()
+            # w and w' as two columns of one piecewise polynomial, so one
+            # interval search serves both; the derivative's coefficients sit
+            # under a zero leading row, whose terms add exact zeros, so each
+            # column equals its own polynomial bit for bit
+            c = self._spline.c
+            dc = self._spline.derivative().c
+            self._sampler = PPoly(
+                np.stack([c, np.concatenate([np.zeros_like(c[:1]), dc])],
+                         axis=-1), self._spline.x)
 
-    def _eval(self, r, order: int) -> np.ndarray:
-        """Value (order 0) or first derivative (order 1) at arbitrary radii."""
+    def sample(self, r) -> tuple:
+        """(w, w') at arbitrary radii, each shaped like r.
+
+        Constants and the singular solution evaluate in closed form.  Sampled
+        kinds interpolate inside the stored grid, follow the fitted power-law
+        tail past its last knot and continue quadratically from the axis value
+        below its first."""
         r = np.asarray(r, dtype=float)
+        shape, r = r.shape, r.ravel()
         if self.is_constant:
-            return np.full_like(r, 0.0 if order else self.constant_value)
-        if self.kind == KIND_SINGULAR:
-            return self._power_law(np.maximum(r, 1e-300), order)
-        self._ensure_spline()
-        r0, r1 = self.grid[0], self.grid[-1]
-        spline = self._dspline if order else self._spline
-        out = np.asarray(spline(np.clip(r, r0, r1)), dtype=float)
-        if self.decay_coeff is not None:
-            out = np.where(r > r1, self._power_law(np.maximum(r, r1), order), out)
-        # below the stored grid: quadratic continuation from the axis value
-        head = r < r0
-        if np.any(head):
-            w0 = self.meta.get("axis_value", self.values[0])
-            curv = 2.0 * (self.values[0] - w0) / r0**2 if r0 > 0 else 0.0
-            out = np.where(head, curv * r if order else w0 + 0.5 * curv * r**2,
-                           out)
-        return out
+            w, dw = np.full_like(r, self.constant_value), np.zeros_like(r)
+        elif self.kind == KIND_SINGULAR:
+            r = np.maximum(r, 1e-300)
+            w, dw = self._power_law(r, 0), self._power_law(r, 1)
+        else:
+            self._ensure_spline()
+            r0, r1 = self.grid[0], self.grid[-1]
+            # contiguous rows, as numpy's vector loops want them
+            w, dw = self._sampler(r.clip(r0, r1)).T.copy()
+            if self.decay_coeff is not None:
+                tail = r > r1
+                if tail.any():
+                    rt = r[tail]
+                    w[tail] = self._power_law(rt, 0)
+                    dw[tail] = self._power_law(rt, 1)
+            head = r < r0
+            if head.any():
+                w0 = self.meta.get("axis_value", self.values[0])
+                curv = 2.0 * (self.values[0] - w0) / r0**2 if r0 > 0 else 0.0
+                rh = r[head]
+                w[head], dw[head] = w0 + 0.5 * curv * rh**2, curv * rh
+        return w.reshape(shape), dw.reshape(shape)
 
     def _power_law(self, r: np.ndarray, order: int) -> np.ndarray:
         q = self.params.decay_power
@@ -210,10 +229,10 @@ class RadialProfile:
         return self.decay_coeff * r ** (-q)
 
     def value(self, r) -> np.ndarray:
-        return self._eval(r, 0)
+        return self.sample(r)[0]
 
     def deriv(self, r) -> np.ndarray:
-        return self._eval(r, 1)
+        return self.sample(r)[1]
 
 
 def _hermite_bernstein(x: np.ndarray, data: np.ndarray) -> np.ndarray:

@@ -22,7 +22,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .core import KIND_SINGULAR, ParameterError, RadialProfile
-from .quadrature import _sums, default_composite_rule, offset_integral_many
+from .quadrature import (_offset_rules, _offset_sizes, _sums,
+                         default_composite_rule, offset_integral_many)
 
 # relative disagreement of the two energy forms flagged on a solution
 CONSISTENCY_TOL = 1e-4
@@ -38,6 +39,9 @@ TIE_TOL = 1e-10
 RING_EPS = 0.5
 # tolerated increase along the density's rescaling path
 MONOTONE_SLACK = 1e-8
+# most quadrature nodes one batched F pass samples the profile on: bounds its
+# working arrays, and so the peak memory, whatever the number of points
+_CHUNK_NODES = 8192
 
 
 @dataclass
@@ -126,19 +130,64 @@ def energy(profile: RadialProfile) -> FunctionalReport:
     return report
 
 
-def f_functional(profile: RadialProfile, x0_norm: float, t0: float) -> float:
-    """Recentered functional F_{x0,t0}(w) for t0 < 0; x0 = 0 integrates on
-    the default composite rule."""
-    if not t0 < 0.0:
-        raise ParameterError(f"F functional needs t0 < 0, got {t0}")
+def _integrands(profile: RadialProfile):
+    """r -> _core_terms of the profile on the nodes r, from one sample."""
     p = profile.params.p
+    return lambda r: _core_terms(r, *profile.sample(r), p)
 
-    def integrands(r):
-        return _core_terms(r, profile.value(r), profile.deriv(r), p)
 
-    grad2, mass, pot = offset_integral_many(integrands, x0_norm, t0,
-                                            profile.params.n)
-    return _f_value(p, -t0, grad2, mass, pot)
+def f_functional(profile: RadialProfile, x0_norm: float, t0: float) -> float:
+    """Recentered functional F_{x0,t0}(w) at one point, t0 < 0; x0 = 0
+    integrates on the default composite rule.  _f_values gives many points
+    at once, with the same values."""
+    sums = offset_integral_many(_integrands(profile), x0_norm, t0,
+                                profile.params.n)
+    return _f_point(profile.params.p, x0_norm, t0, sums)
+
+
+def _f_point(p: float, x0_norm: float, t0: float, sums) -> float:
+    """F at one recentering point from its three kernel integrals.  A point
+    so far out that F leaves the float range is a ParameterError naming it,
+    not a silent inf or nan."""
+    try:
+        val = _f_value(p, -t0, *sums)
+    except OverflowError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise ParameterError(f"F is not a finite float at "
+                             f"x0_norm={x0_norm!r}, t0={t0!r}: the point is "
+                             f"out of range")
+    return val
+
+
+def _f_values(profile: RadialProfile, x0s, t0s) -> np.ndarray:
+    """F at each recentering point (x0s[k], t0s[k]), equal bit for bit to
+    f_functional there.
+
+    Consecutive points go in chunks whose rules hold at most _CHUNK_NODES
+    nodes (at least one point each): per chunk one rule build, one profile
+    sample on all its nodes and one pass of _core_terms, then each point's
+    sums."""
+    x0s = np.asarray(x0s, dtype=float).ravel()
+    t0s = np.asarray(t0s, dtype=float).ravel()
+    n, p = profile.params.n, profile.params.p
+    integrands = _integrands(profile)
+    ends = np.cumsum(_offset_sizes(x0s, n))
+    out = np.empty(len(x0s))
+    start = 0
+    while start < len(x0s):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _CHUNK_NODES,
+                                                  side="right")))
+        nodes, weights, spans = _offset_rules(x0s[start:stop],
+                                              t0s[start:stop], n)
+        terms = integrands(nodes)
+        for k, (lo, hi) in enumerate(spans, start=start):
+            sums = _sums(nodes[lo:hi], weights[lo:hi],
+                         [term[lo:hi] for term in terms])
+            out[k] = _f_point(p, float(x0s[k]), float(t0s[k]), sums)
+        start = stop
+    return out
 
 
 def constant_f_closed_form(profile: RadialProfile, t0: float) -> float:
@@ -177,19 +226,26 @@ def entropy(profile: RadialProfile) -> EntropyResult:
                                          F_const(-RING_EPS))
         return result
 
+    # every point is evaluated once: the coarse grid in one batched pass,
+    # the refinement, snaps and ring probes one at a time
+    grid = [(b, la) for b in xs for la in las]
+    seen = dict(zip(grid, _f_values(profile, [b for b, _ in grid],
+                                    [-math.exp(la) for _, la in grid])))
+
     def F(b, la):
-        return f_functional(profile, b, -math.exp(la))
+        if (b, la) not in seen:
+            seen[b, la] = f_functional(profile, b, -math.exp(la))
+        return seen[b, la]
 
     trace = []
     best = (-math.inf, 0.0, 0.0)
-    for b in xs:
-        for la in las:
-            val = F(b, la)
-            trace.append((b, la, val))
-            # strict improvement beyond the tie tolerance keeps the smallest
-            # (b, |la|) among equal maxima
-            if val > best[0] + TIE_TOL * max(1.0, abs(best[0])):
-                best = (val, b, la)
+    for b, la in grid:
+        val = seen[b, la]
+        trace.append((b, la, val))
+        # strict improvement beyond the tie tolerance keeps the smallest
+        # (b, |la|) among equal maxima
+        if val > best[0] + TIE_TOL * max(1.0, abs(best[0])):
+            best = (val, b, la)
     _, b, la = best
 
     def refine(fun, lo, hi, x, span):
@@ -271,8 +327,8 @@ def density(profile: RadialProfile, x0_norm: float,
     if len(s_values) < 4 or np.any(s_values >= 0) or np.any(np.diff(-s_values) >= 0):
         raise ParameterError(
             "need a decreasing-|s| sequence of at least 4 negative s")
-    vals = np.array([f_functional(profile, x0_norm / math.sqrt(-s), -1.0)
-                     for s in s_values])
+    vals = _f_values(profile, [x0_norm / math.sqrt(-s) for s in s_values],
+                     np.full(len(s_values), -1.0))
     flags = []
     monotone = bool(np.all(np.diff(vals) <= MONOTONE_SLACK))
     if not monotone:

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ive, roots_genlaguerre
 
-from .core import SelfsimError
+from .core import ParameterError, SelfsimError
 
 # radial range of the composite rule
 COMPOSITE_R_MIN = 1e-16
@@ -39,6 +39,11 @@ COMPOSITE_R_MAX = 60.0
 
 class QuadratureError(SelfsimError, ValueError):
     pass
+
+
+class RecenteringError(QuadratureError, ParameterError):
+    """A recentering point (x0_norm, t0) outside the offset kernel's domain:
+    a bad request, so the command line exits 2 on it."""
 
 
 @dataclass(frozen=True)
@@ -141,15 +146,93 @@ def _bessel_sphere_average(c: np.ndarray, n: int) -> np.ndarray:
                     pref * (2.0 / cb) ** nu * ive(nu, cb))
 
 
-def _offset_weights(nodes: np.ndarray, gw: np.ndarray, b: float, a: float,
-                    n: int) -> np.ndarray:
-    """Weights of int f(|y|) G(y - x0, -a) dy on radial nodes, |x0| = b:
-    r^{n-1} times the Gaussian in |y| - b times the angular average
-    S(c) of _sphere_average, c = r b / (2a)."""
+def _kernel_norm(b: float, t0: float, n: int) -> float:
+    """(4 pi a)^{-n/2}, a = -t0, times the area of the unit sphere of R^{n-1}:
+    the scalar factor of the offset weights at |x0| = b > 0, as a python
+    float.  A point where it is not a positive finite float is a
+    RecenteringError naming t0."""
     coef = _sphere_area(n - 1) if n > 1 else 1.0
-    return ((4.0 * math.pi * a) ** (-n / 2.0) * coef * gw * nodes ** (n - 1)
+    try:
+        norm = (4.0 * math.pi * -t0) ** (-n / 2.0) * coef
+    except OverflowError:
+        norm = math.inf
+    if not 0.0 < norm < math.inf:
+        raise RecenteringError(
+            f"the offset kernel's normalisation (4 pi (-t0))^(-n/2) is out of "
+            f"floating-point range at t0={t0!r} (x0_norm={b!r}, n={n})")
+    return norm
+
+
+def _offset_weights(nodes: np.ndarray, gw: np.ndarray, b: np.ndarray,
+                    a: np.ndarray, norm: np.ndarray, n: int) -> np.ndarray:
+    """Weights of int f(|y|) G(y - x0, -a) dy on radial nodes, |x0| = b,
+    one row per point: the kernel normalisation times r^{n-1} times the
+    Gaussian in |y| - b times the angular average S(c) of _sphere_average,
+    c = r b / (2a)."""
+    return (norm * gw * nodes ** (n - 1)
             * np.exp(-(nodes - b) ** 2 / (4.0 * a))
             * _sphere_average(nodes * b / (2.0 * a), n))
+
+
+def _offset_sizes(x0s, n: int, n_panel: int = 16, n_gl: int = 24,
+                  rule: QuadratureRule | None = None) -> np.ndarray:
+    """Node count of each recentering point's rule: the composite rule at
+    x0_norm = 0, n_panel Gauss-Legendre panels of n_gl nodes elsewhere."""
+    rule = rule if rule is not None else default_composite_rule(n)
+    return np.where(np.asarray(x0s, dtype=float) == 0.0, len(rule.nodes),
+                    n_panel * n_gl)
+
+
+def _offset_rules(x0s, t0s, n: int, n_panel: int = 16, n_gl: int = 24,
+                  rule: QuadratureRule | None = None):
+    """Nodes and weights of int f(|y|) G(y - x0, t0) dy at many recentering
+    points, built in array passes: flat arrays, with point k's rule at
+    nodes[lo:hi] for (lo, hi) = spans[k].
+
+    The kernel concentrates at |y| ~ x0_norm with width sqrt(-t0); off the
+    origin the rule is Gauss-Legendre panels on that window, and x0_norm = 0
+    takes the radial rule (default: the composite rule) at radius scaled by
+    sqrt(-t0).  Each point's nodes and weights equal a one-point call's bit
+    for bit.  Every point needs a finite x0_norm >= 0 and a finite t0 < 0,
+    or it is a RecenteringError naming the value."""
+    rule = rule if rule is not None else default_composite_rule(n)
+    # per-point scalars as python floats, in one pass that checks each point
+    xs = np.asarray(x0s, dtype=float).tolist()
+    scales, offsets = [], []
+    for x, t in zip(xs, np.asarray(t0s, dtype=float).tolist()):
+        if not 0.0 <= x < math.inf:
+            raise RecenteringError(f"a recentering point needs a finite "
+                                   f"x0_norm >= 0, got {x!r}")
+        if not -math.inf < t < 0.0:
+            raise RecenteringError(f"a recentering point needs a finite "
+                                   f"t0 < 0, got {t!r}")
+        sa = math.sqrt(-t)
+        if x == 0.0:
+            scales.append(sa)
+        else:
+            lo, hi = max(0.0, x - 16.0 * sa), x + 16.0 * sa
+            offsets.append((x, -t, lo, (hi - lo) / n_panel, hi,
+                            _kernel_norm(x, t, n)))
+    # the flat arrays hold the points at the origin first, then the others
+    nodes, weights = [], []
+    if scales:
+        nodes.append((np.array(scales)[:, None] * rule.nodes).ravel())
+        weights.append(np.tile(rule.weights, len(scales)))
+    if offsets:
+        b, a, lo, step, hi, norm = np.array(offsets).T[:, :, None]
+        # np.linspace(lo, hi, n_panel + 1) per point, in its operation order
+        edges = np.arange(n_panel + 1.0) * step + lo
+        edges[:, -1:] = hi
+        panels, gw = _gl_panels(edges, n_gl)
+        nodes.append(panels.ravel())
+        weights.append(_offset_weights(panels, gw, b, a, norm, n).ravel())
+    start = {True: 0, False: len(scales) * len(rule.nodes)}
+    spans = []
+    for x, size in zip(xs, _offset_sizes(xs, n, n_panel, n_gl,
+                                         rule).tolist()):
+        spans.append((start[x == 0.0], start[x == 0.0] + size))
+        start[x == 0.0] += size
+    return np.concatenate(nodes), np.concatenate(weights), spans
 
 
 def offset_integral_many(f: Callable, x0_norm: float, t0: float,
@@ -158,25 +241,12 @@ def offset_integral_many(f: Callable, x0_norm: float, t0: float,
     """Batched int f_k(|y|) G(y-x0, t0) dy for radial integrands f_k.
 
     f(r) returns the rows f_k(r), so integrands that share work (one
-    profile evaluation) are evaluated once per node array.  The kernel
-    concentrates at |y| ~ x0_norm with width sqrt(-t0); the radial
-    quadrature uses Gauss-Legendre panels on that window.  x0_norm = 0 falls
-    back to the plain radial rule with rescaled radius.
+    profile evaluation) are evaluated once per node array.  The rule is
+    _offset_rules' for the one point; x0_norm = 0 integrates on rule_r
+    (default: the composite rule) with rescaled radius.
     """
-    if not t0 < 0.0:
-        raise QuadratureError(f"offset integrals need t0 < 0, got {t0}")
-    if x0_norm < 0.0:
-        raise QuadratureError("x0_norm must be nonnegative")
-    a = -t0
-    b = float(x0_norm)
-    sa = math.sqrt(a)
-    if b == 0.0:
-        rule = rule_r if rule_r is not None else default_composite_rule(n)
-        nodes, weights = sa * rule.nodes, rule.weights
-    else:
-        edges = np.linspace(max(0.0, b - 16.0 * sa), b + 16.0 * sa, n_panel + 1)
-        nodes, gw = _gl_panels(edges, n_gl)
-        weights = _offset_weights(nodes, gw, b, a, n)
+    nodes, weights, _ = _offset_rules([x0_norm], [t0], n, n_panel, n_gl,
+                                      rule_r)
     return _sums(nodes, weights, f(nodes))
 
 
@@ -198,11 +268,14 @@ def _gauss_legendre(n_gl: int):
 
 
 def _gl_panels(edges: np.ndarray, n_gl: int):
+    """Gauss-Legendre nodes and weights on the panels between consecutive
+    edges along the last axis, flattened along it."""
     gx, gw = _gauss_legendre(n_gl)
     edges = np.asarray(edges, dtype=float)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    weights = (half[:, None] * gw[None, :]).ravel()
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    shape = edges.shape[:-1] + (-1,)
+    nodes = (mid[..., None] + half[..., None] * gx).reshape(shape)
+    weights = (half[..., None] * gw).reshape(shape)
     return nodes, weights
 

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .core import ParameterError, RadialProfile
-from .quadrature import (_gl_panels, _offset_weights, _sums,
+from .quadrature import (_gl_panels, _kernel_norm, _offset_weights, _sums,
                          default_composite_rule)
 from .functionals import _core_terms, _f_value
 from .shooting import ode_residual
@@ -175,12 +175,12 @@ def general_second_variation_fd(profile: RadialProfile, var: Variation,
     edges = np.concatenate([[0.0], np.geomspace(0.01, 1.0, 12),
                             np.linspace(1.0, r_hi, 28)[1:]])
     nodes, gw = _gl_panels(edges, 24)
-    wv, dwv = profile.value(nodes), profile.deriv(nodes)
+    wv, dwv = profile.sample(nodes)
     ph, dph = var.phi(nodes), var.dphi(nodes)
 
     def F(s: float) -> float:
         b, a = b_of(s), -t_of(s)
-        base = _offset_weights(nodes, gw, b, a, n)
+        base = _offset_weights(nodes, gw, b, a, _kernel_norm(b, -a, n), n)
         W, DW = wv + s * ph, dwv + s * dph
         grad2, pot, mass = _sums(nodes, base, (DW**2, np.abs(W) ** (p + 1.0),
                                                W**2)).tolist()

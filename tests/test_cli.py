@@ -330,6 +330,10 @@ BAD_REQUESTS = [
     ["flow", "--init", "const:0.5", "--tau-max", "nan"],
     ["flow", "--init", "const:0.5", "--tau-max", "-1"],
     ["f-scan", "--x0-count", "0"],
+    ["f-scan", "--x0-max", "inf"],
+    ["f-scan", "--x0-max", "-1"],
+    ["f-scan", "--log-a-max", "800"],
+    ["f-scan", "--log-a-min", "-700", "--log-a-max", "-690"],
     ["gap-scan", "--p-count", "0"],
     ["gap-scan", "--n-range", "4"],
     ["gap-scan", "--n-range", "a:b"],
@@ -349,6 +353,18 @@ def test_bad_request_exits_2_without_traceback(tmp_path, capsys, argv):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not list(tmp_path.glob("out/*.json"))
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--x0-max", "inf"], "x0_max must be finite, got inf"),
+    (["--x0-max", "-1"], "x0_norm >= 0, got -0.1"),
+    (["--log-a-max", "800"], "log(-t0) = 800.0"),
+    (["--log-a-min", "-700", "--log-a-max", "-690"],
+     "t0=-9.85967654375977e-305"),
+])
+def test_f_scan_names_the_bad_value(tmp_path, capsys, argv, named):
+    assert main(["--out", str(tmp_path), "f-scan", *argv]) == 2
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))

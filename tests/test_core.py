@@ -192,3 +192,72 @@ def test_quintic_build_does_not_call_bpoly(monkeypatch):
     prof = _tabulated(grid)
     prof.value(grid)
     assert np.array_equal(prof._spline.c, expected)
+
+
+def _sampled_kinds():
+    """One profile of every kind, each with the radii where its evaluation
+    changes rule: below the first knot, on the knots, between them and past
+    the last knot."""
+    p37 = make_params(3, 7.0)
+    grid = np.linspace(0.01, 5.0, 50)
+    cubic = RadialProfile(kind=KIND_TABULATED, params=p37, grid=grid,
+                          values=np.exp(-grid), derivs=-np.exp(-grid),
+                          meta={"axis_value": 1.0})
+    tailed = RadialProfile(kind=KIND_TABULATED, params=p37, grid=grid,
+                           values=grid ** -0.5, derivs=-0.5 * grid ** -1.5,
+                           decay_coeff=1.0)
+    return {"zero": constant_profile(p37, "0"),
+            "kappa": constant_profile(p37, "+"),
+            "singular": singular_profile(make_params(7, 3.0)),
+            "quintic": reference_profile(3, 7.0),
+            "cubic": cubic, "cubic-tail": tailed}
+
+
+@pytest.mark.parametrize("name", ["zero", "kappa", "singular", "quintic",
+                                  "cubic", "cubic-tail"])
+def test_sample_is_value_and_deriv_bit_for_bit_on_every_stretch(name):
+    prof = _sampled_kinds()[name]
+    g = prof.grid
+    stretches = {"below": g[0] * np.array([0.0, 0.25, 0.999]),
+                 "knots": g,
+                 "inside": 0.5 * (g[:-1] + g[1:]),
+                 "past": g[-1] * np.array([1.001, 1.5, 3.0])}
+    # the singular solution's slope at r = 0 overflows to -inf
+    with np.errstate(over="ignore"):
+        for where, r in stretches.items():
+            w, dw = prof.sample(r)
+            assert w.shape == dw.shape == r.shape, where
+            assert np.array_equal(w, prof.value(r)), where
+            assert np.array_equal(dw, prof.deriv(r)), where
+        # the radii in one call or one at a time give the same samples
+        r = np.concatenate(list(stretches.values()))
+        w, dw = prof.sample(r)
+        one = [prof.sample(x) for x in r]
+    assert np.array_equal(w, [s[0] for s in one])
+    assert np.array_equal(dw, [s[1] for s in one])
+
+
+@pytest.mark.parametrize("name", ["quintic", "cubic", "cubic-tail"])
+def test_sample_columns_equal_the_interpolant_and_its_derivative(name):
+    # the two-column sampler against the interpolant and its own derivative,
+    # each with its own interval search
+    prof = _sampled_kinds()[name]
+    prof._ensure_spline()
+    g = prof.grid
+    r = np.concatenate([g, 0.5 * (g[:-1] + g[1:])])
+    w, dw = prof.sample(r)
+    assert np.array_equal(w, prof._spline(r))
+    assert np.array_equal(dw, prof._spline.derivative()(r))
+    # below the first knot: the quadratic through the axis value
+    below = g[0] * np.array([0.0, 0.5])
+    w0 = prof.meta.get("axis_value", prof.values[0])
+    curv = 2.0 * (prof.values[0] - w0) / g[0] ** 2
+    w, dw = prof.sample(below)
+    assert np.array_equal(w, w0 + 0.5 * curv * below ** 2)
+    assert np.array_equal(dw, curv * below)
+    if prof.decay_coeff is not None:
+        q = prof.params.decay_power
+        past = g[-1] * np.array([1.001, 2.0])
+        w, dw = prof.sample(past)
+        assert np.array_equal(w, prof.decay_coeff * past ** (-q))
+        assert np.array_equal(dw, -q * prof.decay_coeff * past ** (-q - 1.0))

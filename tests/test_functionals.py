@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from selfsim import functionals
-from selfsim.core import constant_profile, make_params, singular_profile
+from selfsim.core import (KIND_TABULATED, ParameterError, RadialProfile,
+                          constant_profile, make_params, singular_profile)
 from selfsim.fixtures import reference_profile
 from selfsim.functionals import (constant_f_closed_form, density, energy,
                                  entropy, f_functional, identities)
@@ -262,8 +263,9 @@ def test_f_evaluates_the_profile_once_and_matches_bit_for_bit(wshoot,
         assert f_functional(wshoot, float(x0), t0) \
             == separate_integrands_f(wshoot, float(x0), t0, rule)
     calls = []
-    value = wshoot.value
-    monkeypatch.setattr(wshoot, "value", lambda r: calls.append(1) or value(r))
+    sample = wshoot.sample
+    monkeypatch.setattr(wshoot, "sample",
+                        lambda r: calls.append(1) or sample(r))
     for x0 in (0.0, 1.5):
         f_functional(wshoot, x0, -1.0)
     assert len(calls) == 2
@@ -275,8 +277,8 @@ def test_f_names_the_node_of_a_nonfinite_sample(x0, t0, monkeypatch):
     # a band of infinite values around r = 2 lies in the panels around the
     # offset x0 = 2, and at x0 = 0 on the rule's nodes scaled by sqrt(-t0)
     prof = constant_profile(P37, "+")
-    monkeypatch.setattr(prof, "value", lambda r: np.where(
-        np.abs(r - 2.0) < 0.05, np.inf, P37.kappa))
+    monkeypatch.setattr(prof, "sample", lambda r: (np.where(
+        np.abs(r - 2.0) < 0.05, np.inf, P37.kappa), np.zeros_like(r)))
     with pytest.raises(QuadratureError, match="not finite at node") as err:
         f_functional(prof, x0, t0)
     node = float(re.search(r"r=(\S+)", str(err.value)).group(1))
@@ -325,3 +327,97 @@ def test_energy_and_identities_evaluate_the_profile_once_and_match_bit_for_bit(
     energy(wshoot)
     identities(wshoot)
     assert calls == ["value", "deriv"] * 2
+
+
+def coarse_grid():
+    """The entropy's coarse grid of recentering points, in its order."""
+    xs = np.linspace(0.0, functionals.X0_MAX, functionals.COARSE_POINTS)
+    las = np.linspace(-functionals.LOG_A_MAX, functionals.LOG_A_MAX,
+                      functionals.COARSE_POINTS)
+    return (np.repeat(xs, len(las)),
+            np.array([-math.exp(la) for la in las] * len(xs)))
+
+
+def batched_f_profiles(wshoot):
+    grid = np.linspace(0.01, 5.0, 60)
+    cubic = RadialProfile(kind=KIND_TABULATED, params=P37, grid=grid,
+                          values=np.exp(-grid), derivs=-np.exp(-grid))
+    return {"shooting": wshoot, "tabulated": cubic,
+            "constant": constant_profile(P37, "+"),
+            "singular": singular_profile(P73)}
+
+
+@pytest.mark.parametrize("name", ["shooting", "tabulated", "constant",
+                                  "singular"])
+def test_batched_f_equals_f_functional_bit_for_bit(wshoot, name):
+    prof = batched_f_profiles(wshoot)[name]
+    rng = np.random.default_rng(23)
+    x0s = np.concatenate([np.zeros(8), rng.uniform(0.05, 6.0, 40)])
+    rng.shuffle(x0s)
+    t0s = -np.exp(rng.uniform(-6.0, 6.0, len(x0s)))
+    want = [f_functional(prof, float(b), float(t)) for b, t in zip(x0s, t0s)]
+    assert np.array_equal(functionals._f_values(prof, x0s, t0s), want)
+
+
+@pytest.mark.parametrize("chunk", [1, 1600, functionals._CHUNK_NODES],
+                         ids=["one-point", "one-origin-rule", "default"])
+def test_batched_f_does_not_depend_on_the_chunk_bound(wshoot, monkeypatch,
+                                                      chunk):
+    # 1600 nodes hold exactly one composite rule, the x0 = 0 points' rule
+    assert len(default_composite_rule(3).nodes) == 1600
+    x0s, t0s = coarse_grid()
+    want = [f_functional(wshoot, float(b), float(t)) for b, t in zip(x0s, t0s)]
+    monkeypatch.setattr(functionals, "_CHUNK_NODES", chunk)
+    assert np.array_equal(functionals._f_values(wshoot, x0s, t0s), want)
+
+
+def test_batched_f_names_the_node_of_a_nonfinite_sample(monkeypatch):
+    prof = constant_profile(P37, "+")
+    monkeypatch.setattr(prof, "sample", lambda r: (np.where(
+        np.abs(r - 2.0) < 0.05, np.inf, P37.kappa), np.zeros_like(r)))
+    with pytest.raises(QuadratureError, match="not finite at node") as err:
+        functionals._f_values(prof, [9.0, 0.0, 2.0], [-0.01, -4.0, -1.0])
+    node = float(re.search(r"r=(\S+)", str(err.value)).group(1))
+    assert abs(node - 2.0) < 0.05
+
+
+def test_entropy_samples_no_more_nodes_at_once_than_the_chunk_bound(
+        wshoot, monkeypatch):
+    sizes = []
+    sample = wshoot.sample
+    monkeypatch.setattr(wshoot, "sample",
+                        lambda r: sizes.append(np.size(r)) or sample(r))
+    entropy(wshoot)
+    assert max(sizes) <= functionals._CHUNK_NODES
+    # the coarse grid alone is 13 origin rules and 156 windows of panels
+    assert sum(sizes) > 13 * 1600 + 156 * 16 * 24
+
+
+def test_entropy_evaluates_each_point_once(wshoot, monkeypatch):
+    points = []
+    one, many = functionals.f_functional, functionals._f_values
+    monkeypatch.setattr(functionals, "f_functional", lambda prof, b, t0: (
+        points.append((b, t0)) or one(prof, b, t0)))
+    monkeypatch.setattr(functionals, "_f_values", lambda prof, bs, ts: (
+        points.extend(zip(bs, ts)) or many(prof, bs, ts)))
+    res = entropy(wshoot)
+    assert len(points) == len(set(points)) > 169
+    assert [(b, -math.exp(la)) for b, la, _ in res.trace] == points[:169]
+
+
+@pytest.mark.parametrize("x0,t0,named", [
+    (math.inf, -1.0, "x0_norm >= 0, got inf"),
+    (math.nan, -1.0, "x0_norm >= 0, got nan"),
+    (-0.5, -1.0, "x0_norm >= 0, got -0.5"),
+    (0.0, -math.inf, "t0 < 0, got -inf"),
+    (1.0, 0.0, "t0 < 0, got 0.0"),
+    (1.0, -1e-300, "t0=-1e-300"),
+    (1.0, -1e300, "t0=-1e+300"),
+    (0.0, -1e300, "t0=-1e+300"),
+])
+def test_f_rejects_a_bad_recentering_point_naming_it(wshoot, x0, t0, named):
+    for prof in (constant_profile(P37, "+"), wshoot):
+        with pytest.raises(ParameterError, match=re.escape(named)):
+            f_functional(prof, x0, t0)
+        with pytest.raises(ParameterError, match=re.escape(named)):
+            functionals._f_values(prof, [0.5, x0], [-1.0, t0])
