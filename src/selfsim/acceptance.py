@@ -203,12 +203,14 @@ def check_eigen_relations():
 
         wshoot = reference_profile(3, 7.0)
         p = wshoot.params.p
-        lam_fun = lambda r: 2.0 * wshoot.value(r) / (p - 1.0) \
-            + r * wshoot.deriv(r)
+
+        def lam_fun(r):
+            w, dw = wshoot.sample(r)
+            return 2.0 * w / (p - 1.0) + r * dw
         num = omega_residual(wshoot, lam_fun, lam_fun, 0, wshoot.grid)
         details["scaling_mode_residual"] = num
         ok &= num <= 1e-5
-        dw_fun = lambda r: wshoot.deriv(r)
+        dw_fun = wshoot.deriv
         grid1 = wshoot.grid[4:-4]
         num1 = omega_residual(wshoot, dw_fun, lambda r: 0.5 * dw_fun(r), 1,
                               grid1)

@@ -67,15 +67,20 @@ def make_params(n: int, p: float,
                 require_supercritical: bool = False) -> Parameters:
     """Validate and build a Parameters value.
 
-    Raises ParameterError if p <= 1, n < 1, or p is not supercritical while
-    the flag demands it.
+    Raises ParameterError if n < 1, p is not finite and above 1, kappa^{p+1}
+    overflows (p near 1), or p is not supercritical while the flag demands it.
     """
     if int(n) != n or n < 1:
         raise ParameterError(f"dimension must be a positive integer, got {n}")
     n = int(n)
-    if not p > 1.0:
-        raise ParameterError(f"exponent p must exceed 1, got {p}")
+    if not 1.0 < p < math.inf:
+        raise ParameterError(f"exponent p must be finite and > 1, got {p}")
     params = Parameters(n=n, p=float(p))
+    try:
+        params.kappa ** (params.p + 1.0)
+    except OverflowError:
+        raise ParameterError(f"exponent p={p} is too close to 1: kappa or "
+                             f"kappa^(p+1) overflows") from None
     if require_supercritical and not params.is_supercritical:
         raise ParameterError(
             f"p={p} is not above the critical exponent {sobolev_critical(n)} for n={n}")
@@ -109,12 +114,12 @@ class RadialProfile:
     """A radial candidate function with values and first derivatives.
 
     Derivatives are carried explicitly (never re-differenced from values) so
-    functional evaluation is quadrature-limited.  ``sample`` gives both at
-    arbitrary radii, ``value``/``deriv`` one each: constants and the
-    singular solution evaluate in closed form, sampled kinds interpolate
-    with a piecewise polynomial in the power basis (a quintic Hermite when
-    second derivatives are stored, else a cubic Hermite) and follow their
-    fitted power-law tail beyond the stored grid.
+    functional evaluation is quadrature-limited.  ``sample`` is the
+    evaluator of w and w' at arbitrary radii, ``value``/``deriv`` its two
+    columns: constants and the singular solution evaluate in closed form,
+    sampled kinds interpolate with a piecewise polynomial in the power basis
+    (a quintic Hermite when second derivatives are stored, else a cubic
+    Hermite) and follow their fitted power-law tail beyond the stored grid.
     """
 
     kind: str
@@ -127,7 +132,6 @@ class RadialProfile:
     second_derivs: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
     _spline: object = field(default=None, repr=False)
-    _sampler: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -168,26 +172,24 @@ class RadialProfile:
 
     # -- evaluation ----------------------------------------------------------
     def _ensure_spline(self):
+        """Build _spline, the one cache: w and w' as two columns of one
+        piecewise polynomial, one interval search for both.  The derivative's
+        coefficients sit under a zero leading row, whose terms add exact
+        zeros, so each column equals its own polynomial bit for bit."""
         if self._spline is None:
             if self.second_derivs is not None:
                 # quintic Hermite: C^2, keeps panel quadrature smooth in the
                 # recentering offset
                 data = np.stack([self.values, self.derivs,
                                  self.second_derivs])
-                self._spline = _power_basis(
-                    _hermite_bernstein(self.grid, data), self.grid)
+                w = _power_basis(_hermite_bernstein(self.grid, data),
+                                 self.grid)
             else:
-                self._spline = CubicHermiteSpline(self.grid, self.values,
-                                                  self.derivs)
-            # w and w' as two columns of one piecewise polynomial, so one
-            # interval search serves both; the derivative's coefficients sit
-            # under a zero leading row, whose terms add exact zeros, so each
-            # column equals its own polynomial bit for bit
-            c = self._spline.c
-            dc = self._spline.derivative().c
-            self._sampler = PPoly(
+                w = CubicHermiteSpline(self.grid, self.values, self.derivs)
+            c, dc = w.c, w.derivative().c
+            self._spline = PPoly(
                 np.stack([c, np.concatenate([np.zeros_like(c[:1]), dc])],
-                         axis=-1), self._spline.x)
+                         axis=-1), w.x)
 
     def sample(self, r) -> tuple:
         """(w, w') at arbitrary radii, each shaped like r.
@@ -207,7 +209,7 @@ class RadialProfile:
             self._ensure_spline()
             r0, r1 = self.grid[0], self.grid[-1]
             # contiguous rows, as numpy's vector loops want them
-            w, dw = self._sampler(r.clip(r0, r1)).T.copy()
+            w, dw = self._spline(r.clip(r0, r1)).T.copy()
             if self.decay_coeff is not None:
                 tail = r > r1
                 if tail.any():

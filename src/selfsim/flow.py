@@ -49,8 +49,10 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import gamma, gammainc, gammaincc
 
-from .core import (KIND_SINGULAR, ParameterError, Parameters, RadialProfile,
-                   SelfsimError)
+from .core import (KIND_SINGULAR, KIND_TABULATED, ParameterError, Parameters,
+                   RadialProfile, SelfsimError, constant_profile)
+from .functionals import energy, entropy
+from .spectrum import first_eigenfunction
 
 OUTCOME_BLEWUP = "blew_up"
 OUTCOME_CONVERGED = "converged_to_profile"
@@ -610,24 +612,19 @@ def entropy_perturbation_experiment(profile: RadialProfile,
     is sharply concentrated, so unit-L2 perturbations at finite s can leave
     the small-perturbation regime entirely).
     """
-    from .core import KIND_TABULATED
-    from .functionals import energy, entropy
-    from .spectrum import first_eigenfunction
-
     params = profile.params
-    lam1, f_raw, _ = first_eigenfunction(profile, resolution=4000)
+    _, f_raw, _ = first_eigenfunction(profile, resolution=4000)
     scale = float(np.abs(f_raw(np.linspace(0.0, 20.0, 4001))).max())
-    df_raw = f_raw.derivative()
     f = lambda r: f_raw(r) / scale
-    df = lambda r: df_raw(r) / scale
     base = entropy(profile)
+    grid = np.unique(np.concatenate([np.geomspace(1e-6, 19.9, 1200),
+                                     profile.grid]))
+    grid = grid[grid <= 19.9]
+    w, dw = profile.sample(grid)
+    fg, dfg = f(grid), f_raw.derivative()(grid) / scale
     entropies, margins, search_flags = {}, {}, []
     for s in s_values:
-        grid = np.unique(np.concatenate([np.geomspace(1e-6, 19.9, 1200),
-                                         profile.grid]))
-        grid = grid[grid <= 19.9]
-        vals = profile.value(grid) + s * f(grid)
-        ders = profile.deriv(grid) + s * df(grid)
+        vals, ders = w + s * fg, dw + s * dfg
         pert = RadialProfile(kind=KIND_TABULATED, params=params, grid=grid,
                              values=vals, derivs=ders,
                              decay_coeff=profile.decay_coeff,
@@ -639,7 +636,6 @@ def entropy_perturbation_experiment(profile: RadialProfile,
     report = PerturbationReport(s_values=list(s_values), entropies=entropies,
                                 base_entropy=base.lam, margins=margins,
                                 flags=search_flags)
-    from .core import constant_profile
     report.kappa_energy = energy(constant_profile(params, "+")).energy
     if run_flow_for is not None:
         state = init_flow(profile, FlowConfig(bc=BC_DIRICHLET),

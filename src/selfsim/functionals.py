@@ -81,12 +81,11 @@ def _core_terms(r: np.ndarray, w: np.ndarray, dw: np.ndarray, p: float,
 
 def _core_integrals(profile: RadialProfile, moments: bool = False) -> tuple:
     """Weighted integrals of _core_terms on the composite log rule, which
-    resolves singular tails and sharp shooting cores; one evaluation each of
-    w and w' serves all."""
+    resolves singular tails and sharp shooting cores; one sample of w and
+    w' serves all."""
     rule = default_composite_rule(profile.params.n)
     r = rule.nodes
-    terms = _core_terms(r, profile.value(r), profile.deriv(r),
-                        profile.params.p, moments)
+    terms = _core_terms(r, *profile.sample(r), profile.params.p, moments)
     return tuple(_sums(r, rule.weights, terms).tolist())
 
 

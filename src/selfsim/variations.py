@@ -85,10 +85,10 @@ def lambda_field(profile: RadialProfile):
 
 def _samples(profile: RadialProfile, var: Variation) -> tuple:
     """The default composite rule, then w, w', phi and phi' on its nodes,
-    each evaluated once."""
+    w and w' from one sample."""
     rule = default_composite_rule(profile.params.n)
     r = rule.nodes
-    return rule, profile.value(r), profile.deriv(r), var.phi(r), var.dphi(r)
+    return (rule, *profile.sample(r), var.phi(r), var.dphi(r))
 
 
 def first_variation(profile: RadialProfile, var: Variation) -> float:

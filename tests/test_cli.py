@@ -356,6 +356,21 @@ def test_bad_request_exits_2_without_traceback(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv,named", [
+    (["gamma", "--p", "inf"], "p must be finite and > 1, got inf"),
+    (["energy", "--p", "inf"], "p must be finite and > 1, got inf"),
+    (["energy", "--p", "1.001"], "p=1.001 is too close to 1"),
+    (["entropy", "--p", "1.01"], "p=1.01 is too close to 1"),
+])
+def test_bad_exponent_exits_2_with_one_error_line_naming_p(tmp_path, capsys,
+                                                            argv, named):
+    assert main(["--out", str(tmp_path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("argv,named", [
     (["--x0-max", "inf"], "x0_max must be finite, got inf"),
     (["--x0-max", "-1"], "x0_norm >= 0, got -0.1"),
     (["--log-a-max", "800"], "log(-t0) = 800.0"),

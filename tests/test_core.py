@@ -1,6 +1,8 @@
+import copy
+
 import numpy as np
 import pytest
-from scipy.interpolate import BPoly
+from scipy.interpolate import BPoly, PPoly
 
 from selfsim import core
 from selfsim.core import (KIND_SINGULAR, KIND_TABULATED, ParameterError,
@@ -22,6 +24,13 @@ def test_make_params_rejects_bad_inputs():
         make_params(0, 3.0)
     with pytest.raises(ParameterError):
         make_params(3, 1.0)
+    for p in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ParameterError, match=f"got {p}"):
+            make_params(3, p)
+    # kappa overflows at p = 1.001, kappa^{p+1} at p = 1.01
+    for p in (1.001, 1.01):
+        with pytest.raises(ParameterError, match=f"p={p} "):
+            make_params(3, p)
 
 
 def test_kappa_values():
@@ -160,7 +169,7 @@ def _quintic_coefficients(grid, values, derivs, second_derivs):
     prof = _tabulated(grid, values=values, derivs=derivs,
                       second_derivs=second_derivs)
     prof._ensure_spline()
-    return prof._spline.c
+    return prof._spline.c[..., 0]
 
 
 def test_quintic_build_equals_scipys_per_interval_build_bit_for_bit():
@@ -191,7 +200,7 @@ def test_quintic_build_does_not_call_bpoly(monkeypatch):
     monkeypatch.setattr(core, "BPoly", Refuses)
     prof = _tabulated(grid)
     prof.value(grid)
-    assert np.array_equal(prof._spline.c, expected)
+    assert np.array_equal(prof._spline.c[..., 0], expected)
 
 
 def _sampled_kinds():
@@ -238,16 +247,39 @@ def test_sample_is_value_and_deriv_bit_for_bit_on_every_stretch(name):
 
 
 @pytest.mark.parametrize("name", ["quintic", "cubic", "cubic-tail"])
+def test_dropping_the_interpolant_rebuilds_it_from_the_current_data(name):
+    # a copy: the quintic is the shared reference profile
+    prof = copy.deepcopy(_sampled_kinds()[name])
+    g = prof.grid
+    r = np.concatenate([g, 0.5 * (g[:-1] + g[1:])])
+    before = prof.sample(r)
+    prof.values = prof.values + 0.1 * np.sin(g)
+    prof.derivs = prof.derivs + 0.1 * np.cos(g)
+    # the cache is the interpolant of the data it was built from
+    assert all(np.array_equal(a, b) for a, b in zip(prof.sample(r), before))
+    prof._spline = None
+    want = RadialProfile(kind=prof.kind, params=prof.params, grid=g,
+                         values=prof.values, derivs=prof.derivs,
+                         second_derivs=prof.second_derivs,
+                         decay_coeff=prof.decay_coeff).sample(r)
+    after = prof.sample(r)
+    assert not np.array_equal(after[0], before[0])
+    assert all(np.array_equal(a, b) for a, b in zip(after, want))
+
+
+@pytest.mark.parametrize("name", ["quintic", "cubic", "cubic-tail"])
 def test_sample_columns_equal_the_interpolant_and_its_derivative(name):
-    # the two-column sampler against the interpolant and its own derivative,
-    # each with its own interval search
+    # the two-column interpolant against its w column as a polynomial of
+    # its own and that polynomial's derivative, each with its own interval
+    # search
     prof = _sampled_kinds()[name]
     prof._ensure_spline()
+    w_only = PPoly(prof._spline.c[..., 0], prof._spline.x)
     g = prof.grid
     r = np.concatenate([g, 0.5 * (g[:-1] + g[1:])])
     w, dw = prof.sample(r)
-    assert np.array_equal(w, prof._spline(r))
-    assert np.array_equal(dw, prof._spline.derivative()(r))
+    assert np.array_equal(w, w_only(r))
+    assert np.array_equal(dw, w_only.derivative()(r))
     # below the first knot: the quadratic through the axis value
     below = g[0] * np.array([0.0, 0.5])
     w0 = prof.meta.get("axis_value", prof.values[0])

@@ -7,13 +7,15 @@ import pytest
 from scipy.linalg import solve_banded
 
 from selfsim import flow
-from selfsim.core import (ParameterError, constant_profile, make_params,
-                          tabulated_profile)
+from selfsim.core import (KIND_TABULATED, ParameterError, RadialProfile,
+                          constant_profile, make_params, tabulated_profile)
 from selfsim.fixtures import reference_profile
 from selfsim.flow import (BC_DIRICHLET, BC_NOFLUX, FlowConfig,
                           OUTCOME_BLEWUP, OUTCOME_CONVERGED, blowup_criterion,
                           energy_of_state, entropy_perturbation_experiment,
                           init_flow, run, step, weighted_average)
+from selfsim.functionals import entropy
+from selfsim.spectrum import first_eigenfunction
 
 P33 = make_params(3, 3.0)
 P37 = make_params(3, 7.0, require_supercritical=True)
@@ -223,6 +225,36 @@ def test_perturbation_experiment_entropy_drop_and_blowup():
     assert rep.flow_outcome == OUTCOME_BLEWUP
     assert rep.flow_tau1 is not None
     assert rep.energy_plateau < rep.base_entropy + 1e-6
+
+
+def test_perturbation_experiment_samples_the_profile_once_bit_for_bit(
+        monkeypatch):
+    prof = reference_profile(3, 7.0)
+    s_values = (0.01, -0.01, 0.05, -0.05)
+    grid = np.unique(np.concatenate([np.geomspace(1e-6, 19.9, 1200),
+                                     prof.grid]))
+    grid = grid[grid <= 19.9]
+    # the oracle: each s samples w, w', f and f' on the grid on its own
+    _, f_raw, _ = first_eigenfunction(prof, resolution=4000)
+    scale = float(np.abs(f_raw(np.linspace(0.0, 20.0, 4001))).max())
+    base = entropy(prof).lam
+    want = {}
+    for s in s_values:
+        vals = prof.value(grid) + s * (f_raw(grid) / scale)
+        ders = prof.deriv(grid) + s * (f_raw.derivative()(grid) / scale)
+        want[s] = entropy(RadialProfile(
+            kind=KIND_TABULATED, params=P37, grid=grid, values=vals,
+            derivs=ders, decay_coeff=prof.decay_coeff,
+            meta={"axis_value": float(vals[0])})).lam
+    radii = []
+    sample = prof.sample
+    monkeypatch.setattr(prof, "sample",
+                        lambda r: radii.append(np.asarray(r)) or sample(r))
+    rep = entropy_perturbation_experiment(prof, s_values, run_flow_for=None)
+    assert sum(np.array_equal(r, grid) for r in radii) == 1
+    assert rep.base_entropy == base
+    assert rep.entropies == want
+    assert rep.margins == {s: base - want[s] for s in s_values}
 
 
 def test_reached_max_time_outcome():

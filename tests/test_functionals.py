@@ -320,13 +320,12 @@ def test_energy_and_identities_evaluate_the_profile_once_and_match_bit_for_bit(
         (want["energy"], want["energy_shortcut"])
     assert {k: getattr(ids, k) for k in want} == want
     calls = []
-    for name in ("value", "deriv"):
-        method = getattr(wshoot, name)
-        monkeypatch.setattr(wshoot, name, lambda r, name=name, method=method:
-                            calls.append(name) or method(r))
+    sample = wshoot.sample
+    monkeypatch.setattr(wshoot, "sample",
+                        lambda r: calls.append("sample") or sample(r))
     energy(wshoot)
     identities(wshoot)
-    assert calls == ["value", "deriv"] * 2
+    assert calls == ["sample"] * 2
 
 
 def coarse_grid():

@@ -61,7 +61,7 @@ def quintic():
 def test_quintic_interpolant_is_c2_at_its_knots(quintic):
     # every interior knot in one pass: the left piece at its right end
     # against the right piece at its left end, for w, w' and w''
-    x, c = quintic._spline.x, quintic._spline.c
+    x, c = quintic._spline.x, quintic._spline.c[..., 0]
     dx = np.diff(x)
     h = np.minimum(dx[:-1], dx[1:])
     # the largest Bernstein coefficient of the two pieces, built from the

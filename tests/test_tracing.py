@@ -21,7 +21,12 @@ prof = core.RadialProfile(kind=core.KIND_TABULATED, params=params, grid=grid,
 for x0 in (0.0, 1.0):
     functionals.f_functional(prof, x0, -1.0)
 functionals.energy(core.constant_profile(params))
+# the library samples through RadialProfile.sample; value and deriv, its
+# columns, are still counted by name
+prof.value(grid)
+prof.deriv(grid)
 m = tracing.layer_metrics(tr)
+assert m["core.eval_calls"] == 2 and m["core.eval_points"] == 100, m
 assert m["functionals.f_evals"] == 2, m
 assert m["core.interpolant_builds"] == 1 and m["core.interpolant_knots"] == 50, m
 assert m["quadrature.offset_calls"] == 2, m
