@@ -21,7 +21,7 @@ from .flow import (BC_NOFLUX, FlowConfig, OUTCOME_BLEWUP, init_flow, run,
 from .functionals import _f_values, energy, entropy, identities
 from .quadrature import (_sums, default_composite_rule, radial_rule,
                          weighted_integral)
-from .shooting import SIGN_CHANGING, find_brackets, scan_initial_values
+from .shooting import SIGN_CHANGING, _brackets, scan_initial_values
 from .spectrum import (apply_L, build_sector, eigen_smallest,
                        first_eigenfunction, rayleigh_quotient)
 from .variations import (Variation, first_variation,
@@ -202,11 +202,9 @@ def check_eigen_relations():
             return norm2 ** 0.5
 
         wshoot = reference_profile(3, 7.0)
-        p = wshoot.params.p
 
         def lam_fun(r):
-            w, dw = wshoot.sample(r)
-            return 2.0 * w / (p - 1.0) + r * dw
+            return wshoot.params.scaling_field(r, *wshoot.sample(r))
         num = omega_residual(wshoot, lam_fun, lam_fun, 0, wshoot.grid)
         details["scaling_mode_residual"] = num
         ok &= num <= 1e-5
@@ -218,7 +216,7 @@ def check_eigen_relations():
         ok &= num1 <= 1e-5
         # constant: the scaling field is the constant eigenfunction
         kap_prof = constant_profile(make_params(3, 3.0), "+")
-        c = 2.0 * kap_prof.params.kappa / 2.0
+        c = kap_prof.params.scaling_field(0.0, kap_prof.constant_value, 0.0)
         grid = np.linspace(0.3, 12.0, 500)
         _, Lc = apply_L(kap_prof, lambda r: np.full_like(r, c), ell=0, grid=grid)
         details["constant_scaling_residual"] = float(np.abs(Lc - c).max())
@@ -346,7 +344,7 @@ def check_energy_ordering():
         sub = make_params(3, 2.0)
         grid = SUBCRITICAL_SCAN[(3, 2.0)]
         rows = scan_initial_values(sub, grid, tol=1e-10)
-        brackets = find_brackets(sub, grid, tol=1e-10)
+        brackets = _brackets(rows)
         details["subcritical_all_sign_changing"] = all(
             lab == SIGN_CHANGING for _, lab, _ in rows)
         details["subcritical_brackets"] = len(brackets)

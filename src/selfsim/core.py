@@ -39,7 +39,8 @@ def sobolev_critical(n: int) -> float:
 
 @dataclass(frozen=True)
 class Parameters:
-    """Dimension n and nonlinearity exponent p."""
+    """Dimension n and exponent p, with the terms of the profile equation
+    w'' = drift(r) w' + g(w), elementwise; no other module spells them."""
 
     n: int
     p: float
@@ -61,6 +62,27 @@ class Parameters:
     @property
     def is_supercritical(self) -> bool:
         return self.p > sobolev_critical(self.n)
+
+    def drift(self, r):
+        """-((n-1)/r - r/2), the coefficient of w' in w''."""
+        return -((self.n - 1) / r - 0.5 * r)
+
+    def reaction(self, w):
+        """g(w) = w/(p-1) - |w|^{p-1} w, zero at 0 and +-kappa."""
+        return w / (self.p - 1.0) - np.abs(w) ** (self.p - 1.0) * w
+
+    def second_deriv(self, drift, w, dw):
+        """w'' given drift(r), its terms added left to right: as drift w' +
+        g(w) it rounds once more, which moves a shot's r_cut."""
+        return drift * dw + w / (self.p - 1.0) - np.abs(w) ** (self.p - 1.0) * w
+
+    def potential(self, w):
+        """-1/(p-1) + p |w|^{p-1} = -g'(w), the linearized operator's."""
+        return -1.0 / (self.p - 1.0) + self.p * np.abs(w) ** (self.p - 1.0)
+
+    def scaling_field(self, r, w, dw):
+        """Lam(w) = 2w/(p-1) + r w', an eigenfunction of L at -1."""
+        return 2.0 * w / (self.p - 1.0) + r * dw
 
 
 def make_params(n: int, p: float,
@@ -296,8 +318,7 @@ def constant_profile(params: Parameters,
     return RadialProfile(kind=kind, params=params, grid=grid,
                          values=np.full(grid.shape, level),
                          derivs=np.zeros(grid.shape),
-                         decay_coeff=None,
-                         meta={"sign": s, "axis_value": level})
+                         decay_coeff=None, meta={"axis_value": level})
 
 
 def singular_profile(params: Parameters,

@@ -86,12 +86,10 @@ class OdeTrajectory:
     """One integrated shot: samples, classification and departure data."""
 
     a: float
-    params: Parameters
     r: np.ndarray
     w: np.ndarray
     dw: np.ndarray
     classification: str
-    r_end: float
     departure: int = 0        # -1 crossed zero, +1 rebounded upward, 0 neither
     dense: object = field(default=None, repr=False)
 
@@ -102,16 +100,6 @@ class OdeTrajectory:
                                 f"to sample")
         w, dw = self.dense(np.asarray(r, dtype=float))
         return w, dw
-
-
-def _rhs(n: int, p: float):
-    """Right-hand side for a lane array (2, L)."""
-    def rhs(r, y):
-        w, dw = y
-        return (dw,
-                -((n - 1) / r - 0.5 * r) * dw + w / (p - 1.0)
-                - np.abs(w) ** (p - 1.0) * w)
-    return rhs
 
 
 def _event_values(y, cap, kap):
@@ -143,11 +131,6 @@ def _hidden_rebound(w, w_new, g, g_new, slopes, kap):
             & (np.maximum(w, w_new) > 0.0)
             & (np.minimum(w, w_new) < REBOUND_FRACTION * kap)
             & (slopes > 0).any(axis=0))
-
-
-def _taylor_start(a, n, p, eps):
-    w2 = (a / (p - 1.0) - np.abs(a) ** (p - 1.0) * a) / n
-    return np.array([a + 0.5 * w2 * eps**2, w2 * eps])
 
 
 def _check_inputs(a, tol: float) -> None:
@@ -247,11 +230,10 @@ def _departures(params: Parameters, heights, r_max: float, tol: float,
     when given, adds the call's kernel_calls, lane_steps (step attempts
     summed over lanes) and hidden_rebound_rejections.
     """
-    n, p, kap = params.n, params.p, params.kappa
-    rhs = _rhs(n, p)
+    rhs = lambda r, y: (y[1], params.second_deriv(params.drift(r), *y))
+    kap = params.kappa
     rtol = max(tol, 100 * np.finfo(float).eps)    # solve_ivp's rtol floor
     atol = min(tol * 1e-2, 1e-14)
-    pm1 = p - 1.0
     a = np.asarray(heights, dtype=float)
     out = np.zeros(a.size, dtype=int)
     reached = np.zeros(a.size, dtype=bool)        # r_max without an event
@@ -259,10 +241,11 @@ def _departures(params: Parameters, heights, r_max: float, tol: float,
     stages = len(_A) if dense else _STAGES + 1
     # exact equilibria (a = 0 included) are labelled, not integrated: their
     # roundoff would only grow
-    const = (np.abs(a / pm1 - np.abs(a) ** pm1 * a)
-             <= 1e-13 * np.maximum(np.abs(a), 1e-30))
+    g_a = params.reaction(a)
+    const = np.abs(g_a) <= 1e-13 * np.maximum(np.abs(a), 1e-30)
+    w2 = g_a / params.n        # w''(0), for the second-order Taylor start
     y_start = np.where(const, [a, np.zeros_like(a)],
-                       _taylor_start(a, n, p, R_START))
+                       [a + 0.5 * w2 * R_START**2, w2 * R_START])
     # dense rows per accepted step: lane, step end r and y, interpolant F;
     # an equilibrium is one constant step to r_max
     steps = [(np.flatnonzero(const), np.full(const.sum(), r_max),
@@ -288,7 +271,7 @@ def _departures(params: Parameters, heights, r_max: float, tol: float,
         # their drift coefficients, each in one array pass
         rs = np.vstack((r + _C[1:, None] * h, r_new,
                         r + DOP853.C_EXTRA[:, None] * h))[:stages - 1]
-        drift = -((n - 1) / rs - 0.5 * rs)
+        drift = params.drift(rs)
         K = np.empty((stages, 2 * m))          # stage s holds (w', w'') lanes
         K3 = K.reshape(stages, 2, m)
         K3[0] = f
@@ -298,7 +281,7 @@ def _departures(params: Parameters, heights, r_max: float, tol: float,
                 y_new = ys
             w, dw = ys
             K3[s, 0] = dw
-            K3[s, 1] = drift[s - 1] * dw + w / pm1 - np.abs(w) ** pm1 * w
+            K3[s, 1] = params.second_deriv(drift[s - 1], w, dw)
         f_new = K3[_STAGES]
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         x5 = _lane_sum(_E5, K[:_STAGES + 1]).reshape(2, m) / scale
@@ -362,8 +345,8 @@ def _departures(params: Parameters, heights, r_max: float, tol: float,
                  SIGN_CHANGING if out[i] < 0 else GROWING if out[i] > 0 else
                  _tail_label(params, r[-1], sampler) if reached[i] else
                  INCONCLUSIVE)
-        trajs.append(OdeTrajectory(x, params, r, y[0], y[1], label, r[-1],
-                                   int(out[i]), dense=sampler))
+        trajs.append(OdeTrajectory(x, r, y[0], y[1], label, int(out[i]),
+                                   dense=sampler))
     return trajs
 
 
@@ -389,12 +372,13 @@ def scan_initial_values(params: Parameters, a_values,
 def find_brackets(params: Parameters, a_values,
                   tol: float = 1e-10) -> list[tuple[float, float]]:
     """Adjacent scan pairs whose departure direction flips (shooting brackets)."""
-    rows = scan_initial_values(params, a_values, tol=tol)
-    out = []
-    for (a0, l0, d0), (a1, l1, d1) in zip(rows[:-1], rows[1:]):
-        if d0 != 0 and d1 != 0 and d0 != d1:
-            out.append((a0, a1))
-    return out
+    return _brackets(scan_initial_values(params, a_values, tol=tol))
+
+
+def _brackets(rows) -> list[tuple[float, float]]:
+    """Adjacent scan rows (a, label, departure) of opposite departures."""
+    return [(a0, a1) for (a0, _, d0), (a1, _, d1) in zip(rows, rows[1:])
+            if d0 * d1 < 0]
 
 
 def _sections(lo_a: float, hi_a: float) -> list[float]:
@@ -449,7 +433,7 @@ def shoot(params: Parameters, a_lo: float, a_hi: float) -> RadialProfile:
     # the final lanes repeat the multisection's own lo and hi lanes
     lo, hi, mid = _departures(params, [lo_a, hi_a, a_star], R_MAX, SHOOT_TOL,
                               dense=True, work=work)
-    r_common = min(lo.r_end, hi.r_end, mid.r_end) * 0.999
+    r_common = min(lo.r[-1], hi.r[-1], mid.r[-1]) * 0.999
     probe = np.linspace(R_START, r_common, 1500)
     gap = np.abs(lo.sample(probe)[0] - hi.sample(probe)[0])
     ok = probe[gap <= 1e-9]
@@ -470,14 +454,13 @@ def shoot(params: Parameters, a_lo: float, a_hi: float) -> RadialProfile:
     decay_coeff = float(np.mean(q[tail][-20:]))
 
     # second derivatives from the equation itself make the interpolant C^2
-    w2 = (-((params.n - 1) / grid - 0.5 * grid) * dw + w / (params.p - 1.0)
-          - np.abs(w) ** (params.p - 1.0) * w)
+    w2 = params.second_deriv(params.drift(grid), w, dw)
     profile = RadialProfile(kind=KIND_SHOOTING, params=params, grid=grid,
                             values=w, derivs=dw, decay_coeff=decay_coeff,
                             classification=DECAYING, second_derivs=w2,
                             meta={"a": a_star, "axis_value": a_star,
                                   "bracket": (lo_a, hi_a), "r_cut": r_cut,
-                                  "ode_tol": SHOOT_TOL, **work})
+                                  **work})
     res = ode_residual(profile)
     if res > RESIDUAL_TOL:
         raise ShootingError(f"profile residual {res:.3e} exceeds {RESIDUAL_TOL}")
@@ -493,13 +476,11 @@ def ode_residual(profile: RadialProfile) -> float:
     """
     if len(profile.grid) < RESIDUAL_STENCIL:
         raise ShootingError(f"need at least {RESIDUAL_STENCIL} grid points")
-    params = profile.params
     r, w, dw = profile.grid, profile.values, profile.derivs
     if profile.is_constant:
         d2 = np.zeros_like(w)
     else:
         d2 = derivative_on_grid(r, dw, order=1, stencil=RESIDUAL_STENCIL)
-    res = (d2 + ((params.n - 1) / r - 0.5 * r) * dw - w / (params.p - 1.0)
-           + np.abs(w) ** (params.p - 1.0) * w)
+    res = d2 - profile.params.second_deriv(profile.params.drift(r), w, dw)
     interior = slice(3, -3) if len(r) > 12 else slice(1, -1)
     return float(np.max(np.abs(res[interior])))

@@ -67,8 +67,7 @@ def build_sector(profile: RadialProfile, ell: int, resolution: int = 3000,
         raise ParameterError(f"sector index must be nonnegative, got {ell}")
     if resolution < 4:
         raise ParameterError(f"resolution must be at least 4, got {resolution}")
-    params = profile.params
-    n, p = params.n, params.p
+    n = profile.params.n
     n_eff = n + 2 * ell
     N = int(resolution)
     h = r_max / N
@@ -78,7 +77,7 @@ def build_sector(profile: RadialProfile, ell: int, resolution: int = 3000,
     m_face[0] = 0.0   # no flux through the axis
     m_face[-1] = 0.0  # no flux at the truncation radius (weight ~ e^{-r_max^2/4})
     m_cell = r ** (n_eff - 1) * np.exp(-r**2 / 4.0)
-    V = -1.0 / (p - 1.0) + p * np.abs(profile.value(r)) ** (p - 1.0) - 0.5 * ell
+    V = profile.params.potential(profile.value(r)) - 0.5 * ell
     lower = m_face[1:-1] / h**2
     diag_flux = -(m_face[:-1] + m_face[1:]) / h**2
     d_sym = -(diag_flux / m_cell + V)
@@ -158,16 +157,15 @@ def apply_L(profile: RadialProfile, psi, ell: int = 0,
             grid: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise L_l psi by high-order differencing; returns (grid, samples)."""
     params = profile.params
-    n, p = params.n, params.p
     if grid is None:
         grid = profile.grid
     grid = np.asarray(grid, dtype=float)
     vals = np.asarray(psi(grid) if callable(psi) else psi, dtype=float)
     d1 = derivative_on_grid(grid, vals, order=1, stencil=7)
     d2 = derivative_on_grid(grid, d1, order=1, stencil=7)
-    cent = ell * (ell + n - 2.0) / grid**2 if ell else 0.0
-    pot = -1.0 / (p - 1.0) + p * np.abs(profile.value(grid)) ** (p - 1.0)
-    out = d2 + ((n - 1.0) / grid - 0.5 * grid) * d1 - cent * vals + pot * vals
+    cent = ell * (ell + params.n - 2.0) / grid**2 if ell else 0.0
+    pot = params.potential(profile.value(grid))
+    out = d2 - params.drift(grid) * d1 - cent * vals + pot * vals
     return grid, out
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -75,8 +75,8 @@ def random_variations(count: int, seed: int = 0) -> list:
 
 def lambda_field(profile: RadialProfile):
     """Scaling field 2w/(p-1) + r w' on the profile grid, with a sign flag."""
-    r = profile.grid
-    lam = 2.0 * profile.values / (profile.params.p - 1.0) + r * profile.derivs
+    lam = profile.params.scaling_field(profile.grid, profile.values,
+                                       profile.derivs)
     scale = np.abs(lam).max()
     tol = 1e-9 * max(scale, np.abs(profile.values).max())
     changes_sign = bool(np.any(lam > tol) and np.any(lam < -tol))
@@ -132,7 +132,7 @@ def _second_variation(profile: RadialProfile, var: Variation) -> tuple:
     params = profile.params
     n, p = params.n, params.p
     rule, w, dw, phi, dphi = _samples(profile, var)
-    lam = 2.0 * w / (p - 1.0) + rule.nodes * dw     # Lam(w)
+    lam = params.scaling_field(rule.nodes, w, dw)
     dphi2, phi2, pot_phi2, cross_scale, lam2, grad2 = _sums(
         rule.nodes, rule.weights,
         (dphi ** 2, phi ** 2, np.abs(w) ** (p - 1.0) * phi ** 2, lam * phi,
@@ -194,8 +194,8 @@ class StabilityReport:
     verdict: str
     lambda_1: float
     margin: float
-    second_variation_value: float = math.nan
-    orthogonality_scale: float = math.nan
+    second_variation_value: Optional[float] = None
+    orthogonality_scale: Optional[float] = None
     details: dict = field(default_factory=dict)
 
 

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from selfsim import acceptance
+from selfsim import acceptance, shooting
+from selfsim.fixtures import SUBCRITICAL_SCAN
 
 
 @pytest.mark.parametrize("check", acceptance.ALL_CHECKS,
@@ -39,3 +40,21 @@ def test_flow_oracle_fails_on_a_stalled_step_instead_of_hanging():
     proc = subprocess.run([sys.executable, "-c", STALLED_STEP],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_energy_ordering_scans_the_subcritical_grid_once(monkeypatch):
+    # the brackets come from the scan's own rows, not from a second scan
+    subcritical = []
+    departures = shooting._departures
+
+    def spy(params, heights, *args, **kwargs):
+        if params.p == 2.0:
+            subcritical.append(len(heights))
+        return departures(params, heights, *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "_departures", spy)
+    result = acceptance.check_energy_ordering()
+    # heights shot, the undecided ones' (empty) trajectory call included
+    assert sum(subcritical) == len(SUBCRITICAL_SCAN[(3, 2.0)]) == 36
+    assert result.details["subcritical_all_sign_changing"] is True
+    assert result.details["subcritical_brackets"] == 0

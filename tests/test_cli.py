@@ -8,9 +8,17 @@ from selfsim import fixtures
 from selfsim.cli import HELP, SUBCOMMANDS, _resolve, build_parser, main
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_loads(text):
+    """json.loads that refuses the NaN and Infinity json.dump writes."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def read_json(out_dir, name):
-    with open(out_dir / f"{name}.json") as fh:
-        return json.load(fh)
+    return strict_loads((out_dir / f"{name}.json").read_text())
 
 
 def test_energy_kappa_p7(tmp_path, capsys):
@@ -193,8 +201,10 @@ def test_determinism_profile_commands_write_identical_files(tmp_path,
     for fname in written:
         a, b = ((tmp_path / out / fname).read_bytes() for out in ("a", "b"))
         if name == "verify_all":   # only the wall times may differ
-            a, b = (json.dumps({k: v for k, v in json.loads(x).items()
+            a, b = (json.dumps({k: v for k, v in strict_loads(x).items()
                                 if k != "timings"}) for x in (a, b))
+        elif fname.endswith(".json"):
+            strict_loads(a)
         assert a == b
 
 
@@ -222,7 +232,7 @@ def test_f_scan_csv(tmp_path):
     assert lines[0] == "x0_norm,t0,F" and len(lines) == 16
 
 
-def test_stability_verdicts(tmp_path):
+def test_stability_verdicts(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "stability", "--n", "3", "--p", "3",
                "--profile", "kappa", "--resolution", "1500"])
     assert rc == 0
@@ -231,7 +241,16 @@ def test_stability_verdicts(tmp_path):
     rc = main(["--out", str(tmp_path), "stability", "--n", "3", "--p", "3",
                "--profile", "zero", "--resolution", "1500"])
     assert rc == 0
-    assert read_json(tmp_path, "stability")["verdict"] == "stable"
+    data = read_json(tmp_path, "stability")
+    assert data["verdict"] == "stable"
+    # no destabilizing direction: the values it would carry are null
+    assert data["second_variation_along_ground_state"] is None
+    assert data["orthogonality_scaling_mode"] is None
+    # stdout: per run a verdict line, then the key numbers as JSON
+    runs = capsys.readouterr().out.split("stability: ok")[1:]
+    assert len(runs) == 2
+    for run in runs:
+        assert "lambda_1" in strict_loads(run.split("\n", 1)[1])
 
 
 def test_shoot_uses_recorded_bracket(tmp_path):

@@ -47,6 +47,54 @@ def test_kappa_defining_identity_scanned():
         assert abs(k ** (p - 1.0) * (p - 1.0) - 1.0) < 1e-12
 
 
+EQUATION_POINTS = [(3, 7.0), (4, 5.0), (3, 2.0), (10, 2.0)]
+
+
+@pytest.mark.parametrize("n, p", EQUATION_POINTS)
+def test_equation_terms_equal_the_spelled_out_equation_bit_for_bit(n, p):
+    params = make_params(n, p)
+    rng = np.random.default_rng(n)
+    r = np.exp(rng.uniform(np.log(1e-6), np.log(30.0), 500))
+    w, dw = rng.uniform(-3.0, 3.0, (2, 500))
+    # the equation as test_shooting.oracle_shot spells it, plus the
+    # potential and the scaling field in the same style
+    drift = -((n - 1) / r - 0.5 * r)
+    expect = {
+        "drift": drift,
+        "reaction": w / (p - 1.0) - np.abs(w) ** (p - 1.0) * w,
+        "second_deriv": (-((n - 1) / r - 0.5 * r) * dw + w / (p - 1.0)
+                         - np.abs(w) ** (p - 1.0) * w),
+        "potential": -1.0 / (p - 1.0) + p * np.abs(w) ** (p - 1.0),
+        "scaling_field": 2.0 * w / (p - 1.0) + r * dw,
+    }
+    got = {
+        "drift": params.drift(r),
+        "reaction": params.reaction(w),
+        "second_deriv": params.second_deriv(params.drift(r), w, dw),
+        "potential": params.potential(w),
+        "scaling_field": params.scaling_field(r, w, dw),
+    }
+    for name in expect:
+        assert got[name].tobytes() == expect[name].tobytes(), name
+
+
+@pytest.mark.parametrize("n, p", EQUATION_POINTS)
+def test_equation_terms_at_the_constant_solutions(n, p):
+    params = make_params(n, p)
+    kap = params.kappa
+    assert params.reaction(0.0) == 0.0
+    for level in (kap, -kap):
+        # the shooting kernel's equilibrium test
+        assert abs(params.reaction(level)) <= 1e-13 * kap
+    assert params.potential(kap) == pytest.approx(1.0, abs=1e-14)
+    assert params.scaling_field(2.5, kap, 0.0) == 2.0 * kap / (p - 1.0)
+    # the potential is -g', the slope a shot's sensitivity to its height needs
+    w = np.linspace(-2.0, 2.0, 41) + 0.013
+    h = 1e-6
+    slope = (params.reaction(w + h) - params.reaction(w - h)) / (2.0 * h)
+    assert np.allclose(slope, -params.potential(w), rtol=1e-7, atol=1e-7)
+
+
 def test_constant_profiles():
     params = make_params(3, 3.0)
     for sign, level in [("+", params.kappa), ("-", -params.kappa), ("0", 0.0)]:
