@@ -230,15 +230,18 @@ class RadialProfile:
         else:
             self._ensure_spline()
             r0, r1 = self.grid[0], self.grid[-1]
-            # contiguous rows, as numpy's vector loops want them
-            w, dw = self._spline(r.clip(r0, r1)).T.copy()
-            if self.decay_coeff is not None:
-                tail = r > r1
-                if tail.any():
-                    rt = r[tail]
-                    w[tail] = self._power_law(rt, 0)
-                    dw[tail] = self._power_law(rt, 1)
             head = r < r0
+            tail = (r > r1 if self.decay_coeff is not None
+                    else np.zeros_like(head))
+            # the polynomial only where its value is kept; without a tail,
+            # radii past the last knot keep the last knot's value
+            keep = ~(head | tail)
+            w, dw = np.empty_like(r), np.empty_like(r)
+            w[keep], dw[keep] = self._spline(np.minimum(r[keep], r1)).T
+            if tail.any():
+                rt = r[tail]
+                w[tail] = self._power_law(rt, 0)
+                dw[tail] = self._power_law(rt, 1)
             if head.any():
                 w0 = self.meta.get("axis_value", self.values[0])
                 curv = 2.0 * (self.values[0] - w0) / r0**2 if r0 > 0 else 0.0

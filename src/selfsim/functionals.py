@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import KIND_SINGULAR, ParameterError, RadialProfile
 from .quadrature import (_offset_rules, _offset_sizes, _sums,
@@ -28,7 +27,8 @@ from .quadrature import (_offset_rules, _offset_sizes, _sums,
 # relative disagreement of the two energy forms flagged on a solution
 CONSISTENCY_TOL = 1e-4
 # entropy search: coarse grid over x0_norm in [0, X0_MAX] and log(-t0) in
-# [-LOG_A_MAX, LOG_A_MAX], bounded Brent refinement to REFINE_TOL, ties within
+# [-LOG_A_MAX, LOG_A_MAX], then shrinking 3x3 stencils in the one-cell box
+# around its best until both half-widths are within REFINE_TOL, ties within
 # TIE_TOL (relative) broken toward the canonical point, ring probes RING_EPS
 # away from the maximizer
 X0_MAX = 10.0
@@ -197,11 +197,15 @@ def constant_f_closed_form(profile: RadialProfile, t0: float) -> float:
 
 
 def entropy(profile: RadialProfile) -> EntropyResult:
-    """Supremum of F over (x0_norm, log(-t0)): a coarse grid, then two
-    rounds of scipy's bounded Brent search (minimize_scalar) along each axis.
+    """Supremum of F over (x0_norm, log(-t0)): a coarse grid, then 3x3
+    stencils in the one-cell box around its best, each pass's new points in
+    one batched F evaluation.  A pass steps to the vertex of the stencil's
+    quadratic when concave and inside, else to the best point so far, and
+    shrinks fourfold, down to half-widths of REFINE_TOL.
 
-    Not defined for the singular profile (unbounded).  Ties in the x0
-    direction break toward x0 = 0 so the reported argmax is canonical.
+    Not defined for the singular profile (unbounded).  The refinement
+    replaces the coarse best only beyond TIE_TOL, and ties break toward
+    x0 = 0 and t0 = -1 so the reported argmax is canonical.
     Constants are in closed form: F does not depend on x0, and
     a^{2/(p-1)} c^2/(2(p-1)) - a^{(p+1)/(p-1)} |c|^{p+1}/(p+1) is largest at
     a = -t0 = 1 (for c = +-kappa; for c = 0 it vanishes), so the entropy is
@@ -225,50 +229,80 @@ def entropy(profile: RadialProfile) -> EntropyResult:
                                          F_const(-RING_EPS))
         return result
 
-    # every point is evaluated once: the coarse grid in one batched pass,
-    # the refinement, snaps and ring probes one at a time
+    # every point is evaluated once, each pass's new points in one batch
+    seen = {}
+
+    def F(points):
+        new = [pt for pt in dict.fromkeys(points) if pt not in seen]
+        if new:
+            seen.update(zip(new, _f_values(
+                profile, [b for b, _ in new],
+                [-math.exp(la) for _, la in new])))
+        return [seen[pt] for pt in points]
+
+    def better(val, lam):
+        # strict improvement beyond the tie tolerance keeps the first of
+        # equal maxima: the smallest (b, la), then the coarse best
+        return val > lam + TIE_TOL * max(1.0, abs(lam))
+
     grid = [(b, la) for b in xs for la in las]
-    seen = dict(zip(grid, _f_values(profile, [b for b, _ in grid],
-                                    [-math.exp(la) for _, la in grid])))
+    trace = [(b, la, val) for (b, la), val in zip(grid, F(grid))]
+    b, la, lam = trace[0]
+    for pb, pla, val in trace:
+        if better(val, lam):
+            lam, b, la = val, pb, pla
 
-    def F(b, la):
-        if (b, la) not in seen:
-            seen[b, la] = f_functional(profile, b, -math.exp(la))
-        return seen[b, la]
-
-    trace = []
-    best = (-math.inf, 0.0, 0.0)
-    for b, la in grid:
-        val = seen[b, la]
-        trace.append((b, la, val))
-        # strict improvement beyond the tie tolerance keeps the smallest
-        # (b, |la|) among equal maxima
-        if val > best[0] + TIE_TOL * max(1.0, abs(best[0])):
-            best = (val, b, la)
-    _, b, la = best
-
-    def refine(fun, lo, hi, x, span):
-        return minimize_scalar(lambda t: -fun(t), method="bounded",
-                               bounds=(max(lo, x - span), min(hi, x + span)),
-                               options={"xatol": REFINE_TOL}).x
-
+    # b is signed in the stencils: F depends on |b|, so a box reaching
+    # b = 0 is mirrored through it
     span_x = X0_MAX / (COARSE_POINTS - 1)
     span_la = 2.0 * LOG_A_MAX / (COARSE_POINTS - 1)
-    for _ in range(2):
-        b = refine(lambda t: F(t, la), 0.0, X0_MAX, b, span_x)
-        la = refine(lambda t: F(b, t), -LOG_A_MAX, LOG_A_MAX, la, span_la)
-    lam = F(b, la)
+    hi_x = min(X0_MAX, b + span_x)
+    lo_x = b - span_x if b > span_x else -hi_x
+    lo_la, hi_la = max(-LOG_A_MAX, la - span_la), min(LOG_A_MAX, la + span_la)
+    hx, hl = 0.5 * span_x, 0.5 * span_la
+    best = (lam, b, la)
+    x, y = b, la
+    while True:
+        cx = min(max(x, lo_x + hx), hi_x - hx)
+        cy = min(max(y, lo_la + hl), hi_la - hl)
+        pts = [(cx + i * hx, cy + j * hl) for i in (-1, 0, 1)
+               for j in (-1, 0, 1)]
+        vals = F([(abs(px), py) for px, py in pts])
+        for (px, py), val in zip(pts, vals):
+            if val > best[0]:
+                best = (val, abs(px), py)
+        if hx <= REFINE_TOL and hl <= REFINE_TOL:
+            break
+        # the stencil's quadratic in units of (hx, hl), v[i][j] at offset
+        # (i - 1, j - 1)
+        v = [vals[3 * i:3 * i + 3] for i in range(3)]
+        gx, gy = 0.5 * (v[2][1] - v[0][1]), 0.5 * (v[1][2] - v[1][0])
+        hxx = v[2][1] - 2.0 * v[1][1] + v[0][1]
+        hyy = v[1][2] - 2.0 * v[1][1] + v[1][0]
+        hxy = 0.25 * (v[2][2] - v[2][0] - v[0][2] + v[0][0])
+        det = hxx * hyy - hxy * hxy
+        sx = sy = math.inf
+        if hxx < 0.0 and det > 0.0:
+            sx, sy = (hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det
+        x, y = ((cx + sx * hx, cy + sy * hl) if max(abs(sx), abs(sy)) <= 1.0
+                else best[1:])
+        hx, hl = hx / 4.0, hl / 4.0
+    if better(best[0], lam):
+        lam, b, la = best
+
     # canonical snap for the degenerate spatial direction
-    if F(0.0, la) >= lam - TIE_TOL * max(1.0, abs(lam)):
-        b = 0.0
-        lam = max(lam, F(0.0, la))
-    if F(b, 0.0) >= lam - TIE_TOL * max(1.0, abs(lam)):
-        la = 0.0
-        lam = max(lam, F(b, 0.0))
+    f = F([(0.0, la)])[0]
+    if f >= lam - TIE_TOL * max(1.0, abs(lam)):
+        b, lam = 0.0, max(lam, f)
+    f = F([(b, 0.0)])[0]
+    if f >= lam - TIE_TOL * max(1.0, abs(lam)):
+        la, lam = 0.0, max(lam, f)
 
     result = EntropyResult(lam=lam, x0_norm=b, t0=-math.exp(la), trace=trace)
-    result.ring_margin_t = lam - max(F(b, la + RING_EPS), F(b, la - RING_EPS))
-    result.ring_margin_x = lam - F(b + RING_EPS, la)
+    up, down, out = F([(b, la + RING_EPS), (b, la - RING_EPS),
+                       (b + RING_EPS, la)])
+    result.ring_margin_t = lam - max(up, down)
+    result.ring_margin_x = lam - out
     edge_x = X0_MAX * (1.0 - 1.0 / (len(xs) - 1))
     if b > edge_x or abs(la) > LOG_A_MAX * 0.95:
         result.flags.append("unconverged sup: maximizer near search boundary")

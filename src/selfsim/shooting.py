@@ -363,9 +363,10 @@ def scan_initial_values(params: Parameters, a_values,
     rows = [(float(x), SIGN_CHANGING if d < 0 else GROWING, int(d))
             for x, d in zip(a, dep)]
     undecided = np.flatnonzero(dep == 0)
-    for k, traj in zip(undecided, _departures(params, a[undecided], r_max, tol,
-                                              dense=True)):
-        rows[k] = (float(a[k]), traj.classification, traj.departure)
+    if undecided.size:
+        for k, traj in zip(undecided, _departures(params, a[undecided], r_max,
+                                                  tol, dense=True)):
+            rows[k] = (float(a[k]), traj.classification, traj.departure)
     return rows
 
 

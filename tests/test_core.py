@@ -295,6 +295,38 @@ def test_sample_is_value_and_deriv_bit_for_bit_on_every_stretch(name):
 
 
 @pytest.mark.parametrize("name", ["quintic", "cubic", "cubic-tail"])
+def test_sample_equals_the_clipped_polynomial_with_head_and_tail_bit_for_bit(
+        name):
+    # the reference evaluates the polynomial at every radius clipped into the
+    # grid, then overwrites the rows past the tail's start and below the
+    # first knot
+    prof = _sampled_kinds()[name]
+    g = prof.grid
+    r = np.concatenate([g[0] * np.array([0.0, 0.25, 0.999]), g,
+                        0.5 * (g[:-1] + g[1:]),
+                        g[-1] * np.array([1.0, 1.001, 1.5, 3.0]),
+                        np.random.default_rng(3).uniform(0.0, 2 * g[-1], 200)])
+    prof._ensure_spline()
+    w, dw = prof._spline(r.clip(g[0], g[-1])).T.copy()
+    past = r > g[-1]
+    if prof.decay_coeff is not None:
+        q = prof.params.decay_power
+        w[past] = prof.decay_coeff * r[past] ** (-q)
+        dw[past] = -q * prof.decay_coeff * r[past] ** (-q - 1.0)
+    head = r < g[0]
+    w0 = prof.meta.get("axis_value", prof.values[0])
+    curv = 2.0 * (prof.values[0] - w0) / g[0] ** 2
+    w[head], dw[head] = w0 + 0.5 * curv * r[head] ** 2, curv * r[head]
+    got = prof.sample(r)
+    assert np.array_equal(got[0], w) and np.array_equal(got[1], dw)
+    if prof.decay_coeff is None:
+        # no tail: past the last knot, the last knot's value and slope
+        last = prof.sample(g[-1])
+        assert np.all(got[0][past] == last[0])
+        assert np.all(got[1][past] == last[1])
+
+
+@pytest.mark.parametrize("name", ["quintic", "cubic", "cubic-tail"])
 def test_dropping_the_interpolant_rebuilds_it_from_the_current_data(name):
     # a copy: the quintic is the shared reference profile
     prof = copy.deepcopy(_sampled_kinds()[name])

@@ -12,6 +12,7 @@ from selfsim.functionals import (constant_f_closed_form, density, energy,
                                  entropy, f_functional, identities)
 from selfsim.quadrature import (QuadratureError, default_composite_rule,
                                 offset_integral_many, weighted_integral)
+from selfsim.spectrum import first_eigenfunction
 
 P33 = make_params(3, 3.0)
 P37 = make_params(3, 7.0, require_supercritical=True)
@@ -121,14 +122,48 @@ def test_entropy_of_shooting_profile(wshoot):
 
 
 def test_entropy_search_budget(wshoot, monkeypatch):
-    # 169 coarse points, two rounds of bounded Brent along each axis, the
-    # snaps and the ring probes
-    calls = []
-    f = functionals.f_functional
+    # one batched pass for the coarse grid, then one per stencil, snap and
+    # the ring probes; no point is evaluated on its own
+    one, passes = [], []
+    f, many = functionals.f_functional, functionals._f_values
     monkeypatch.setattr(functionals, "f_functional",
-                        lambda *args: calls.append(args) or f(*args))
+                        lambda *args: one.append(args) or f(*args))
+    monkeypatch.setattr(functionals, "_f_values", lambda prof, bs, ts: (
+        passes.append(len(bs)) or many(prof, bs, ts)))
     res = entropy(wshoot)
-    assert len(calls) <= 260
+    assert one == []
+    assert passes[0] == 169 and len(passes) <= 1 + 12
+    assert not res.flags
+
+
+@pytest.fixture(scope="module")
+def perturbed(wshoot):
+    """w + s f on the perturbation experiment's grid, f the ground state at
+    unit sup norm, for s = +-0.05."""
+    _, f_raw, _ = first_eigenfunction(wshoot, resolution=4000)
+    scale = float(np.abs(f_raw(np.linspace(0.0, 20.0, 4001))).max())
+    grid = np.unique(np.concatenate([np.geomspace(1e-6, 19.9, 1200),
+                                     wshoot.grid]))
+    grid = grid[grid <= 19.9]
+    w, dw = wshoot.sample(grid)
+    f, df = f_raw(grid) / scale, f_raw.derivative()(grid) / scale
+    return {s: RadialProfile(kind=KIND_TABULATED, params=P37, grid=grid,
+                             values=w + s * f, derivs=dw + s * df,
+                             decay_coeff=wshoot.decay_coeff,
+                             meta={"axis_value": float(w[0] + s * f[0])})
+            for s in (0.05, -0.05)}
+
+
+@pytest.mark.parametrize("s", [0.0, 0.05, -0.05])
+def test_entropy_is_a_local_maximum_of_f(wshoot, perturbed, s):
+    prof = perturbed[s] if s else wshoot
+    res = entropy(prof)
+    # a 5x5 grid of spacing 1e-3 around the argmax, x0 through |x0|
+    d = 1e-3 * np.arange(-2, 3)
+    la = math.log(-res.t0)
+    vals = functionals._f_values(prof, np.repeat(np.abs(res.x0_norm + d), 5),
+                                 -np.exp(np.tile(la + d, 5)))
+    assert res.lam >= vals.max() - 1e-12
     assert not res.flags
 
 
@@ -138,8 +173,11 @@ def test_entropy_rejects_singular():
 
 
 def test_entropy_never_below_sampled_f(wshoot):
-    res = entropy(wshoot)
-    assert all(v <= res.lam + 1e-8 for (_, _, v) in res.trace)
+    # the tabulated cubic holds its last value past r = 5, so F grows with
+    # -t0 and its coarse best is far from (0, -1)
+    for name in ("shooting", "tabulated"):
+        res = entropy(batched_f_profiles(wshoot)[name])
+        assert all(v <= res.lam + 1e-8 for (_, _, v) in res.trace), name
 
 
 def test_identities_kappa_all_zero():

@@ -230,11 +230,18 @@ def test_supercritical_scan_has_exactly_one_bracket():
     assert a_lo < A_STAR_REFERENCE[(3, 7.0)] < a_hi
 
 
-def test_subcritical_scan_finds_no_profile():
+def test_subcritical_scan_finds_no_profile(monkeypatch):
     params = make_params(3, 2.0)
     grid = SUBCRITICAL_SCAN[(3, 2.0)]
+    calls = []
+    real = shooting._departures
+    monkeypatch.setattr(shooting, "_departures", lambda params, heights, *args,
+                        **kwargs: calls.append(len(heights))
+                        or real(params, heights, *args, **kwargs))
     rows = scan_initial_values(params, grid, tol=1e-10)
-    assert all(label == SIGN_CHANGING for _, label, _ in rows)
+    # every height crosses zero, so no undecided height needs a second call
+    assert calls == [len(grid)]
+    assert rows == [(float(a), SIGN_CHANGING, -1) for a in grid]
     assert find_brackets(params, grid, tol=1e-10) == []
 
 

@@ -45,6 +45,15 @@ assert accepted > 10 and m["flow.runs"] == 1, m
 assert m["flow.steps_accepted"] == m["flow.step_attempts"] == accepted, m
 assert m["flow.cn_solves"] == 3 * accepted, m
 assert m["flow.energy_evals"] == accepted + 1, m
+# a refined eigensolve: two pairs from the sector and two from its
+# Richardson partner at double resolution; and one entropy search
+from selfsim import spectrum
+spectrum.eigen_smallest(spectrum.build_sector(prof, 0, resolution=200), 2,
+                        profile=prof)
+functionals.entropy(prof)
+m = tracing.layer_metrics(tr)
+assert m["spectrum.eigenpairs"] == 4, m
+assert m["functionals.entropy_calls"] == 1, m
 """
 
 
