@@ -16,7 +16,7 @@ from .closedform import (gap_inequality, gap_scan, kappa_energy,
                          phi_diagnostics, singular_energy)
 from .core import constant_profile, make_params, singular_profile
 from .fixtures import SUBCRITICAL_SCAN, reference_profile
-from .flow import (BC_NOFLUX, FlowConfig, OUTCOME_BLEWUP, init_flow, run,
+from .flow import (FlowConfig, OUTCOME_BLEWUP, init_flow, run,
                    entropy_perturbation_experiment)
 from .functionals import _f_values, energy, entropy, identities
 from .quadrature import (_sums, default_composite_rule, radial_rule,
@@ -240,7 +240,6 @@ def check_flow_oracle():
         for p, expected, label in ((3.0, math.log(2.0), "tau1_p3"),
                                    (7.0, math.log(6.0 / 5.0), "tau1_p7")):
             state = init_flow(constant_profile(make_params(3, p), "0"),
-                              FlowConfig(bc=BC_NOFLUX),
                               eigenfunction=np.ones_like, amplitude=1.0)
             report = run(state, tau_max=10.0)
             runs.append(report)
@@ -252,7 +251,7 @@ def check_flow_oracle():
         # kappa preservation over tau in [0, 5]
         params = make_params(3, 3.0)
         prof = constant_profile(params, "+")
-        report = run(init_flow(prof, FlowConfig(bc=BC_NOFLUX, conv_tol=0.0)),
+        report = run(init_flow(prof, FlowConfig(conv_tol=0.0)),
                      tau_max=5.0)
         drift = float(np.abs(report.final_w - params.kappa).max())
         details["kappa_drift"] = drift
@@ -262,7 +261,6 @@ def check_flow_oracle():
         # more runs for the criterion-soundness sweep
         for level in (0.8, 1.02, 1.6):
             state = init_flow(constant_profile(params, "0"),
-                              FlowConfig(bc=BC_NOFLUX),
                               eigenfunction=np.ones_like,
                               amplitude=level * params.kappa)
             runs.append(run(state, tau_max=40.0))

@@ -264,12 +264,12 @@ def _react_exact(w: np.ndarray, dt: float, p: float,
 def init_flow(initial: RadialProfile, cfg: Optional[FlowConfig] = None,
               eigenfunction: Optional[Callable] = None,
               amplitude: float = 0.0) -> FlowState:
-    """State at tau = 0 from a profile, optionally plus amplitude * f."""
+    """State at tau = 0 from a profile, optionally plus amplitude * f, under
+    cfg (default: FlowConfig(), the no-flux boundary)."""
     if initial.kind == KIND_SINGULAR:
         raise ParameterError("the flow needs bounded initial data; the "
                              "singular profile is unbounded at r = 0")
-    if cfg is None:
-        cfg = FlowConfig(bc=BC_NOFLUX if initial.is_constant else BC_DIRICHLET)
+    cfg = cfg if cfg is not None else FlowConfig()
     mach = _build_machinery(initial.params, cfg)
     r = mach["r"]
     w = initial.value(r).copy()
@@ -611,7 +611,19 @@ def entropy_perturbation_experiment(profile: RadialProfile,
     relative to the profile (the ground state of a strongly unstable profile
     is sharply concentrated, so unit-L2 perturbations at finite s can leave
     the small-perturbation regime entirely).
+
+    A constant profile, or an s that is zero or not finite, is a
+    ParameterError: its margins would be 0 in exact arithmetic and rounding
+    alone (every positive constant has kappa's entropy, by rescaling).
     """
+    if profile.is_constant:
+        raise ParameterError("the perturbation experiment needs a non-"
+                             "constant profile: a constant's ground state "
+                             "is the constant direction")
+    for s in s_values:
+        if not (math.isfinite(s) and s != 0.0):
+            raise ParameterError(f"the perturbation amplitude s must be "
+                                 f"finite and nonzero, got {s!r}")
     params = profile.params
     _, f_raw, _ = first_eigenfunction(profile, resolution=4000)
     scale = float(np.abs(f_raw(np.linspace(0.0, 20.0, 4001))).max())
@@ -638,8 +650,8 @@ def entropy_perturbation_experiment(profile: RadialProfile,
                                 flags=search_flags)
     report.kappa_energy = energy(constant_profile(params, "+")).energy
     if run_flow_for is not None:
-        state = init_flow(profile, FlowConfig(bc=BC_DIRICHLET),
-                          eigenfunction=f, amplitude=float(run_flow_for))
+        state = init_flow(profile, eigenfunction=f,
+                          amplitude=float(run_flow_for))
         flow_rep = run(state, tau_max=20.0)
         report.flow_outcome = flow_rep.outcome
         report.flow_tau1 = flow_rep.tau1

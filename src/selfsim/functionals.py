@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import KIND_SINGULAR, ParameterError, RadialProfile
-from .quadrature import (_offset_rules, _offset_sizes, _sums,
+from .quadrature import (OFFSET_GL, OFFSET_PANELS, _offset_rules, _sums,
                          default_composite_rule, offset_integral_many)
 
 # relative disagreement of the two energy forms flagged on a solution
@@ -163,29 +163,28 @@ def _f_values(profile: RadialProfile, x0s, t0s) -> np.ndarray:
     """F at each recentering point (x0s[k], t0s[k]), equal bit for bit to
     f_functional there.
 
-    Consecutive points go in chunks whose rules hold at most _CHUNK_NODES
-    nodes (at least one point each): per chunk one rule build, one profile
-    sample on all its nodes and one pass of _core_terms, then each point's
-    sums."""
+    The points at the origin and those off it go apart, each in chunks of
+    as many rules as _CHUNK_NODES nodes hold (at least one): per chunk one
+    rule build, one profile sample on all its nodes and one pass of
+    _core_terms, then each point's sums on its row."""
     x0s = np.asarray(x0s, dtype=float).ravel()
     t0s = np.asarray(t0s, dtype=float).ravel()
     n, p = profile.params.n, profile.params.p
     integrands = _integrands(profile)
-    ends = np.cumsum(_offset_sizes(x0s, n))
     out = np.empty(len(x0s))
-    start = 0
-    while start < len(x0s):
-        base = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + _CHUNK_NODES,
-                                                  side="right")))
-        nodes, weights, spans = _offset_rules(x0s[start:stop],
-                                              t0s[start:stop], n)
-        terms = integrands(nodes)
-        for k, (lo, hi) in enumerate(spans, start=start):
-            sums = _sums(nodes[lo:hi], weights[lo:hi],
-                         [term[lo:hi] for term in terms])
-            out[k] = _f_point(p, float(x0s[k]), float(t0s[k]), sums)
-        start = stop
+    # a nan x0 goes off the origin, where its rule build names it
+    for group, size in ((x0s == 0.0, len(default_composite_rule(n).nodes)),
+                        (x0s != 0.0, OFFSET_PANELS * OFFSET_GL)):
+        points = np.flatnonzero(group)
+        rows = max(1, _CHUNK_NODES // size)
+        for start in range(0, len(points), rows):
+            chunk = points[start:start + rows]
+            nodes, weights = _offset_rules(x0s[chunk], t0s[chunk], n)
+            terms = integrands(nodes)
+            for row, k in enumerate(chunk.tolist()):
+                sums = _sums(nodes[row], weights[row],
+                             [term[row] for term in terms])
+                out[k] = _f_point(p, float(x0s[k]), float(t0s[k]), sums)
     return out
 
 

@@ -35,6 +35,9 @@ from .core import ParameterError, SelfsimError
 # radial range of the composite rule
 COMPOSITE_R_MIN = 1e-16
 COMPOSITE_R_MAX = 60.0
+# an offset rule off the origin: Gauss-Legendre panels, and nodes per panel
+OFFSET_PANELS = 16
+OFFSET_GL = 24
 
 
 class QuadratureError(SelfsimError, ValueError):
@@ -174,70 +177,50 @@ def _offset_weights(nodes: np.ndarray, gw: np.ndarray, b: np.ndarray,
             * _sphere_average(nodes * b / (2.0 * a), n))
 
 
-def _offset_sizes(x0s, n: int, n_panel: int = 16, n_gl: int = 24,
-                  rule: QuadratureRule | None = None) -> np.ndarray:
-    """Node count of each recentering point's rule: the composite rule at
-    x0_norm = 0, n_panel Gauss-Legendre panels of n_gl nodes elsewhere."""
-    rule = rule if rule is not None else default_composite_rule(n)
-    return np.where(np.asarray(x0s, dtype=float) == 0.0, len(rule.nodes),
-                    n_panel * n_gl)
-
-
-def _offset_rules(x0s, t0s, n: int, n_panel: int = 16, n_gl: int = 24,
-                  rule: QuadratureRule | None = None):
+def _offset_rules(x0s, t0s, n: int, n_panel: int = OFFSET_PANELS,
+                  n_gl: int = OFFSET_GL, rule: QuadratureRule | None = None):
     """Nodes and weights of int f(|y|) G(y - x0, t0) dy at many recentering
-    points, built in array passes: flat arrays, with point k's rule at
-    nodes[lo:hi] for (lo, hi) = spans[k].
+    points of one kind, all at the origin or all off it: (k, m) arrays whose
+    row k is point k's rule.
 
     The kernel concentrates at |y| ~ x0_norm with width sqrt(-t0); off the
-    origin the rule is Gauss-Legendre panels on that window, and x0_norm = 0
-    takes the radial rule (default: the composite rule) at radius scaled by
-    sqrt(-t0).  Each point's nodes and weights equal a one-point call's bit
-    for bit.  Every point needs a finite x0_norm >= 0 and a finite t0 < 0,
-    or it is a RecenteringError naming the value."""
-    rule = rule if rule is not None else default_composite_rule(n)
-    # per-point scalars as python floats, in one pass that checks each point
+    origin a row is n_panel Gauss-Legendre panels of n_gl nodes on that
+    window, and at x0_norm = 0 it is the radial rule (default: the composite
+    rule) at radius scaled by sqrt(-t0), all rows sharing its weights.  Each
+    row equals a one-point call's bit for bit.  Every point needs a finite
+    x0_norm >= 0 and a finite t0 < 0, or it is a RecenteringError naming the
+    value."""
     xs = np.asarray(x0s, dtype=float).tolist()
-    scales, offsets = [], []
-    for x, t in zip(xs, np.asarray(t0s, dtype=float).tolist()):
+    ts = np.asarray(t0s, dtype=float).tolist()
+    for x, t in zip(xs, ts):
         if not 0.0 <= x < math.inf:
             raise RecenteringError(f"a recentering point needs a finite "
                                    f"x0_norm >= 0, got {x!r}")
         if not -math.inf < t < 0.0:
             raise RecenteringError(f"a recentering point needs a finite "
                                    f"t0 < 0, got {t!r}")
-        sa = math.sqrt(-t)
-        if x == 0.0:
-            scales.append(sa)
-        else:
-            lo, hi = max(0.0, x - 16.0 * sa), x + 16.0 * sa
-            offsets.append((x, -t, lo, hi, _kernel_norm(x, t, n)))
-    # the flat arrays hold the points at the origin first, then the others
-    nodes, weights = [], []
-    if scales:
-        nodes.append((np.array(scales)[:, None] * rule.nodes).ravel())
-        weights.append(np.tile(rule.weights, len(scales)))
-    if offsets:
-        b, a, lo, hi, norm = np.array(offsets).T[:, :, None]
-        # np.linspace(lo, hi, n_panel + 1) per point, in its operation order
-        # (calling np.linspace made these rule builds 27 % slower)
-        edges = np.arange(n_panel + 1.0) * ((hi - lo) / n_panel) + lo
-        edges[:, -1:] = hi
-        panels, gw = _gl_panels(edges, n_gl)
-        nodes.append(panels.ravel())
-        weights.append(_offset_weights(panels, gw, b, a, norm, n).ravel())
-    start = {True: 0, False: len(scales) * len(rule.nodes)}
-    spans = []
-    for x, size in zip(xs, _offset_sizes(xs, n, n_panel, n_gl,
-                                         rule).tolist()):
-        spans.append((start[x == 0.0], start[x == 0.0] + size))
-        start[x == 0.0] += size
-    return np.concatenate(nodes), np.concatenate(weights), spans
+    if not any(xs):
+        rule = rule if rule is not None else default_composite_rule(n)
+        return (np.sqrt(-np.array(ts))[:, None] * rule.nodes,
+                np.broadcast_to(rule.weights, (len(ts), len(rule.weights))))
+    if not all(xs):
+        raise QuadratureError("an offset rule batch takes points all at the "
+                              "origin or all off it")
+    b, a, norm = np.array([(x, -t, _kernel_norm(x, t, n))
+                           for x, t in zip(xs, ts)]).T[:, :, None]
+    lo, hi = np.maximum(b - 16.0 * np.sqrt(a), 0.0), b + 16.0 * np.sqrt(a)
+    # np.linspace(lo, hi, n_panel + 1) per point, in its operation order
+    # (calling np.linspace made these rule builds 27 % slower)
+    edges = np.arange(n_panel + 1.0) * ((hi - lo) / n_panel) + lo
+    edges[:, -1:] = hi
+    nodes, gw = _gl_panels(edges, n_gl)
+    return nodes, _offset_weights(nodes, gw, b, a, norm, n)
 
 
 def offset_integral_many(f: Callable, x0_norm: float, t0: float,
                          n: int, rule_r: QuadratureRule | None = None,
-                         n_panel: int = 16, n_gl: int = 24) -> np.ndarray:
+                         n_panel: int = OFFSET_PANELS,
+                         n_gl: int = OFFSET_GL) -> np.ndarray:
     """Batched int f_k(|y|) G(y-x0, t0) dy for radial integrands f_k.
 
     f(r) returns the rows f_k(r), so integrands that share work (one
@@ -245,9 +228,8 @@ def offset_integral_many(f: Callable, x0_norm: float, t0: float,
     _offset_rules' for the one point; x0_norm = 0 integrates on rule_r
     (default: the composite rule) with rescaled radius.
     """
-    nodes, weights, _ = _offset_rules([x0_norm], [t0], n, n_panel, n_gl,
-                                      rule_r)
-    return _sums(nodes, weights, f(nodes))
+    nodes, weights = _offset_rules([x0_norm], [t0], n, n_panel, n_gl, rule_r)
+    return _sums(nodes[0], weights[0], f(nodes[0]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -335,6 +339,8 @@ BAD_REQUESTS = [
     ["spectrum", "--profile", "singular"],
     ["stability", "--profile", "singular"],
     ["perturb", "--profile", "singular"],
+    ["perturb", "--s", "0"],
+    ["perturb", "--profile", "kappa"],
     ["entropy", "--profile", "singular"],
     ["spectrum", "--ell", "-1"],
     ["spectrum", "--k", "0"],
@@ -423,3 +429,15 @@ def test_defaults_and_explicit_defaults_hash_alike(tmp_path):
                  "--p", "7", "--profile", "kappa"]) == 0
     assert read_json(tmp_path / "a", "energy")["config_hash"] == \
         read_json(tmp_path / "b", "energy")["config_hash"]
+
+
+def test_python_m_selfsim_runs_the_command_line(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "selfsim", "--out", str(tmp_path), "gamma",
+         "--n", "7", "--p", "3"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "gamma.json").read_text())["E_singular"] \
+        == pytest.approx(1.0 / 15.0, rel=1e-12)

@@ -611,3 +611,58 @@ def test_cell_volumes_are_exact(n, p, n_points, bc):
         exact = np.array([float(scale * mp.gammainc(a, lo, hi, regularized=True))
                           for lo, hi in zip(s[:-1], s[1:])])
     assert (np.abs(mach["mbar"] * h - exact) <= 2e-12 * exact).all()
+
+
+def decaying_constant_state():
+    # 0.5 < kappa = 2^{-1/2}: the data decays, exactly and without error
+    return init_flow(constant_profile(P33, "0"), eigenfunction=np.ones_like,
+                     amplitude=0.5)
+
+
+def test_a_step_that_raises_the_energy_is_retried_at_half_the_size(
+        monkeypatch):
+    state = decaying_constant_state()
+    real, calls = flow.energy_of_state, []
+
+    def rising_once(state, w=None, power=None):
+        calls.append(w)
+        return real(state, w, power) + (1.0 if len(calls) == 1 else 0.0)
+
+    monkeypatch.setattr(flow, "energy_of_state", rising_once)
+    first = flow._first_try(state)
+    step(state)
+    assert len(calls) == 2
+    assert state.counts.rejected_by_energy == 1
+    assert state.counts.accepted == 1
+    assert state.dt == state.tau == 0.5 * first
+
+
+def test_run_flags_an_exhausted_step_budget(monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
+    report = run(decaying_constant_state(), tau_max=10.0)
+    assert report.flags == ["step budget exhausted"]
+    assert report.outcome == flow.OUTCOME_MAXTIME
+    assert report.steps.accepted == 3 and report.tau_end < 10.0
+
+
+def test_init_flow_defaults_to_the_no_flux_config():
+    grid = np.linspace(0.01, 5.0, 60)
+    cubic = RadialProfile(kind=KIND_TABULATED, params=P37, grid=grid,
+                          values=np.exp(-grid), derivs=-np.exp(-grid))
+    for prof in (cubic, constant_profile(P37, "+")):
+        assert init_flow(prof).cfg == FlowConfig() == FlowConfig(bc=BC_NOFLUX)
+
+
+@pytest.mark.parametrize("profile,s_values,named", [
+    ("kappa", (0.05, -0.05), "non-constant profile"),
+    ("zero", (0.05,), "non-constant profile"),
+    ("shoot", (0.0, -0.0), "finite and nonzero, got 0.0"),
+    ("shoot", (0.01, math.nan), "finite and nonzero, got nan"),
+    ("shoot", (math.inf,), "finite and nonzero, got inf"),
+])
+def test_perturbation_experiment_refuses_a_degenerate_request(
+        profile, s_values, named):
+    prof = reference_profile(3, 7.0) if profile == "shoot" else \
+        constant_profile(P37, {"kappa": "+", "zero": "0"}[profile])
+    with pytest.raises(ParameterError, match=named):
+        entropy_perturbation_experiment(prof, s_values=s_values)

@@ -194,3 +194,21 @@ def test_gaussian_kernel_moment_with_offset():
     n, b, t0 = 3, 2.5, -0.7
     val = offset_integral_many(lambda r: [r**2], b, t0, n)[0]
     assert val == pytest.approx(2 * n * (-t0) + b**2, rel=1e-11)
+
+
+def test_offset_rules_give_one_row_per_point_of_one_kind():
+    n, rule = 3, quadrature.default_composite_rule(3)
+    t0s = [-0.3, -1.0, -7.5]
+    nodes, weights = quadrature._offset_rules([0.0] * 3, t0s, n)
+    assert nodes.shape == weights.shape == (3, len(rule.nodes))
+    assert all((w == rule.weights).all() for w in weights)
+    nodes, weights = quadrature._offset_rules([0.5, 2.0, 9.0], t0s, n)
+    assert nodes.shape == weights.shape == (
+        3, quadrature.OFFSET_PANELS * quadrature.OFFSET_GL)
+    # each row is the one-point rule, bit for bit
+    for k, (b, t0) in enumerate(zip([0.5, 2.0, 9.0], t0s)):
+        one_nodes, one_weights = quadrature._offset_rules([b], [t0], n)
+        assert one_nodes[0].tobytes() == nodes[k].tobytes()
+        assert one_weights[0].tobytes() == weights[k].tobytes()
+    with pytest.raises(QuadratureError, match="all at the origin or all off"):
+        quadrature._offset_rules([0.0, 1.0], [-1.0, -1.0], n)

@@ -441,3 +441,24 @@ def test_shoot_stops_on_an_undecided_flip_candidate(monkeypatch):
     with pytest.raises(ShootingError, match="inconclusive trajectory"):
         shoot(P37, *SHOOTING_BRACKETS[(3, 7.0)])
     assert len(zeroed) == 1
+
+
+@pytest.mark.parametrize("height,label", [
+    ("kappa(1 + 1e-12)", INCONCLUSIVE_CONSTANT),
+    ("a*", DECAYING),
+    ("a* - 1e-9", INCONCLUSIVE),
+])
+def test_tail_monitor_labels_a_shot_that_reaches_r_max(monkeypatch, height,
+                                                       label):
+    # r_max = 10 stops each shot before it departs; kappa (1 + 1e-12) is off
+    # the equilibrium test, so it is integrated too
+    params = make_params(3, 7.0)
+    a = {"kappa(1 + 1e-12)": params.kappa * (1.0 + 1e-12),
+         "a*": A_STAR_REFERENCE[(3, 7.0)],
+         "a* - 1e-9": A_STAR_REFERENCE[(3, 7.0)] - 1e-9}[height]
+    ends, tail_label = [], shooting._tail_label
+    monkeypatch.setattr(shooting, "_tail_label", lambda params, r_end, dense:
+                        ends.append(r_end) or tail_label(params, r_end, dense))
+    traj = integrate_radial(params, a, r_max=10.0, tol=1e-10)
+    assert ends == [10.0]
+    assert traj.classification == label and traj.departure == 0

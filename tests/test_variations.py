@@ -1,12 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from selfsim.core import constant_profile, make_params, singular_profile
 from selfsim.fixtures import reference_profile
 from selfsim.quadrature import default_composite_rule, weighted_integral
-from selfsim.variations import (Variation, first_variation, gaussian_bump,
-                                general_second_variation_fd, lambda_field,
-                                random_variations, second_variation)
+from selfsim.variations import (MARGINAL_TOL, Variation, first_variation,
+                                gaussian_bump, general_second_variation_fd,
+                                lambda_field, random_variations,
+                                second_variation, stability_report)
 
 P33 = make_params(3, 3.0)
 P37 = make_params(3, 7.0, require_supercritical=True)
@@ -225,3 +228,13 @@ def test_lambda_field_singular_identically_zero():
 def test_lambda_field_shooting_changes_sign(wshoot):
     lam, sign_change = lambda_field(wshoot)
     assert sign_change
+
+
+@pytest.mark.parametrize("lam1", [-1.0, -1.0 - 0.5 * MARGINAL_TOL, -0.5])
+def test_stability_report_is_marginal_near_lambda_minus_one(wshoot, lam1):
+    # no direction is needed: a marginal verdict reads lambda_1 alone
+    eig0 = SimpleNamespace(lambdas=np.array([lam1]), funcs=[None])
+    rep = stability_report(wshoot, eig0)
+    assert rep.verdict == "marginal"
+    assert rep.lambda_1 == lam1 and rep.margin == lam1 + 1.0
+    assert rep.second_variation_value is None
