@@ -39,6 +39,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+try:    # np.einsum's own C kernel, minus a dispatch that outweighs few lanes
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:     # numpy 1.x keeps it elsewhere; the public name works
+    _einsum = np.einsum
 # not called here: perfbench/tracing.py wraps shooting.solve_ivp by name
 from scipy.integrate import solve_ivp  # noqa: F401
 # private scipy module: the DOP853 tableau, dense-output stages and
@@ -102,48 +106,49 @@ class OdeTrajectory:
         return w, dw
 
 
-def _event_values(y, cap, kap):
-    """The terminal events at lane states y (2, L), one row each: w crosses
-    zero, |w| reaches the cap, or w has a local minimum inside the sub-kappa
-    tail regime (rebound)."""
-    w, dw = y
-    return np.array([w, np.abs(w) - cap,
-                     np.where((0.0 < w) & (w < REBOUND_FRACTION * kap), dw,
-                              -1.0)])
+def _event_signs(w, dw, cap, kap):
+    """Signs of the terminal events at lane states (w, w'), one row each: w
+    crosses zero, |w| reaches the cap, or w has a local minimum inside the
+    sub-kappa tail regime (rebound).  The event rule reads only signs."""
+    return np.sign([w, np.abs(w) - cap,
+                    np.where((0.0 < w) & (w < REBOUND_FRACTION * kap), dw,
+                             -1.0)])
 
 
-def _fired(g, g_new):
-    """solve_ivp's rule for events that fire between two accepted steps.
+def _fired(s, s_new):
+    """solve_ivp's rule for events that fire between two accepted steps: the
+    event value reaches or crosses zero, in its direction if it has one.
 
-    g, g_new: event values, one row per event and one column per lane.
+    s, s_new: event signs, one row per event and one column per lane; a NaN
+    sign fires nothing.
     """
-    up = (g <= 0) & (g_new >= 0)
-    down = (g >= 0) & (g_new <= 0)
-    d = EVENT_DIRECTIONS[:, None]
-    return up & (d >= 0) | down & (d <= 0)
+    return (s * s_new <= 0) & (EVENT_DIRECTIONS[:, None] * (s_new - s) >= 0)
 
 
-def _hidden_rebound(w, w_new, g, g_new, slopes, kap):
-    """Lanes whose step may jump over a rebound: the rebound value is
+def _hidden_rebound(w, w_new, s, s_new, slopes, kap):
+    """Lanes whose step may jump over a rebound: the rebound sign is
     negative at both step ends, the step's w range meets the rebound window,
     and a stage slope w' (one row per stage) is positive."""
-    return ((g < 0) & (g_new < 0)
+    return ((np.maximum(s, s_new) < 0)
             & (np.maximum(w, w_new) > 0.0)
             & (np.minimum(w, w_new) < REBOUND_FRACTION * kap)
             & (slopes > 0).any(axis=0))
 
 
-def _check_inputs(a, tol: float) -> None:
+def _check_inputs(a, tol: float, r_max: float = R_MAX) -> None:
     if not np.all(np.isfinite(a)):
         raise ParameterError("initial height must be finite")
     if not (1e-14 < tol < 1e-4):
         raise ParameterError(f"tolerance {tol} outside the supported range")
+    if not R_START < r_max < np.inf:
+        raise ParameterError(f"r_max {r_max} must be finite and above "
+                             f"R_START = {R_START}")
 
 
 def integrate_radial(params: Parameters, a: float, r_max: float = R_MAX,
                      tol: float = 1e-12) -> OdeTrajectory:
     """Integrate one shot and classify its departure from the decaying tail."""
-    _check_inputs(a, tol)
+    _check_inputs(a, tol, r_max)
     return _departures(params, [a], r_max, tol, dense=True)[0]
 
 
@@ -170,13 +175,10 @@ _STAGES = DOP853.n_stages
 # the three stages after it feed only the dense output
 _A = ([DOP853.A[s, :s] for s in range(_STAGES)] + [DOP853.B]
       + [a[:s] for s, a in enumerate(DOP853.A_EXTRA, start=_STAGES + 1)])
-_C, _E3, _E5, _D = DOP853.C, DOP853.E3, DOP853.E5, DOP853.D
-
-
-def _lane_sum(coeffs, K):
-    """sum_j coeffs[j] K[j] per column, added in the same order whatever the
-    number of columns (a BLAS product would round by call size)."""
-    return np.einsum("j,jk->k", coeffs, K)
+# stage s > 0 sits at r + _C[s - 1] h, except the step end r_new (row 1.0):
+# r + h may round away from it
+_C = np.concatenate((DOP853.C[1:], [1.0], DOP853.C_EXTRA))[:, None]
+_E, _D = np.array([DOP853.E5, DOP853.E3]), DOP853.D
 
 
 def _rms(x):
@@ -224,11 +226,14 @@ def _departures(params: Parameters, heights, r_max: float, tol: float,
     upward crossing opens), +1 where the cap or the rebound fires alone, and
     0 for equilibria and where the events do not decide: no event by r_max,
     a failed step, or another pair of events in one step.  A lane's
-    arithmetic does not depend on the other lanes of the call.  With dense,
-    every lane also keeps its accepted steps' dense-output rows, and the
-    call returns one labelled OdeTrajectory per height.  A work Counter,
-    when given, adds the call's kernel_calls, lane_steps (step attempts
-    summed over lanes) and hidden_rebound_rejections.
+    arithmetic does not depend on the other lanes of the call.  A step costs
+    numpy's per-call overhead more than arithmetic, so one that every lane
+    takes with no event sign change, rising stage slope or r_max skips the
+    per-lane rejection, event and drop logic.  With dense, every lane also
+    keeps its accepted steps' dense-output rows, and the call returns one
+    labelled OdeTrajectory per height.  A work Counter, when given, adds the
+    call's kernel_calls, lane_steps (step attempts summed over lanes) and
+    hidden_rebound_rejections.
     """
     rhs = lambda r, y: (y[1], params.second_deriv(params.drift(r), *y))
     kap = params.kappa
@@ -252,81 +257,99 @@ def _departures(params: Parameters, heights, r_max: float, tol: float,
               y_start[:, const], np.zeros((3 + len(_D), 2, const.sum())))]
 
     lane = np.flatnonzero(~const)
-    r = np.full(lane.size, R_START)
+    m = lane.size
+    r = np.full(m, R_START)
     y = y_start[:, lane]
     f = np.array(rhs(r, y))
     cap = CAP_MULT * np.maximum(np.abs(a[lane]), kap)
-    g = _event_values(y, cap, kap)
+    sg = _event_signs(*y, cap, kap)
     h = _initial_step(rhs, r, y, f, r_max, rtol, atol)
-    retry = np.zeros(lane.size, dtype=bool)
-    while lane.size:
-        min_step = 10 * np.abs(np.nextafter(r, np.inf) - r)
-        h = np.where(retry, h, np.maximum(h, min_step))
-        failed = ~(h >= min_step)                  # a NaN step fails too
+    # from here a lane state is flat: the m values of w, then the m of w'
+    y, f = y.ravel(), f.ravel()
+    retry = None                 # lanes whose last step was rejected, if any
+    while m:
+        min_step = 10 * np.spacing(r)
+        h = (np.maximum(h, min_step) if retry is None else
+             np.where(retry, h, np.maximum(h, min_step)))
+        valid = h >= min_step                      # a NaN step fails
         r_new = np.minimum(r + h, r_max)
         h = r_new - r
-        m = lane.size
+        h2 = np.concatenate((h, h))
         lane_steps += m
-        # radii of every stage after the first (the step end is r_new) and
-        # their drift coefficients, each in one array pass
-        rs = np.vstack((r + _C[1:, None] * h, r_new,
-                        r + DOP853.C_EXTRA[:, None] * h))[:stages - 1]
+        # radii and drift coefficients of every stage after the first, each
+        # in one array pass
+        rs = r + _C[:stages - 1] * h
+        rs[_STAGES - 1] = r_new
         drift = params.drift(rs)
-        K = np.empty((stages, 2 * m))          # stage s holds (w', w'') lanes
-        K3 = K.reshape(stages, 2, m)
-        K3[0] = f
+        K = np.empty((stages, 2 * m))    # stage s: its w' lanes, then its w''
+        K[0] = f
         for s in range(1, stages):
-            ys = y + _lane_sum(_A[s], K[:s]).reshape(2, m) * h
+            # einsum adds the stages in order; a BLAS product would round by
+            # the lane count
+            ys = y + _einsum("j,jk->k", _A[s], K[:s]) * h2
             if s == _STAGES:
                 y_new = ys
-            w, dw = ys
-            K3[s, 0] = dw
-            K3[s, 1] = params.second_deriv(drift[s - 1], w, dw)
-        f_new = K3[_STAGES]
+            K[s, :m] = dw = ys[m:]
+            K[s, m:] = params.second_deriv(drift[s - 1], ys[:m], dw)
+        f_new = K[_STAGES]
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        x5 = _lane_sum(_E5, K[:_STAGES + 1]).reshape(2, m) / scale
-        x3 = _lane_sum(_E3, K[:_STAGES + 1]).reshape(2, m) / scale
-        e5 = x5[0] * x5[0] + x5[1] * x5[1]
-        e3 = x3[0] * x3[0] + x3[1] * x3[1]
-        err = np.where((e5 == 0) & (e3 == 0), 0.0,
+        x = _einsum("ij,jk->ik", _E, K[:_STAGES + 1]) / scale
+        x = x * x
+        e5, e3 = x[:, :m] + x[:, m:]
+        err = np.where(e5 + e3 == 0, 0.0,
                        h * e5 / np.sqrt((e5 + 0.01 * e3) * 2))
         gain = SAFETY * err ** _ERROR_EXPONENT
-        ok = (err < 1) & ~failed
-        g_new = _event_values(y_new, cap, kap)
-        hidden = ok & _hidden_rebound(y[0], y_new[0], g[2], g_new[2],
-                                      K3[1:_STAGES, 0], kap)
-        hidden_rejections += int(hidden.sum())
-        ok &= ~hidden
-        if dense and ok.any():
+        grow = np.minimum(MAX_FACTOR, gain)        # err = 0 gives gain = inf
+        if retry is not None:
+            grow = np.where(retry, np.minimum(1, grow), grow)
+        accept = (err < 1) & valid
+        sg_new = _event_signs(y_new[:m], y_new[m:], cap, kap)
+        if dense:
             # rk.DOP853._dense_output_impl's interpolant rows of the step
             dy = y_new - y
-            F = np.concatenate((
-                [dy, h * f - dy, 2 * dy - h * (f_new + f)],
-                np.einsum("ij,jk->ik", _D, K).reshape(len(_D), 2, m) * h))
-            steps.append((lane[ok], r_new[ok], y_new[:, ok], F[:, :, ok]))
-        grow = np.where(err == 0, MAX_FACTOR, np.minimum(MAX_FACTOR, gain))
-        grow = np.where(retry, np.minimum(1, grow), grow)
+            F = np.vstack((dy, h2 * f - dy, 2 * dy - h2 * (f_new + f),
+                           _einsum("ij,jk->ik", _D, K) * h2)).reshape(-1, 2, m)
+        # all lanes step on when all are accepted, no event sign changes, no
+        # stage slope rises (no rebound hides) and none is at r_max
+        if (np.count_nonzero(accept) == m
+                and not np.count_nonzero(sg * sg_new <= 0)
+                and not np.count_nonzero(K[1:_STAGES, :m] > 0)
+                and not np.count_nonzero(r_new >= r_max)):
+            if dense:
+                steps.append((lane, r_new, y_new.reshape(2, m), F))
+            h = h * grow
+            r, y, f, sg, retry = r_new, y_new, f_new, sg_new, None
+            continue
+
+        hidden = accept & _hidden_rebound(y[:m], y_new[:m], sg[2], sg_new[2],
+                                          K[1:_STAGES, :m], kap)
+        hidden_rejections += int(np.count_nonzero(hidden))
+        ok = accept & ~hidden
+        if dense:
+            steps.append((lane[ok], r_new[ok], y_new.reshape(2, m)[:, ok],
+                          F[:, :, ok]))
         h = h * np.where(ok, grow, np.where(hidden, 0.5,
                                             np.maximum(MIN_FACTOR, gain)))
-        retry = ~ok
-
-        fired = _fired(g, g_new) & ok
+        fired = _fired(sg, sg_new) & ok
+        ok2 = np.concatenate((ok, ok))
         r = np.where(ok, r_new, r)
-        y = np.where(ok, y_new, y)
-        f = np.where(ok, f_new, f)
-        g = np.where(ok, g_new, g)
+        y, f = np.where(ok2, y_new, y), np.where(ok2, f_new, f)
+        sg = np.where(ok, sg_new, sg)
+        retry = ~ok
         count = fired.sum(axis=0)
         at_bound = ok & (count == 0) & (r >= r_max)
-        done = failed | (count > 0) | at_bound
-        if done.any():
+        done = ~valid | (count > 0) | at_bound
+        if np.count_nonzero(done):
             # a zero crossing upward opens the rebound window in its own
             # step, so a zero firing with the rebound still comes first
             out[lane[done]] = np.where(fired[0] & ~fired[1], -1,
                                        np.where(count == 1, 1, 0))[done]
             reached[lane[done]] = at_bound[done]
             keep = ~done
+            keep2 = np.concatenate((keep, keep))
             lane, r, h, retry, cap = (v[keep] for v in (lane, r, h, retry, cap))
-            y, f, g = y[:, keep], f[:, keep], g[:, keep]
+            y, f, sg = y[keep2], f[keep2], sg[:, keep]
+            m = lane.size
     if work is not None:
         work.update(kernel_calls=1, lane_steps=lane_steps,
                     hidden_rebound_rejections=hidden_rejections)
@@ -358,7 +381,9 @@ def scan_initial_values(params: Parameters, a_values,
     call.
     """
     a = np.asarray(a_values, dtype=float)
-    _check_inputs(a, tol)
+    if a.ndim != 1:
+        raise ParameterError(f"scan heights must be 1-D, got shape {a.shape}")
+    _check_inputs(a, tol, r_max)
     dep = _departures(params, a, r_max, tol)
     rows = [(float(x), SIGN_CHANGING if d < 0 else GROWING, int(d))
             for x, d in zip(a, dep)]
@@ -372,7 +397,10 @@ def scan_initial_values(params: Parameters, a_values,
 
 def find_brackets(params: Parameters, a_values,
                   tol: float = 1e-10) -> list[tuple[float, float]]:
-    """Adjacent scan pairs whose departure direction flips (shooting brackets)."""
+    """Adjacent scan pairs whose departure direction flips (shooting brackets);
+    the heights must increase strictly, so every pair is a bracket."""
+    if np.any(np.diff(np.ravel(a_values)) <= 0):
+        raise ParameterError("scan heights must increase strictly")
     return _brackets(scan_initial_values(params, a_values, tol=tol))
 
 

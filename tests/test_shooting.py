@@ -168,6 +168,26 @@ def test_shoot_rejects_a_reversed_or_empty_bracket(a_lo, a_hi):
         shoot(P37, a_lo, a_hi)
 
 
+@pytest.mark.parametrize("r_max", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda r_max: integrate_radial(P37, 2.0, r_max=r_max),
+    lambda r_max: scan_initial_values(P37, [2.0, 2.5], r_max=r_max)],
+    ids=["integrate_radial", "scan_initial_values"])
+def test_a_bad_r_max_is_refused(call, r_max):
+    # a first step that fails would otherwise be labelled inconclusive, and
+    # r_max = inf gives the integration no end
+    with pytest.raises(ParameterError, match="r_max"):
+        call(r_max)
+
+
+def test_bad_scan_heights_are_refused():
+    with pytest.raises(ParameterError, match="1-D"):
+        scan_initial_values(P37, [[1.0, 2.0]])
+    for heights in ([3.0, 2.0, 2.5], [2.0, 2.0, 2.5]):
+        with pytest.raises(ParameterError, match="increase strictly"):
+            find_brackets(P37, heights)
+
+
 def test_taylor_start_insensitivity(monkeypatch):
     a = 1.5 * P37.kappa
     w1 = integrate_radial(P37, a, tol=1e-12).sample(1.0)[0]
@@ -376,6 +396,48 @@ def test_shoot_reports_its_kernel_work(profile37, spied_shoots):
     assert work == {"kernel_calls": 6, "lane_steps": 345534,
                     "hidden_rebound_rejections": 0}
     assert work["kernel_calls"] == len(spied_shoots["(3,7) recorded"][2])
+
+
+def test_shoot_figures_are_pinned_bit_for_bit(profile37, spied_shoots):
+    # the lane kernel's arithmetic is fixed: a change to any rounding of a
+    # step moves a*, r_cut, the knots or the step count
+    assert (repr(profile37.meta["a"]), repr(float(profile37.meta["r_cut"])),
+            profile37.grid.size) == ("2.3025214117395665",
+                                     "8.290745971442615", 2448)
+    prof45 = spied_shoots["(4,5) scan"][1]
+    assert repr(prof45.meta["a"]) == "2.3655797613160674"
+    assert prof45.meta["lane_steps"] == 345543
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_a_mixed_call_repeats_each_lane_alone(dense):
+    # one call whose lanes leave by every exit: two equilibria (kappa and 0),
+    # a zero crossing, a rebound, a failed first step at 1e3 and r_max
+    # without an event near a*; steps where all lanes go on and steps where
+    # some stop both occur
+    heights = [P37.kappa, 0.0, 1.5 * P37.kappa, 3.0, 1e3,
+               A_STAR_REFERENCE[(3, 7.0)]]
+    work, alone = Counter(), Counter()
+    mixed = _departures(P37, heights, 5.0, 1e-10, dense=dense, work=work)
+    singles = [_departures(P37, [a], 5.0, 1e-10, dense=dense, work=alone)[0]
+               for a in heights]
+    assert work["lane_steps"] == alone["lane_steps"] > 0
+    assert work["hidden_rebound_rejections"] == \
+        alone["hidden_rebound_rejections"]
+    if not dense:
+        assert mixed.tolist() == [int(d) for d in singles] == \
+            [0, 0, -1, 1, 0, 0]
+        return
+    assert [(t.classification, t.departure) for t in mixed] == [
+        (INCONCLUSIVE_CONSTANT, 0), (INCONCLUSIVE_CONSTANT, 0),
+        (SIGN_CHANGING, -1), (GROWING, 1), (INCONCLUSIVE, 0),
+        (INCONCLUSIVE, 0)]
+    assert (mixed[4].r.size, mixed[5].r[-1]) == (1, 5.0)
+    for t, one in zip(mixed, singles):
+        assert (t.a, t.classification, t.departure) == \
+            (one.a, one.classification, one.departure)
+        for got, want in ((t.r, one.r), (t.w, one.w), (t.dw, one.dw)):
+            assert np.array_equal(got, want)
 
 
 def test_scan_catches_a_rebound_inside_one_step():
