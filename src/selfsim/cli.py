@@ -187,6 +187,7 @@ def cmd_entropy(cfg):
     prof = _profile_from(cfg["profile"], params)
     res = entropy(prof)
     e = energy(prof).energy
+    rel = abs(res.lam - e) / max(abs(e), 1e-300)
     summary = {
         "quantity": "entropy",
         "lambda": res.lam,
@@ -195,14 +196,14 @@ def cmd_entropy(cfg):
         "ring_margin_time": res.ring_margin_t,
         "ring_margin_space": res.ring_margin_x,
         "weighted_energy": e,
-        "entropy_equals_energy_rel": abs(res.lam - e) / max(abs(e), 1e-300),
+        "entropy_equals_energy_rel": rel,
         "flags": res.flags,
     }
     series = {"x0_norm": [t[0] for t in res.trace],
               "log_a": [t[1] for t in res.trace],
               "F": [t[2] for t in res.trace]}
     ok = not res.flags and (not prof.is_solution
-                            or summary["entropy_equals_energy_rel"] <= 1e-8)
+                            or rel <= acceptance.ENTROPY_ENERGY_TOL)
     return ok, summary, series
 
 
@@ -382,7 +383,7 @@ def cmd_identities(cfg):
         "moment_balance_residual": rep.moment_balance_residual,
         "scale": rep.scale,
     }
-    tol = 1e-5 if prof.is_solution else math.inf
+    tol = acceptance.identity_tol(prof) if prof.is_solution else math.inf
     ok = all(abs(summary[k]) <= tol for k in
              ("pohozaev_residual", "mass_balance_residual",
               "moment_balance_residual"))

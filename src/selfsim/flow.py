@@ -585,7 +585,6 @@ def _extrapolate_blowup_time(cols: dict, p: float) -> Optional[float]:
 
 @dataclass
 class PerturbationReport:
-    s_values: list
     entropies: dict
     base_entropy: float
     margins: dict
@@ -614,7 +613,8 @@ def entropy_perturbation_experiment(profile: RadialProfile,
 
     A constant profile, or an s that is zero or not finite, is a
     ParameterError: its margins would be 0 in exact arithmetic and rounding
-    alone (every positive constant has kappa's entropy, by rescaling).
+    alone (every positive constant has kappa's entropy, by rescaling).  So is
+    an s so large that w + s f overflows.
     """
     if profile.is_constant:
         raise ParameterError("the perturbation experiment needs a non-"
@@ -636,7 +636,11 @@ def entropy_perturbation_experiment(profile: RadialProfile,
     fg, dfg = f(grid), f_raw.derivative()(grid) / scale
     entropies, margins, search_flags = {}, {}, []
     for s in s_values:
-        vals, ders = w + s * fg, dw + s * dfg
+        with np.errstate(over="ignore"):
+            vals, ders = w + s * fg, dw + s * dfg
+        if not (np.isfinite(vals).all() and np.isfinite(ders).all()):
+            raise ParameterError(f"the perturbation amplitude s={s!r} "
+                                 f"overflows the perturbed data w + s f")
         pert = RadialProfile(kind=KIND_TABULATED, params=params, grid=grid,
                              values=vals, derivs=ders,
                              decay_coeff=profile.decay_coeff,
@@ -645,9 +649,8 @@ def entropy_perturbation_experiment(profile: RadialProfile,
         entropies[s] = res.lam
         margins[s] = base.lam - res.lam
         search_flags += [f"s={s}: {msg}" for msg in res.flags]
-    report = PerturbationReport(s_values=list(s_values), entropies=entropies,
-                                base_entropy=base.lam, margins=margins,
-                                flags=search_flags)
+    report = PerturbationReport(entropies=entropies, base_entropy=base.lam,
+                                margins=margins, flags=search_flags)
     report.kappa_energy = energy(constant_profile(params, "+")).energy
     if run_flow_for is not None:
         state = init_flow(profile, eigenfunction=f,

@@ -340,7 +340,6 @@ def identities(profile: RadialProfile) -> FunctionalReport:
 class DensityResult:
     theta: float
     values: np.ndarray
-    s_values: np.ndarray
     monotone: bool
     flags: list = field(default_factory=list)
 
@@ -373,5 +372,5 @@ def density(profile: RadialProfile, x0_norm: float,
         theta = min(theta, vals[-1]) if x0_norm != 0 else vals[-1]
     else:
         theta = vals[-1]
-    return DensityResult(theta=float(theta), values=vals, s_values=s_values,
-                         monotone=monotone, flags=flags)
+    return DensityResult(theta=float(theta), values=vals, monotone=monotone,
+                         flags=flags)

@@ -61,12 +61,14 @@ INCONCLUSIVE = "inconclusive"
 INCONCLUSIVE_CONSTANT = "inconclusive_constant"
 
 R_START = 1e-6     # radius of the Taylor start
-R_MAX = 30.0       # default end of a shot
+R_MAX = 30.0       # end of every shot
 # events: a rebound is a local minimum of w below this fraction of kappa;
 # the cap is this multiple of max(|a|, kappa)
 REBOUND_FRACTION = 0.75
 CAP_MULT = 10.0
 EVENT_DIRECTIONS = np.array([0, 0, 1])    # zero, cap, rebound
+# integrator tolerance of a scan
+SCAN_TOL = 1e-10
 # heights tried per multisection round of shoot: 8 bits a round
 SECTIONS = 255
 _FRACTIONS = np.arange(1, SECTIONS + 1) / (SECTIONS + 1)
@@ -135,37 +137,35 @@ def _hidden_rebound(w, w_new, s, s_new, slopes, kap):
             & (slopes > 0).any(axis=0))
 
 
-def _check_inputs(a, tol: float, r_max: float = R_MAX) -> None:
+def _check_inputs(a, tol: float) -> None:
     if not np.all(np.isfinite(a)):
         raise ParameterError("initial height must be finite")
     if not (1e-14 < tol < 1e-4):
         raise ParameterError(f"tolerance {tol} outside the supported range")
-    if not R_START < r_max < np.inf:
-        raise ParameterError(f"r_max {r_max} must be finite and above "
-                             f"R_START = {R_START}")
 
 
-def integrate_radial(params: Parameters, a: float, r_max: float = R_MAX,
-                     tol: float = 1e-12) -> OdeTrajectory:
-    """Integrate one shot and classify its departure from the decaying tail."""
-    _check_inputs(a, tol, r_max)
-    return _departures(params, [a], r_max, tol, dense=True)[0]
+def _equilibria(params: Parameters, a: np.ndarray) -> np.ndarray:
+    """Heights that are exact equilibria (a = 0 included): g(a) vanishes to
+    rounding.  They are labelled, not integrated: their roundoff would only
+    grow."""
+    return np.abs(params.reaction(a)) <= 1e-13 * np.maximum(np.abs(a), 1e-30)
 
 
-def _tail_label(params: Parameters, r_end: float, dense) -> str:
-    """Label a full-length trajectory from its tail monitor q = r^{2/(p-1)} w."""
-    if r_end < 10.0:
-        return INCONCLUSIVE
-    rr = np.linspace(0.75 * r_end, r_end, 80)
-    w, dw = dense(rr)
-    kap = params.kappa
-    if np.all(np.abs(np.abs(w) - kap) < 0.05 * kap):
+def _label(departure: int, equilibrium: bool) -> str:
+    """A shot's label: constant at an equilibrium, else its departure's,
+    inconclusive where no departure decides."""
+    if equilibrium:
         return INCONCLUSIVE_CONSTANT
-    q = rr ** params.decay_power * w
-    flat = np.ptp(q) < 0.01 * abs(np.mean(q)) if np.mean(q) != 0 else False
-    if flat and np.all(dw < 0):
-        return DECAYING
-    return INCONCLUSIVE
+    return (SIGN_CHANGING if departure < 0 else GROWING if departure > 0
+            else INCONCLUSIVE)
+
+
+def integrate_radial(params: Parameters, a: float,
+                     tol: float = 1e-12) -> OdeTrajectory:
+    """Integrate one shot to R_MAX and label its departure from the decaying
+    tail."""
+    _check_inputs(a, tol)
+    return _departures(params, [a], R_MAX, tol, dense=True)[0]
 
 
 # ------------------------------------------------------------- lane kernel
@@ -231,9 +231,9 @@ def _departures(params: Parameters, heights, r_max: float, tol: float,
     takes with no event sign change, rising stage slope or r_max skips the
     per-lane rejection, event and drop logic.  With dense, every lane also
     keeps its accepted steps' dense-output rows, and the call returns one
-    labelled OdeTrajectory per height.  A work Counter, when given, adds the
-    call's kernel_calls, lane_steps (step attempts summed over lanes) and
-    hidden_rebound_rejections.
+    OdeTrajectory per height, labelled by _label.  A work Counter, when
+    given, adds the call's kernel_calls, lane_steps (step attempts summed
+    over lanes) and hidden_rebound_rejections.
     """
     rhs = lambda r, y: (y[1], params.second_deriv(params.drift(r), *y))
     kap = params.kappa
@@ -241,14 +241,10 @@ def _departures(params: Parameters, heights, r_max: float, tol: float,
     atol = min(tol * 1e-2, 1e-14)
     a = np.asarray(heights, dtype=float)
     out = np.zeros(a.size, dtype=int)
-    reached = np.zeros(a.size, dtype=bool)        # r_max without an event
     lane_steps = hidden_rejections = 0
     stages = len(_A) if dense else _STAGES + 1
-    # exact equilibria (a = 0 included) are labelled, not integrated: their
-    # roundoff would only grow
-    g_a = params.reaction(a)
-    const = np.abs(g_a) <= 1e-13 * np.maximum(np.abs(a), 1e-30)
-    w2 = g_a / params.n        # w''(0), for the second-order Taylor start
+    const = _equilibria(params, a)
+    w2 = params.reaction(a) / params.n    # w''(0), for the Taylor start
     y_start = np.where(const, [a, np.zeros_like(a)],
                        [a + 0.5 * w2 * R_START**2, w2 * R_START])
     # dense rows per accepted step: lane, step end r and y, interpolant F;
@@ -344,7 +340,6 @@ def _departures(params: Parameters, heights, r_max: float, tol: float,
             # step, so a zero firing with the rebound still comes first
             out[lane[done]] = np.where(fired[0] & ~fired[1], -1,
                                        np.where(count == 1, 1, 0))[done]
-            reached[lane[done]] = at_bound[done]
             keep = ~done
             keep2 = np.concatenate((keep, keep))
             lane, r, h, retry, cap = (v[keep] for v in (lane, r, h, retry, cap))
@@ -363,45 +358,30 @@ def _departures(params: Parameters, heights, r_max: float, tol: float,
         k = lanes == i
         r = np.concatenate(([R_START], r_step[k]))
         y = np.hstack((y_start[:, i:i + 1], y_step[:, k]))
-        sampler = _dense_output(r, y[:, :-1], F[:, :, k])
-        label = (INCONCLUSIVE_CONSTANT if const[i] else
-                 SIGN_CHANGING if out[i] < 0 else GROWING if out[i] > 0 else
-                 _tail_label(params, r[-1], sampler) if reached[i] else
-                 INCONCLUSIVE)
-        trajs.append(OdeTrajectory(x, r, y[0], y[1], label, int(out[i]),
-                                   dense=sampler))
+        trajs.append(OdeTrajectory(
+            x, r, y[0], y[1], _label(out[i], const[i]), int(out[i]),
+            dense=_dense_output(r, y[:, :-1], F[:, :, k])))
     return trajs
 
 
-def scan_initial_values(params: Parameters, a_values,
-                        r_max: float = R_MAX, tol: float = 1e-10) -> list:
-    """Classify a grid of initial heights; returns (a, label, departure) rows.
-
-    Heights the events leave undecided get their label from one trajectory
-    call.
-    """
+def scan_initial_values(params: Parameters, a_values) -> list:
+    """Classify a grid of initial heights in one kernel call at SCAN_TOL;
+    returns (a, label, departure) rows, labelled as integrate_radial's."""
     a = np.asarray(a_values, dtype=float)
     if a.ndim != 1:
         raise ParameterError(f"scan heights must be 1-D, got shape {a.shape}")
-    _check_inputs(a, tol, r_max)
-    dep = _departures(params, a, r_max, tol)
-    rows = [(float(x), SIGN_CHANGING if d < 0 else GROWING, int(d))
-            for x, d in zip(a, dep)]
-    undecided = np.flatnonzero(dep == 0)
-    if undecided.size:
-        for k, traj in zip(undecided, _departures(params, a[undecided], r_max,
-                                                  tol, dense=True)):
-            rows[k] = (float(a[k]), traj.classification, traj.departure)
-    return rows
+    _check_inputs(a, SCAN_TOL)
+    dep = _departures(params, a, R_MAX, SCAN_TOL)
+    return [(float(x), _label(d, eq), int(d))
+            for x, d, eq in zip(a, dep, _equilibria(params, a))]
 
 
-def find_brackets(params: Parameters, a_values,
-                  tol: float = 1e-10) -> list[tuple[float, float]]:
+def find_brackets(params: Parameters, a_values) -> list[tuple[float, float]]:
     """Adjacent scan pairs whose departure direction flips (shooting brackets);
     the heights must increase strictly, so every pair is a bracket."""
     if np.any(np.diff(np.ravel(a_values)) <= 0):
         raise ParameterError("scan heights must increase strictly")
-    return _brackets(scan_initial_values(params, a_values, tol=tol))
+    return _brackets(scan_initial_values(params, a_values))
 
 
 def _brackets(rows) -> list[tuple[float, float]]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from selfsim import fixtures
+from selfsim import cli, fixtures
 from selfsim.cli import HELP, SUBCOMMANDS, _resolve, build_parser, main
 
 
@@ -82,6 +82,47 @@ def test_flow_of_tiny_constant_data_reports_without_warning(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and "Warning" not in err
     assert read_json(tmp_path, "flow")["energy_monotone"] is True
+
+
+def test_perturbation_amplitude_that_overflows_exits_2_without_warning(
+        tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--out", str(tmp_path), "perturb", "--s", "1e308"])
+    assert rc == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "s=1e+308" in err
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_identities_judges_constants_at_the_acceptance_bound(tmp_path,
+                                                             monkeypatch):
+    # criterion 6's bound: constants' residuals stay at rounding (at most
+    # 1e-15), so every constant passes
+    for n in (1, 2, 3, 5, 10):
+        for p in ("1.5", "2", "3", "7", "40"):
+            for profile in ("kappa", "zero", "-kappa"):
+                assert main(["--out", str(tmp_path), "identities", "--n",
+                             str(n), "--p", p, f"--profile={profile}"]) == 0
+                data = read_json(tmp_path, "identities")
+                assert max(abs(data[k]) for k in (
+                    "pohozaev_residual", "mass_balance_residual",
+                    "moment_balance_residual")) <= 1e-15
+    # a residual of 1e-9 fails a constant (bound 1e-13), not another solution
+    # (bound 1e-5)
+    real = cli.identities
+
+    def shifted(prof):
+        rep = real(prof)
+        rep.pohozaev_residual += 1e-9
+        return rep
+    monkeypatch.setattr(cli, "identities", shifted)
+    assert main(["--out", str(tmp_path), "identities", "--n", "3", "--p", "3",
+                 "--profile", "kappa"]) == 1
+    assert main(["--out", str(tmp_path), "identities", "--n", "7", "--p", "3",
+                 "--profile", "singular"]) == 0
 
 
 def test_entropy_and_identities_kappa(tmp_path):

@@ -168,18 +168,6 @@ def test_shoot_rejects_a_reversed_or_empty_bracket(a_lo, a_hi):
         shoot(P37, a_lo, a_hi)
 
 
-@pytest.mark.parametrize("r_max", [0.0, -1.0, np.nan, np.inf])
-@pytest.mark.parametrize("call", [
-    lambda r_max: integrate_radial(P37, 2.0, r_max=r_max),
-    lambda r_max: scan_initial_values(P37, [2.0, 2.5], r_max=r_max)],
-    ids=["integrate_radial", "scan_initial_values"])
-def test_a_bad_r_max_is_refused(call, r_max):
-    # a first step that fails would otherwise be labelled inconclusive, and
-    # r_max = inf gives the integration no end
-    with pytest.raises(ParameterError, match="r_max"):
-        call(r_max)
-
-
 def test_bad_scan_heights_are_refused():
     with pytest.raises(ParameterError, match="1-D"):
         scan_initial_values(P37, [[1.0, 2.0]])
@@ -244,7 +232,7 @@ def test_ode_residual_needs_a_full_stencil_of_points(points):
 
 def test_supercritical_scan_has_exactly_one_bracket():
     grid = supercritical_scan_grid(P37.kappa)
-    brackets = find_brackets(P37, grid, tol=1e-10)
+    brackets = find_brackets(P37, grid)
     assert len(brackets) == 1
     a_lo, a_hi = brackets[0]
     assert a_lo < A_STAR_REFERENCE[(3, 7.0)] < a_hi
@@ -258,11 +246,10 @@ def test_subcritical_scan_finds_no_profile(monkeypatch):
     monkeypatch.setattr(shooting, "_departures", lambda params, heights, *args,
                         **kwargs: calls.append(len(heights))
                         or real(params, heights, *args, **kwargs))
-    rows = scan_initial_values(params, grid, tol=1e-10)
-    # every height crosses zero, so no undecided height needs a second call
+    rows = scan_initial_values(params, grid)
     assert calls == [len(grid)]
     assert rows == [(float(a), SIGN_CHANGING, -1) for a in grid]
-    assert find_brackets(params, grid, tol=1e-10) == []
+    assert find_brackets(params, grid) == []
 
 
 # the oracle is the two-piece solve_ivp shot integrate_radial used to make
@@ -334,24 +321,42 @@ def test_negative_heights_cross_zero():
     assert rows == [(a, SIGN_CHANGING, -1) for a in grid.tolist()]
 
 
-def test_scan_rows_with_zero_and_equilibria():
+def test_scan_rows_with_zero_and_equilibria(monkeypatch):
+    # one non-dense kernel call labels every height as integrate_radial does,
+    # the undecided ones (equilibria, and 1e3, whose first step fails) too
     k = P37.kappa
-    rows = scan_initial_values(P37, [-1.5 * k, -k, 0.0, k, 1.5 * k, 2.30, 2.31])
+    heights = [-1.5 * k, -k, 0.0, k, 1.5 * k, 2.30, 2.31, 1e3]
+    calls, real = [], shooting._departures
+    monkeypatch.setattr(shooting, "_departures", lambda params, heights, *args,
+                        **kwargs: calls.append((len(heights), args, kwargs))
+                        or real(params, heights, *args, **kwargs))
+    rows = scan_initial_values(P37, heights)
+    assert calls == [(len(heights), (shooting.R_MAX, 1e-10), {})]
     assert rows == [(-1.5 * k, SIGN_CHANGING, -1), (-k, INCONCLUSIVE_CONSTANT, 0),
                     (0.0, INCONCLUSIVE_CONSTANT, 0), (k, INCONCLUSIVE_CONSTANT, 0),
                     (1.5 * k, SIGN_CHANGING, -1), (2.30, SIGN_CHANGING, -1),
-                    (2.31, GROWING, 1)]
+                    (2.31, GROWING, 1), (1e3, INCONCLUSIVE, 0)]
+    assert rows == [(a, t.classification, t.departure) for a, t in
+                    ((a, integrate_radial(P37, a, tol=1e-10))
+                     for a in heights)]
 
 
 @pytest.mark.parametrize("r_max", [1.5, 5.0])
-def test_scan_without_event_falls_back_to_trajectory_label(r_max):
-    # near a* no event fires by a short r_max; the label needs the trajectory
+def test_scan_without_event_falls_back_to_trajectory_label(monkeypatch, r_max):
+    # near a* no event fires by a short end of shot; the scan's one non-dense
+    # call still labels each height as its trajectory does
+    monkeypatch.setattr(shooting, "R_MAX", r_max)
     heights = [A_STAR_REFERENCE[(3, 7.0)], 1.5 * P37.kappa]
-    rows = scan_initial_values(P37, heights, r_max=r_max)
-    assert rows[0][1:] == (INCONCLUSIVE, 0)
-    assert rows == [(a, t.classification, t.departure) for a, t in
-                    ((a, integrate_radial(P37, a, r_max=r_max, tol=1e-10))
-                     for a in heights)]
+    calls, real = [], shooting._departures
+    monkeypatch.setattr(shooting, "_departures", lambda params, heights, *args,
+                        **kwargs: calls.append((args, kwargs))
+                        or real(params, heights, *args, **kwargs))
+    rows = scan_initial_values(P37, heights)
+    assert calls == [((r_max, 1e-10), {})]
+    trajs = [integrate_radial(P37, a, tol=1e-10) for a in heights]
+    assert trajs[0].r[-1] == r_max and rows[0][1:] == (INCONCLUSIVE, 0)
+    assert rows == [(a, t.classification, t.departure)
+                    for a, t in zip(heights, trajs)]
 
 
 def test_shoot_matches_bisection_from_both_brackets(profile37, spied_shoots):
@@ -510,17 +515,23 @@ def test_shoot_stops_on_an_undecided_flip_candidate(monkeypatch):
     ("a*", DECAYING),
     ("a* - 1e-9", INCONCLUSIVE),
 ])
-def test_tail_monitor_labels_a_shot_that_reaches_r_max(monkeypatch, height,
-                                                       label):
+def test_tail_monitor_labels_a_shot_that_reaches_r_max(height, label):
     # r_max = 10 stops each shot before it departs; kappa (1 + 1e-12) is off
-    # the equilibrium test, so it is integrated too
-    params = make_params(3, 7.0)
-    a = {"kappa(1 + 1e-12)": params.kappa * (1.0 + 1e-12),
+    # the equilibrium test, so it is integrated too.  label is what the tail
+    # of r in [7.5, 10] looks like (|w| near kappa, or q = r^{2/(p-1)} w flat
+    # 1 % and w falling), but only a departure labels a shot, however flat
+    # its tail
+    a = {"kappa(1 + 1e-12)": P37.kappa * (1.0 + 1e-12),
          "a*": A_STAR_REFERENCE[(3, 7.0)],
          "a* - 1e-9": A_STAR_REFERENCE[(3, 7.0)] - 1e-9}[height]
-    ends, tail_label = [], shooting._tail_label
-    monkeypatch.setattr(shooting, "_tail_label", lambda params, r_end, dense:
-                        ends.append(r_end) or tail_label(params, r_end, dense))
-    traj = integrate_radial(params, a, r_max=10.0, tol=1e-10)
-    assert ends == [10.0]
-    assert traj.classification == label and traj.departure == 0
+    traj, = _departures(P37, [a], 10.0, 1e-10, dense=True)
+    assert traj.r[-1] == 10.0
+    rr = np.linspace(7.5, 10.0, 80)
+    w, dw = traj.dense(rr)
+    q = rr ** P37.decay_power * w
+    looks = (INCONCLUSIVE_CONSTANT
+             if np.all(np.abs(np.abs(w) - P37.kappa) < 0.05 * P37.kappa) else
+             DECAYING if np.ptp(q) < 0.01 * abs(np.mean(q)) and np.all(dw < 0)
+             else INCONCLUSIVE)
+    assert looks == label
+    assert (traj.classification, traj.departure) == (INCONCLUSIVE, 0)
