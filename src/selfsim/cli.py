@@ -301,11 +301,10 @@ def cmd_flow(cfg):
         "steps_rejected_by_energy": report.steps.rejected_by_energy,
         "steps_rejected_by_reaction": report.steps.rejected_by_reaction,
         "max_error_estimate": report.steps.max_error_estimate,
-        "boundary_condition": report.bc,
         "flags": report.flags,
     }
     series = report.series
-    ok = report.energy_monotone and not (
+    ok = report.energy_monotone and not report.flags and not (
         report.criterion_exceeded and report.outcome != OUTCOME_BLEWUP)
     return ok, summary, series
 

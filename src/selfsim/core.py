@@ -18,7 +18,6 @@ import numpy as np
 # not called here: perfbench/tracing.py wraps core.BPoly.from_derivatives by name
 from scipy.interpolate import BPoly  # noqa: F401
 from scipy.interpolate import CubicHermiteSpline, PPoly
-from scipy.special import comb, poch
 
 
 class SelfsimError(Exception):
@@ -150,7 +149,6 @@ class RadialProfile:
     values: np.ndarray
     derivs: np.ndarray
     decay_coeff: Optional[float] = None
-    classification: Optional[str] = None
     second_derivs: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
     _spline: object = field(default=None, repr=False)
@@ -202,10 +200,8 @@ class RadialProfile:
             if self.second_derivs is not None:
                 # quintic Hermite: C^2, keeps panel quadrature smooth in the
                 # recentering offset
-                data = np.stack([self.values, self.derivs,
-                                 self.second_derivs])
-                w = _power_basis(_hermite_bernstein(self.grid, data),
-                                 self.grid)
+                w = _quintic_hermite(self.grid, self.values, self.derivs,
+                                     self.second_derivs)
             else:
                 w = CubicHermiteSpline(self.grid, self.values, self.derivs)
             c, dc = w.c, w.derivative().c
@@ -262,50 +258,21 @@ class RadialProfile:
         return self.sample(r)[1]
 
 
-def _hermite_bernstein(x: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Bernstein coefficients, shape (2m, len(x) - 1), of the piecewise
-    Hermite polynomial whose j-th derivative at x[i] is data[j, i], for m
-    rows of data.  This is scipy's BPoly._construct_from_derivatives
-    recurrence run over every interval at once, with its factors in its
-    order, so the result equals BPoly.from_derivatives(x, data.T).c bit for
-    bit without its Python loop over the intervals."""
-    m = data.shape[0]
-    k = 2 * m
-    ya, yb = data[:, :-1], data[:, 1:]
-    c = np.empty((k, len(x) - 1))
-    # h**q as scipy's scalar power takes it, by libm pow; the array power
-    # squares for q = 2, which can differ in the last bit
+def _quintic_hermite(x, y, dy, d2y) -> PPoly:
+    """The piecewise quintic whose value, first and second derivative at
+    each knot x[i] are y[i], dy[i] and d2y[i], in the power basis.  On a
+    piece of width h the low three coefficients are the left knot's Taylor
+    terms, so they hold its data exactly; the top three solve for the
+    Taylor residuals d, d', d'' of the right knot's data."""
     h = np.diff(x)
-    hq = [np.float_power(h, q) for q in range(m)]
-    # walk left to right
-    for q in range(m):
-        c[q] = ya[q] / poch(k - q, q) * hq[q]
-        for j in range(q):
-            c[q] -= (-1)**(j + q) * comb(q, j) * c[j]
-    # walk right to left
-    for q in range(m):
-        c[-q - 1] = yb[q] / poch(k - q, q) * (-1)**q * hq[q]
-        for j in range(q):
-            c[-q - 1] -= (-1)**(j + 1) * comb(q, j + 1) * c[-q + j]
-    return c
-
-
-def _power_basis(c: np.ndarray, x: np.ndarray) -> PPoly:
-    """The piecewise polynomial with Bernstein coefficients c on the knots x,
-    in the power basis, whose Horner evaluation costs a fraction of
-    BPoly's.  On a piece of width h the coefficient of (x - x_i)^s is
-    C(k, s) Delta^s b_0 / h^s, with Delta^s the s-th forward difference of
-    the Bernstein coefficients b.  Differencing neighbours that nearly agree
-    loses no digits; PPoly.from_bernstein_basis sums binomial multiples of
-    the b instead, and on the (3, 7) profile that raised the value error
-    from 9e-16 to 1.4e-14 and the derivative error from 1.1e-12 to 4.6e-11."""
-    k = c.shape[0] - 1
-    h = np.diff(x)
-    diffs, rows = c, []
-    for s in range(k + 1):
-        rows.append(math.comb(k, s) * diffs[0] / h**s)
-        diffs = np.diff(diffs, axis=0)
-    return PPoly(np.array(rows[::-1]), x)
+    y0, dy0, d2y0 = y[:-1], dy[:-1], d2y[:-1]
+    d = y[1:] - y0 - h * dy0 - 0.5 * h**2 * d2y0
+    d1 = h * (dy[1:] - dy0 - h * d2y0)
+    d2 = h**2 * (d2y[1:] - d2y0)
+    return PPoly(np.array([(6.0 * d - 3.0 * d1 + 0.5 * d2) / h**5,
+                           (-15.0 * d + 7.0 * d1 - d2) / h**4,
+                           (10.0 * d - 4.0 * d1 + 0.5 * d2) / h**3,
+                           0.5 * d2y0, dy0, y0]), x)
 
 
 def constant_profile(params: Parameters,

@@ -94,9 +94,10 @@ class FlowConfig:
         if not 0.0 < self.r_max < math.inf:
             raise ParameterError(f"r_max must be positive and finite, "
                                  f"got {self.r_max}")
-        if not 0.0 < self.dt_max < math.inf:
-            raise ParameterError(f"dt_max must be positive and finite, "
-                                 f"got {self.dt_max}")
+        # no step is taken below DT_MIN
+        if not DT_MIN <= self.dt_max < math.inf:
+            raise ParameterError(f"dt_max must be finite and at least "
+                                 f"DT_MIN = {DT_MIN}, got {self.dt_max}")
         # conv_tol = 0 switches the convergence stop off
         if not self.conv_tol >= 0.0:
             raise ParameterError(f"conv_tol must be nonnegative, "
@@ -151,7 +152,6 @@ class FlowReport:
     max_energy_increase: float = 0.0   # largest rise of the energy series
     energy_monotone: bool = True       # that rise is at most ENERGY_SLACK
     criterion_exceeded: bool = False   # weighted average went above kappa
-    bc: str = BC_NOFLUX
     flags: list = field(default_factory=list)
     steps: StepCounts = field(default_factory=StepCounts)
 
@@ -556,7 +556,7 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
                         min_dtau_w=float(series["min_dtau_w"].min()),
                         max_energy_increase=max_inc,
                         energy_monotone=bool(max_inc <= ENERGY_SLACK),
-                        bc=cfg.bc, flags=flags, steps=state.counts)
+                        flags=flags, steps=state.counts)
     if outcome == OUTCOME_BLEWUP:
         report.blowup_location = float(state.r[int(np.argmax(np.abs(state.w)))])
         sup, taus = series["sup_norm"], series["tau"]
@@ -614,7 +614,8 @@ def entropy_perturbation_experiment(profile: RadialProfile,
     A constant profile, or an s that is zero or not finite, is a
     ParameterError: its margins would be 0 in exact arithmetic and rounding
     alone (every positive constant has kappa's entropy, by rescaling).  So is
-    an s so large that w + s f overflows.
+    an s so large that w + s f or |w + s f|^{p+1} overflows, refused before
+    any entropy runs.
     """
     if profile.is_constant:
         raise ParameterError("the perturbation experiment needs a non-"
@@ -628,19 +629,24 @@ def entropy_perturbation_experiment(profile: RadialProfile,
     _, f_raw, _ = first_eigenfunction(profile, resolution=4000)
     scale = float(np.abs(f_raw(np.linspace(0.0, 20.0, 4001))).max())
     f = lambda r: f_raw(r) / scale
-    base = entropy(profile)
     grid = np.unique(np.concatenate([np.geomspace(1e-6, 19.9, 1200),
                                      profile.grid]))
     grid = grid[grid <= 19.9]
     w, dw = profile.sample(grid)
     fg, dfg = f(grid), f_raw.derivative()(grid) / scale
-    entropies, margins, search_flags = {}, {}, []
+    perturbed = {}
     for s in s_values:
         with np.errstate(over="ignore"):
             vals, ders = w + s * fg, dw + s * dfg
-        if not (np.isfinite(vals).all() and np.isfinite(ders).all()):
+            power = np.abs(vals) ** (params.p + 1.0)
+        if not (np.isfinite(power).all() and np.isfinite(ders).all()):
             raise ParameterError(f"the perturbation amplitude s={s!r} "
-                                 f"overflows the perturbed data w + s f")
+                                 f"overflows the perturbed data w + s f "
+                                 f"or its |w + s f|^(p+1)")
+        perturbed[s] = vals, ders
+    base = entropy(profile)
+    entropies, margins, search_flags = {}, {}, []
+    for s, (vals, ders) in perturbed.items():
         pert = RadialProfile(kind=KIND_TABULATED, params=params, grid=grid,
                              values=vals, derivs=ders,
                              decay_coeff=profile.decay_coeff,

@@ -54,7 +54,6 @@ from .core import (KIND_SHOOTING, ParameterError, Parameters, RadialProfile,
                    SelfsimError)
 from .numerics import derivative_on_grid
 
-DECAYING = "decaying"
 SIGN_CHANGING = "sign_changing"
 GROWING = "growing"
 INCONCLUSIVE = "inconclusive"
@@ -466,7 +465,7 @@ def shoot(params: Parameters, a_lo: float, a_hi: float) -> RadialProfile:
     w2 = params.second_deriv(params.drift(grid), w, dw)
     profile = RadialProfile(kind=KIND_SHOOTING, params=params, grid=grid,
                             values=w, derivs=dw, decay_coeff=decay_coeff,
-                            classification=DECAYING, second_derivs=w2,
+                            second_derivs=w2,
                             meta={"a": a_star, "axis_value": a_star,
                                   "bracket": (lo_a, hi_a), "r_cut": r_cut,
                                   **work})

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from selfsim import cli, fixtures
+from selfsim import cli, fixtures, flow
 from selfsim.cli import HELP, SUBCOMMANDS, _resolve, build_parser, main
 
 
@@ -84,17 +84,30 @@ def test_flow_of_tiny_constant_data_reports_without_warning(tmp_path, capsys):
     assert read_json(tmp_path, "flow")["energy_monotone"] is True
 
 
+def test_flagged_flow_run_exits_1(tmp_path, monkeypatch):
+    # a run that stops on its step budget reports, but does not pass
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
+    rc = main(["--out", str(tmp_path), "flow", "--init", "const:0.5",
+               "--tau-max", "10"])
+    assert rc == 1
+    data = read_json(tmp_path, "flow")
+    assert data["flags"] == ["step budget exhausted"]
+    assert data["energy_monotone"] is True
+
+
 def test_perturbation_amplitude_that_overflows_exits_2_without_warning(
         tmp_path, capsys):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main(["--out", str(tmp_path), "perturb", "--s", "1e308"])
-    assert rc == 2
-    assert not caught
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "s=1e+308" in err
-    assert len(err.splitlines()) == 1
-    assert not list(tmp_path.glob("*.json"))
+    # 1e100 and 1e300 keep w + s f finite, but not |w + s f|^(p+1)
+    for s in ("1e100", "1e300", "1e308"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["--out", str(tmp_path), "perturb", "--s", s])
+        assert rc == 2
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"s={float(s)!r}" in err
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.glob("*.json"))
 
 
 def test_identities_judges_constants_at_the_acceptance_bound(tmp_path,
@@ -393,6 +406,7 @@ BAD_REQUESTS = [
     ["flow", "--init", "const:1e200"],
     ["flow", "--init", "singular"],
     ["flow", "--init", "const:0.5", "--dt-max", "inf"],
+    ["flow", "--init", "const:0.5", "--dt-max", "1e-20", "--tau-max", "0.1"],
     ["flow", "--init", "const:0.5", "--tau-max", "nan"],
     ["flow", "--init", "const:0.5", "--tau-max", "-1"],
     ["f-scan", "--x0-count", "0"],

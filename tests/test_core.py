@@ -2,11 +2,10 @@ import copy
 
 import numpy as np
 import pytest
-from scipy.interpolate import BPoly, PPoly
+from scipy.interpolate import PPoly
 
-from selfsim import core
 from selfsim.core import (KIND_SINGULAR, KIND_TABULATED, ParameterError,
-                          RadialProfile, _power_basis, constant_profile,
+                          RadialProfile, constant_profile,
                           default_grid, make_params, singular_profile)
 from selfsim.fixtures import reference_profile
 
@@ -205,50 +204,53 @@ def test_profile_rejects_a_grid_of_one_knot():
         _tabulated(np.array([1.0]))
 
 
-def parent_quintic(grid, values, derivs, second_derivs):
-    """The oracle: the quintic as scipy's per-interval
-    BPoly.from_derivatives builds it, taken to the power basis."""
-    bp = BPoly.from_derivatives(
-        grid, np.column_stack([values, derivs, second_derivs]))
-    return _power_basis(bp.c, bp.x)
-
-
-def _quintic_coefficients(grid, values, derivs, second_derivs):
+def _quintic_pieces(grid, values, derivs, second_derivs):
+    """Each piece's w, w' and w'' at its left and at its right end, and its
+    largest knot term max(|y|, h |y'|, h^2 |y''|) over both ends."""
     prof = _tabulated(grid, values=values, derivs=derivs,
                       second_derivs=second_derivs)
     prof._ensure_spline()
-    return prof._spline.c[..., 0]
+    x, c = prof._spline.x, prof._spline.c[..., 0]
+    h = np.diff(x)
+    data = (values, derivs, second_derivs)
+    scale = np.max([np.abs(y[j]) * h**m for m, y in enumerate(data)
+                    for j in (slice(None, -1), slice(1, None))], axis=0)
+    ends = []
+    for nu in range(3):
+        cn = PPoly(c, x).derivative(nu).c
+        right = cn[0]
+        for row in cn[1:]:
+            right = right * h + row
+        ends.append((cn[-1], right))
+    return ends, h, scale
 
 
-def test_quintic_build_equals_scipys_per_interval_build_bit_for_bit():
+def test_quintic_pieces_hold_the_knot_data():
+    # exact at each piece's left end, where the low coefficients are the
+    # knot's Taylor terms; at the right end the polynomial is summed, and
+    # on these grids its error reaches 650 ulps of the largest knot term
+    # over h^nu
     ref = reference_profile(3, 7.0)
-    data = (ref.grid, ref.values, ref.derivs, ref.second_derivs)
-    assert np.array_equal(_quintic_coefficients(*data),
-                          parent_quintic(*data).c)
+    ref_data = (ref.values, ref.derivs, ref.second_derivs)
+    sets = [(ref.grid, *ref_data)]
     # seeded non-uniform grids whose widths span 1e-6 to 1
     rng = np.random.default_rng(19)
     for size in (2, 3, 50, 700):
         widths = 10.0 ** rng.uniform(-6.0, 0.0, size - 1)
         grid = np.concatenate([[0.0], np.cumsum(widths)]) + rng.uniform(0, 1)
-        data = (grid, *(rng.standard_normal((3, size))
-                        * 10.0 ** rng.uniform(-3, 3, (3, 1))))
-        assert np.array_equal(_quintic_coefficients(*data),
-                              parent_quintic(*data).c)
-
-
-def test_quintic_build_does_not_call_bpoly(monkeypatch):
-    class Refuses:
-        @staticmethod
-        def from_derivatives(*args, **kwargs):
-            raise AssertionError("BPoly.from_derivatives was called")
-
-    grid = np.linspace(0.1, 2.0, 20)
-    expected = parent_quintic(grid, np.exp(-grid), -np.exp(-grid),
-                              np.exp(-grid)).c
-    monkeypatch.setattr(core, "BPoly", Refuses)
-    prof = _tabulated(grid)
-    prof.value(grid)
-    assert np.array_equal(prof._spline.c[..., 0], expected)
+        sets.append((grid, *(rng.standard_normal((3, size))
+                             * 10.0 ** rng.uniform(-3, 3, (3, 1)))))
+    for grid, *data in sets:
+        ends, h, scale = _quintic_pieces(grid, *data)
+        for nu, ((left, right), y) in enumerate(zip(ends, data)):
+            assert np.array_equal(left, y[:-1])
+            assert np.all(np.abs(right - y[1:]) <= 5e-13 * scale / h**nu)
+    # the profile's pieces meet the next knot's w and w' to rounding and
+    # its w'' to 1e-13 relative
+    ends, _, _ = _quintic_pieces(ref.grid, *ref_data)
+    for (_, right), y, tol in zip(ends, ref_data, (4.5e-16, 4.5e-16, 1e-13)):
+        assert np.all(np.abs(right - y[1:])
+                      <= tol * np.maximum(1.0, np.abs(y[1:])))
 
 
 def _sampled_kinds():

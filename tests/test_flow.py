@@ -494,7 +494,7 @@ def test_rebound_state_runs_like_fresh_data():
 @pytest.mark.parametrize("kwargs", [
     {"r_max": -5.0}, {"r_max": 0.0}, {"r_max": math.nan}, {"r_max": math.inf},
     {"n_points": 800.5}, {"n_points": 1}, {"dt_max": math.inf},
-    {"dt_max": 0.0}, {"dt_max": math.nan}],
+    {"dt_max": 0.0}, {"dt_max": math.nan}, {"dt_max": 1e-20}],
     ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()))
 def test_flow_config_refuses_a_grid_or_step_it_cannot_run(kwargs):
     with pytest.raises(ParameterError):

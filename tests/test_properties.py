@@ -106,9 +106,7 @@ def exact_quintic_hermite(prof, r):
 def test_quintic_interpolant_matches_the_exact_hermite(quintic):
     # 400 seeded points, a uniform knot interval each, so the 1e-3-wide
     # intervals near the axis count as much as the outer ones.  Measured on
-    # the (3, 7) profile: value 8.7e-16 and derivative 1.1e-12 (absolute),
-    # as with BPoly's own evaluation; PPoly.from_bernstein_basis pieces gave
-    # 1.4e-14 and 4.6e-11
+    # the (3, 7) profile: value 7.0e-16 and derivative 1.2e-15 (absolute)
     g = quintic.grid
     rng = np.random.default_rng(0)
     i = rng.integers(0, len(g) - 1, 400)
@@ -117,4 +115,4 @@ def test_quintic_interpolant_matches_the_exact_hermite(quintic):
     value_err = max(abs(float(v - e[0])) for v, e in zip(quintic.value(r), exact))
     deriv_err = max(abs(float(v - e[1])) for v, e in zip(quintic.deriv(r), exact))
     assert value_err <= 4e-15
-    assert deriv_err <= 5e-12
+    assert deriv_err <= 1e-14

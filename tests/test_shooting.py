@@ -11,7 +11,7 @@ from selfsim.core import (KIND_SHOOTING, ParameterError, RadialProfile,
 from selfsim.fixtures import (A_STAR_REFERENCE, REGRESSION_LABELS,
                               SHOOTING_BRACKETS, SUBCRITICAL_SCAN,
                               reference_profile, supercritical_scan_grid)
-from selfsim.shooting import (DECAYING, GROWING, INCONCLUSIVE,
+from selfsim.shooting import (GROWING, INCONCLUSIVE,
                               INCONCLUSIVE_CONSTANT, R_START,
                               SECTIONS, SHOOT_TOL, SIGN_CHANGING,
                               ShootingError, _departures, find_brackets,
@@ -144,7 +144,6 @@ def test_departure_flip_across_recorded_bracket():
 
 def test_shoot_finds_decaying_profile(profile37):
     prof = profile37
-    assert prof.classification == DECAYING
     assert prof.meta["ode_residual"] <= 1e-7
     assert np.all(prof.values > 0)
     assert prof.meta["a"] == pytest.approx(A_STAR_REFERENCE[(3, 7.0)], abs=5e-9)
@@ -512,7 +511,7 @@ def test_shoot_stops_on_an_undecided_flip_candidate(monkeypatch):
 
 @pytest.mark.parametrize("height,label", [
     ("kappa(1 + 1e-12)", INCONCLUSIVE_CONSTANT),
-    ("a*", DECAYING),
+    ("a*", "decaying"),
     ("a* - 1e-9", INCONCLUSIVE),
 ])
 def test_tail_monitor_labels_a_shot_that_reaches_r_max(height, label):
@@ -531,7 +530,7 @@ def test_tail_monitor_labels_a_shot_that_reaches_r_max(height, label):
     q = rr ** P37.decay_power * w
     looks = (INCONCLUSIVE_CONSTANT
              if np.all(np.abs(np.abs(w) - P37.kappa) < 0.05 * P37.kappa) else
-             DECAYING if np.ptp(q) < 0.01 * abs(np.mean(q)) and np.all(dw < 0)
+             "decaying" if np.ptp(q) < 0.01 * abs(np.mean(q)) and np.all(dw < 0)
              else INCONCLUSIVE)
     assert looks == label
     assert (traj.classification, traj.departure) == (INCONCLUSIVE, 0)
