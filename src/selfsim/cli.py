@@ -286,6 +286,7 @@ def cmd_flow(cfg):
     else:
         state = init_flow(_profile_from(init, params), fc)
     report = flow_run(state, tau_max=cfg["tau_max"])
+    steady = report.steady    # None unless a non-constant solution started
     summary = {
         "quantity": "rescaled_flow_report",
         "outcome": report.outcome,
@@ -301,6 +302,9 @@ def cmd_flow(cfg):
         "steps_rejected_by_energy": report.steps.rejected_by_energy,
         "steps_rejected_by_reaction": report.steps.rejected_by_reaction,
         "max_error_estimate": report.steps.max_error_estimate,
+        "newton_steps": steady.newton_steps if steady else None,
+        "newton_residual": steady.residual if steady else None,
+        "steady_state_shift": steady.shift if steady else None,
         "flags": report.flags,
     }
     series = report.series
@@ -405,7 +409,7 @@ def cmd_verify_all(cfg):
 # subcommand -> (handler, {key: default})
 PARAMS = {"n": 3, "p": 7.0, "supercritical": False}
 PROFILE = {**PARAMS, "profile": "kappa"}
-FLOW_KEYS = ("n_points", "bc", "dt_max", "conv_tol")
+FLOW_KEYS = ("n_points", "dt_max", "conv_tol")
 
 SUBCOMMANDS = {
     "energy": (cmd_energy, PROFILE),

@@ -30,14 +30,14 @@ raise the energy by more than ENERGY_SLACK; the last step of a run lands on
 tau_max.
 
 The run's dtau w diagnostics (min_dtau_w and the convergence stop) read
-the semi-discrete right-hand side F(w) = D w - w/(p-1) + |w|^{p-1} w at
-each accepted state, which the energy falls along at the rate
+the semi-discrete right-hand side F(w) = D w - w/(p-1) + |w|^{p-1} w in
+every cell at each accepted state, which the energy falls along at the rate
 sum quad_w F^2.
 
-The cell volumes (integrals of m over the cells) are exact, from scipy's
-regularized incomplete gamma; the energy's gradient term is the quadratic
-form of the diffusion operator under that volume inner product, so the
-discrete energy is the scheme's own Lyapunov functional.
+The cells are the l = 0 sector's of spectrum._radial_cells, so F's
+linearization is minus build_sector's matrix, and the energy's gradient
+term is D's quadratic form in the cell-weight inner product: the energy is
+the scheme's own Lyapunov functional.
 """
 from __future__ import annotations
 
@@ -47,12 +47,11 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.special import gamma, gammainc, gammaincc
 
 from .core import (KIND_SINGULAR, KIND_TABULATED, ParameterError, Parameters,
                    RadialProfile, SelfsimError, constant_profile)
 from .functionals import energy, entropy
-from .spectrum import first_eigenfunction
+from .spectrum import _radial_cells, first_eigenfunction
 
 OUTCOME_BLEWUP = "blew_up"
 OUTCOME_CONVERGED = "converged_to_profile"
@@ -68,9 +67,9 @@ REACTION_SAFETY = 0.25    # fraction of scalar time-to-blow-up
 ERROR_TOL = 1e-5          # local error per step, relative to w off its mean
 ERROR_FLOOR = 1e-14       # local error per step relative to w: rounding
 ERROR_SAFETY = 0.8        # margin on the size the error estimate proposes
-DIAG_R_FRAC = 0.6         # dtau diagnostics mask beyond this fraction of
-                          # r_max under Dirichlet (see _rhs)
 MAX_STEPS = 200000        # step budget of one run
+NEWTON_STEPS = 6          # steps of the steady-state solve
+NEWTON_TOL = 1e-11        # its rho-norm residual
 
 
 @dataclass
@@ -85,11 +84,9 @@ class FlowConfig:
         if self.bc not in (BC_NOFLUX, BC_DIRICHLET):
             raise ParameterError(f"boundary condition must be {BC_NOFLUX!r} "
                                  f"or {BC_DIRICHLET!r}, got {self.bc!r}")
-        # a node strictly between the axis and r_max: with one cell the
-        # Dirichlet diagnostics zone r <= DIAG_R_FRAC r_max holds the axis
-        # node alone
-        if not float(self.n_points).is_integer() or self.n_points < 2:
-            raise ParameterError(f"n_points must be an integer of at least 2, "
+        # three cells: scipy's gttrf takes no 2 x 2 system
+        if not float(self.n_points).is_integer() or self.n_points < 3:
+            raise ParameterError(f"n_points must be an integer of at least 3, "
                                  f"got {self.n_points}")
         if not 0.0 < self.r_max < math.inf:
             raise ParameterError(f"r_max must be positive and finite, "
@@ -116,6 +113,15 @@ class StepCounts:
 
 
 @dataclass
+class SteadyState:
+    """Newton's solve of F(W) = 0 from the sampled profile w: its steps, the
+    rho-norm of F(W_h) and max |W_h - w|."""
+    newton_steps: int
+    residual: float
+    shift: float
+
+
+@dataclass
 class FlowState:
     params: Parameters
     cfg: FlowConfig
@@ -127,6 +133,7 @@ class FlowState:
     exhausted: bool = False
     tau_stop: float = math.inf    # steps land on it rather than pass it
     counts: StepCounts = field(default_factory=StepCounts)
+    steady: Optional[SteadyState] = None   # the start's solve, if any
     # what the flow knows of the array it accepted, valid while accepted_of
     # is state.w: its energy, |w|^{p-1}, sup |w| and the step size the error
     # estimate proposes next.  Rebinding state.w invalidates all four; w is
@@ -154,34 +161,26 @@ class FlowReport:
     criterion_exceeded: bool = False   # weighted average went above kappa
     flags: list = field(default_factory=list)
     steps: StepCounts = field(default_factory=StepCounts)
+    steady: Optional[SteadyState] = None
 
 
 def _build_machinery(params: Parameters, cfg: FlowConfig) -> dict:
-    n = params.n
-    N = cfg.n_points
-    h = cfg.r_max / N
-    r = np.arange(N + 1) * h
-    faces = np.concatenate([[0.0], (np.arange(N) + 0.5) * h, [cfg.r_max]])
-    m_face = faces ** (n - 1) * np.exp(-faces**2 / 4.0)
-    m_face[0] = 0.0
+    h, r, m_face, mbar = _radial_cells(params.n, cfg.n_points, cfg.r_max)
     if cfg.bc == BC_NOFLUX:
         m_face[-1] = 0.0
-    # cell volumes int r^{n-1} e^{-r^2/4} dr in closed form: with s = r^2/4
-    # the integrand is 2^{n-1} s^{n/2-1} e^{-s} ds, so a cell's volume is
-    # 2^{n-1} Gamma(n/2) times a difference of the regularized incomplete
-    # gamma P (cells below the mode s = n/2) or Q (cells above it), whichever
-    # is the small tail there, so neither difference cancels
-    a, s = 0.5 * n, faces**2 / 4.0
-    V = 2.0 ** (n - 1) * gamma(a) * np.where(
-        s[1:] <= a, np.diff(gammainc(a, s)), -np.diff(gammaincc(a, s)))
-    mbar = V / h
-    # the nodes the dtau diagnostics read (see _rhs)
-    diag = slice(None)
-    if cfg.bc == BC_DIRICHLET:
-        diag = slice(int(np.count_nonzero(r <= DIAG_R_FRAC * cfg.r_max)))
-    return {"r": r, "low": m_face[1:-1] / h**2, "mbar": mbar,
-            "volume": mbar.sum(), "quad_w": V / V.sum(),
-            "outer_flux": m_face[-1] / h**2, "diag": diag}
+    with np.errstate(all="ignore"):
+        low, outer_flux = m_face[1:-1] / h**2, m_face[-1] / h**2
+        faces_out = np.append(low, 2.0 * outer_flux)    # -mbar D's diagonal
+        faces_out[1:] += low
+        quad_w = mbar / mbar.sum()
+        finite = np.isfinite(faces_out / mbar).all() and \
+            np.isfinite(quad_w).all()
+    if not finite:
+        raise ParameterError(f"the flow's cell weights r^(n-1) e^(-r^2/4) "
+                             f"leave the float range at n={params.n} with "
+                             f"{cfg.n_points} cells")
+    return {"r": r, "low": low, "mbar": mbar, "faces_out": faces_out,
+            "volume": mbar.sum(), "quad_w": quad_w, "outer_flux": outer_flux}
 
 
 def _apply_diffusion(mach: dict, w: np.ndarray) -> np.ndarray:
@@ -189,38 +188,35 @@ def _apply_diffusion(mach: dict, w: np.ndarray) -> np.ndarray:
     out = np.empty_like(w)
     out[0] = flux[0]
     np.subtract(flux[1:], flux[:-1], out=out[1:-1])
-    # Dirichlet: ghost value 0 at r_max + h/2; no-flux has outer_flux = 0
+    # Dirichlet: w = 0 at the face r_max; no-flux has outer_flux = 0
     out[-1] = -flux[-1] - mach["outer_flux"] * w[-1] * 2.0
     out /= mach["mbar"]
     return out
 
 
-def _cn_banded(mach: dict, dt: float) -> tuple:
-    """LU factors (LAPACK gttrf) of the tridiagonal Crank-Nicolson matrix
-    for step dt, built and factored once per dt: the steps take the levels
-    dt_max 2^{-k} (and a run's last step its remainder), so a run factors a
-    handful of matrices."""
-    cache = mach.setdefault("cn", {})
-    if dt in cache:
-        return cache[dt]
-    N = len(mach["mbar"]) - 1
+def _factor(mach: dict, s, c: float) -> tuple:
+    """LU factors (LAPACK gttrf) of the tridiagonal matrix diag(s) - c D:
+    the Crank-Nicolson matrix (s = 1, c = dt/2) and minus Newton's Jacobian
+    of F (s = 1/(p-1) - p |w|^{p-1}, c = 1)."""
     low, mbar = mach["low"], mach["mbar"]
-    diag = np.zeros(N + 1)
-    diag[:-1] += low
-    diag[1:] += low
-    diag[-1] += 2.0 * mach["outer_flux"]
-    *lu, info = dgttrf(-0.5 * dt * low / mbar[1:],
-                       1.0 + 0.5 * dt * diag / mbar,
-                       -0.5 * dt * low / mbar[:-1])
+    *lu, info = dgttrf(-c * low / mbar[1:], s + c * mach["faces_out"] / mbar,
+                       -c * low / mbar[:-1])
     if info != 0:
-        raise SelfsimError(f"Crank-Nicolson matrix for dt = {dt} cannot be "
-                           f"factored (gttrf info {info})")
-    cache[dt] = tuple(lu)
+        raise SelfsimError(f"diag(s) - {c} D is singular (gttrf info {info})")
+    return tuple(lu)
+
+
+def _cn_banded(mach: dict, dt: float) -> tuple:
+    """_factor of the Crank-Nicolson matrix, once per dt: a run takes the
+    levels dt_max 2^{-k} and its last step's remainder."""
+    cache = mach.setdefault("cn", {})
+    if dt not in cache:
+        cache[dt] = _factor(mach, 1.0, 0.5 * dt)
     return cache[dt]
 
 
 def solve_banded(lu: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solution of the Crank-Nicolson system from _cn_banded's factors.
+    """Solution of the system from _factor's factors.
 
     rhs is a temporary: the solve may overwrite it.
     """
@@ -264,25 +260,48 @@ def _react_exact(w: np.ndarray, dt: float, p: float,
 def init_flow(initial: RadialProfile, cfg: Optional[FlowConfig] = None,
               eigenfunction: Optional[Callable] = None,
               amplitude: float = 0.0) -> FlowState:
-    """State at tau = 0 from a profile, optionally plus amplitude * f, under
-    cfg (default: FlowConfig(), the no-flux boundary)."""
+    """State at tau = 0 from a profile (a non-constant solution as its
+    _steady_state), optionally plus amplitude * f, under cfg (default:
+    FlowConfig(), the no-flux boundary)."""
     if initial.kind == KIND_SINGULAR:
         raise ParameterError("the flow needs bounded initial data; the "
                              "singular profile is unbounded at r = 0")
     cfg = cfg if cfg is not None else FlowConfig()
     mach = _build_machinery(initial.params, cfg)
     r = mach["r"]
-    w = initial.value(r).copy()
+    w, steady = initial.value(r).copy(), None
+    if initial.is_solution and not initial.is_constant:
+        w, steady = _steady_state(mach, w, initial.params.p)
     if eigenfunction is not None and amplitude != 0.0:
         w = w + amplitude * np.asarray(eigenfunction(r), dtype=float)
     state = FlowState(params=initial.params, cfg=cfg, tau=0.0, r=r, w=w,
-                      dt=cfg.dt_max, machinery=mach)
+                      dt=cfg.dt_max, machinery=mach, steady=steady)
     with np.errstate(over="ignore", invalid="ignore"):
         power = np.abs(w) ** (initial.params.p - 1.0)
         _accept(state, w, power, _energy(mach, w, power, initial.params.p),
                 cfg.dt_max)
     _require_finite(w, state.energy, "initial data")
     return state
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _steady_state(mach: dict, w: np.ndarray, p: float) -> tuple:
+    """(W_h, its SteadyState) by Newton on F(W) = 0 from the samples w, whose
+    own residual (largest in the axis cell) would grow at the rate -lambda_1
+    and decide the run.  A residual above NEWTON_TOL is a SelfsimError."""
+    W = w
+    for steps in range(NEWTON_STEPS + 1):
+        power = np.abs(W) ** (p - 1.0)
+        F = _rhs(mach, W, power, p)
+        residual = _norm(mach, F)
+        if residual <= NEWTON_TOL:
+            return W, SteadyState(newton_steps=steps, residual=residual,
+                                  shift=float(np.abs(W - w).max()))
+        if steps < NEWTON_STEPS:
+            W = W + solve_banded(
+                _factor(mach, 1.0 / (p - 1.0) - p * power, 1.0), F)
+    raise SelfsimError(f"the flow's steady state has residual {residual:.3g} "
+                       f"> {NEWTON_TOL:g} after {NEWTON_STEPS} Newton steps")
 
 
 def _require_finite(w: np.ndarray, energy: float, what: str) -> None:
@@ -309,7 +328,7 @@ def energy_of_state(state: FlowState, w: Optional[np.ndarray] = None,
 
     power is |w|^{p-1} when the caller has it; |w|^{p+1} is taken as
     |w|^{p-1} w^2.  The gradient term is the quadratic form of the flow's
-    own diffusion operator D = _apply_diffusion under the cell-volume inner
+    own diffusion operator D = _apply_diffusion under the cell-weight inner
     product, -<w, D w> / (2 sum mbar) with <u, v> = sum mbar u v, so along
     the semi-discrete flow dw/dtau = F(w) the energy changes at the rate
     -sum quad_w F^2 exactly: the energy is the scheme's own Lyapunov
@@ -468,19 +487,11 @@ def step(state: FlowState) -> FlowState:
     return state
 
 
-def _rhs(state: FlowState) -> np.ndarray:
+def _rhs(mach: dict, w: np.ndarray, power: np.ndarray,
+         p: float) -> np.ndarray:
     """The semi-discrete right-hand side F(w) = D w - w/(p-1) + |w|^{p-1} w
-    at the accepted state, from its |w|^{p-1}: dtau w, exactly.
-
-    run reads it on machinery["diag"].  Under the Dirichlet boundary that
-    mask drops the outer zone: clamping a slowly decaying tail at r_max
-    creates a boundary layer relaxing at the 1/h^2 rate that hugs the
-    boundary (the drift characteristics point outward) and carries Gaussian
-    weight ~ e^{-r_max^2/4}; it is a truncation artifact, not free dynamics.
-    """
-    w, power = state.w, _accepted(state).power
-    return _apply_diffusion(state.machinery, w) \
-        + w * (power - 1.0 / (state.params.p - 1.0))
+    from power = |w|^{p-1}: dtau w, exactly."""
+    return _apply_diffusion(mach, w) + w * (power - 1.0 / (p - 1.0))
 
 
 def run(state: FlowState, tau_max: float) -> FlowReport:
@@ -510,7 +521,7 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
         cols["weighted_avg"].append(avg)
         cols["energy"].append(state.energy)
         cols["dt"].append(state.dt)
-        dtau = _rhs(state)[state.machinery["diag"]]
+        dtau = _rhs(state.machinery, state.w, state.power, p)
         lo, hi = float(dtau.min()), float(dtau.max())
         cols["min_dtau_w"].append(lo)
         if avg > kap + 1e-12:
@@ -556,7 +567,8 @@ def run(state: FlowState, tau_max: float) -> FlowReport:
                         min_dtau_w=float(series["min_dtau_w"].min()),
                         max_energy_increase=max_inc,
                         energy_monotone=bool(max_inc <= ENERGY_SLACK),
-                        flags=flags, steps=state.counts)
+                        flags=flags, steps=state.counts,
+                        steady=state.steady)
     if outcome == OUTCOME_BLEWUP:
         report.blowup_location = float(state.r[int(np.argmax(np.abs(state.w)))])
         sup, taus = series["sup_norm"], series["tau"]

@@ -57,6 +57,9 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
+        if not (np.isfinite(self.nodes).all()
+                and np.isfinite(self.weights).all()):
+            raise QuadratureError("rule nodes and weights must be finite")
         if np.any(np.diff(self.nodes) <= 0):
             raise QuadratureError("rule nodes must be strictly increasing")
         if np.any(self.weights <= 0):
@@ -91,8 +94,15 @@ def composite_rule(n: int, N: int = 1600) -> QuadratureRule:
     x = np.linspace(math.log(COMPOSITE_R_MIN), math.log(COMPOSITE_R_MAX), N)
     h = x[1] - x[0]
     r = np.exp(x)
-    coef = (4.0 * math.pi) ** (-n / 2.0) * _sphere_area(n)
-    w = coef * r**n * np.exp(-r * r / 4.0) * h
+    try:
+        coef = (4.0 * math.pi) ** (-n / 2.0) * _sphere_area(n)
+    except OverflowError:
+        coef = math.nan
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        w = coef * r**n * np.exp(-r * r / 4.0) * h
+    if not np.isfinite(w).all():
+        raise ParameterError(f"the composite rule's weights r^n e^(-r^2/4) "
+                             f"leave the float range at n={n}")
     w[0] *= 0.5
     w[-1] *= 0.5
     # the trapezoid endpoint weights underflow harmlessly; keep them positive

@@ -57,6 +57,21 @@ class EigenResult:
     meta: dict = field(default_factory=dict)
 
 
+def _radial_cells(n_eff: int, N: int, r_max: float) -> tuple:
+    """N cells of width h = r_max / N in effective dimension n_eff, shared by
+    the sectors and the flow: (h, centres (i + 1/2) h, m = r^{n_eff-1}
+    e^{-r^2/4} at the faces i h with no flux through the axis, m at the
+    centres).  Callers set the outer face and check the float range."""
+    h = r_max / N
+    r = (np.arange(N) + 0.5) * h
+    faces = np.arange(N + 1) * h
+    with np.errstate(all="ignore"):
+        m_face = faces ** (n_eff - 1) * np.exp(-faces**2 / 4.0)
+        m_cell = r ** (n_eff - 1) * np.exp(-r**2 / 4.0)
+    m_face[0] = 0.0
+    return h, r, m_face, m_cell
+
+
 def build_sector(profile: RadialProfile, ell: int, resolution: int = 3000,
                  r_max: float = R_MAX) -> SectorOperator:
     """Symmetric tridiagonal discretization of -L restricted to sector l."""
@@ -68,20 +83,19 @@ def build_sector(profile: RadialProfile, ell: int, resolution: int = 3000,
     if resolution < 4:
         raise ParameterError(f"resolution must be at least 4, got {resolution}")
     n = profile.params.n
-    n_eff = n + 2 * ell
     N = int(resolution)
-    h = r_max / N
-    r = (np.arange(N) + 0.5) * h
-    faces = np.arange(N + 1) * h
-    m_face = faces ** (n_eff - 1) * np.exp(-faces**2 / 4.0)
-    m_face[0] = 0.0   # no flux through the axis
+    h, r, m_face, m_cell = _radial_cells(n + 2 * ell, N, r_max)
     m_face[-1] = 0.0  # no flux at the truncation radius (weight ~ e^{-r_max^2/4})
-    m_cell = r ** (n_eff - 1) * np.exp(-r**2 / 4.0)
     V = profile.params.potential(profile.value(r)) - 0.5 * ell
-    lower = m_face[1:-1] / h**2
-    diag_flux = -(m_face[:-1] + m_face[1:]) / h**2
-    d_sym = -(diag_flux / m_cell + V)
-    e_sym = -lower / np.sqrt(m_cell[:-1] * m_cell[1:])
+    with np.errstate(all="ignore"):
+        lower = m_face[1:-1] / h**2
+        diag_flux = -(m_face[:-1] + m_face[1:]) / h**2
+        d_sym = -(diag_flux / m_cell + V)
+        e_sym = -lower / np.sqrt(m_cell[:-1] * m_cell[1:])
+    if not (np.isfinite(d_sym).all() and np.isfinite(e_sym).all()):
+        raise ParameterError(f"the sector weights r^(n+2l-1) e^(-r^2/4) leave "
+                             f"the float range at n={n}, l={ell}, "
+                             f"resolution={N}")
     # rho-weighted cell measure in the original dimension n: it weighs the
     # sector function u = r^l v, so it lacks the r^{2l} of the n_eff weight
     measure = (4.0 * math.pi) ** (-n / 2.0) * _sphere_area(n) \

@@ -69,6 +69,31 @@ def test_flow_constant_blowup(tmp_path):
     for cause in ("error", "energy", "reaction"):
         assert data[f"steps_rejected_by_{cause}"] >= 0
     assert 0.0 < data["max_error_estimate"] < 1e-6
+    # constant data starts as it is: no steady-state solve
+    assert data["newton_steps"] is None
+    assert data["newton_residual"] is None
+    assert data["steady_state_shift"] is None
+
+
+def test_flow_from_the_shot_profile_reports_its_steady_state_solve(tmp_path):
+    # the run starts at the flow's own steady state, solved by Newton from
+    # the sampled profile in 3 steps; it moves the profile by 2.05e-2
+    assert main(["--out", str(tmp_path), "flow", "--init", "shoot",
+                 "--n-points", "800"]) == 0
+    data = read_json(tmp_path, "flow")
+    assert data["newton_steps"] == 3
+    assert data["newton_residual"] <= 1e-11
+    assert data["steady_state_shift"] == pytest.approx(2.05e-2, rel=0.01)
+    assert data["outcome"] == "blew_up"
+
+
+def test_flow_whose_steady_state_solve_fails_exits_1(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(flow, "NEWTON_STEPS", 1)
+    assert main(["--out", str(tmp_path), "flow", "--init", "shoot"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "flow.json").exists()
 
 
 def test_flow_of_tiny_constant_data_reports_without_warning(tmp_path, capsys):
@@ -176,11 +201,14 @@ def test_subcritical_flag_rejected(tmp_path):
 
 
 def test_flow_rejects_unknown_boundary_condition(tmp_path, capsys):
-    rc = main(["--out", str(tmp_path), "flow", "--n", "3", "--p", "3",
-               "--init", "const:1.0", "--bc", "bogus"])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "flow.json").exists()
+    # the command line has no boundary setting: the flow runs no-flux, and
+    # neither a flag nor a config key can name a boundary
+    args = ["flow", "--n", "3", "--p", "3", "--init", "const:1.0"]
+    cfg = write_config(tmp_path, {"bc": "noflux"})
+    for argv in ([*args, "--bc", "noflux"], ["--config", cfg, *args]):
+        assert main(["--out", str(tmp_path), *argv]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "flow.json").exists()
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -409,6 +437,15 @@ BAD_REQUESTS = [
     ["flow", "--init", "const:0.5", "--dt-max", "1e-20", "--tau-max", "0.1"],
     ["flow", "--init", "const:0.5", "--tau-max", "nan"],
     ["flow", "--init", "const:0.5", "--tau-max", "-1"],
+    # weights r^(n-1) e^(-r^2/4) beyond the float range
+    ["energy", "--n", "400", "--p", "3"],
+    ["energy", "--n", "200", "--p", "3"],
+    ["identities", "--n", "200"],
+    ["entropy", "--n", "300"],
+    ["spectrum", "--n", "300", "--resolution", "100"],
+    ["spectrum", "--ell", "33"],
+    ["spectrum", "--ell", "60", "--resolution", "400"],
+    ["flow", "--n", "400", "--tau-max", "0.1"],
     ["f-scan", "--x0-count", "0"],
     ["f-scan", "--x0-max", "inf"],
     ["f-scan", "--x0-max", "-1"],
@@ -430,9 +467,15 @@ def test_bad_request_exits_2_without_traceback(tmp_path, capsys, argv):
         argv = ["--config", write_config(tmp_path, argv[0]), *argv[1:]]
     assert main(["--out", str(tmp_path / "out"), *argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not list(tmp_path.glob("out/*.json"))
+
+
+def test_energy_at_a_dimension_whose_weights_stay_finite(tmp_path):
+    assert main(["--out", str(tmp_path), "energy", "--n", "40",
+                 "--p", "3"]) == 0
+    assert abs(read_json(tmp_path, "energy")["E"] - 0.0625) <= 1e-12
 
 
 @pytest.mark.parametrize("argv,named", [

@@ -1,21 +1,21 @@
 import math
 import warnings
 
-import mpmath as mp
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from selfsim import flow
 from selfsim.core import (KIND_TABULATED, ParameterError, RadialProfile,
-                          constant_profile, make_params, tabulated_profile)
+                          SelfsimError, constant_profile, make_params,
+                          tabulated_profile)
 from selfsim.fixtures import reference_profile
 from selfsim.flow import (BC_DIRICHLET, BC_NOFLUX, FlowConfig,
                           OUTCOME_BLEWUP, OUTCOME_CONVERGED, blowup_criterion,
                           energy_of_state, entropy_perturbation_experiment,
                           init_flow, run, step, weighted_average)
 from selfsim.functionals import entropy
-from selfsim.spectrum import first_eigenfunction
+from selfsim.spectrum import build_sector, first_eigenfunction
 
 P33 = make_params(3, 3.0)
 P37 = make_params(3, 7.0, require_supercritical=True)
@@ -161,11 +161,13 @@ def test_comparison_principle_spot_check():
 
 def test_flow_from_shooting_profile_short_horizon_drift():
     # the nonconstant profile is a violently unstable equilibrium (radial
-    # ground state near -242, e-folding time ~ 1/242): any discretization
-    # defect explodes within tau ~ 0.05.  Only a horizon short against that
-    # rate measures scheme consistency; the boundary node is excluded since
-    # the slowly decaying tail (w ~ r^{-1/3}) is clamped by the Dirichlet
-    # condition at radii the Gaussian weight cannot see.
+    # ground state near -242, e-folding time ~ 1/242), and the run starts at
+    # the flow's own steady state W_h, whose residual is at rounding level.
+    # What the drift from the profile reads over a horizon short against
+    # that rate is mostly the grid's own shift max |W_h - w| (8.1e-3 at
+    # 1600 cells).  The outer zone is excluded since the slowly decaying
+    # tail (w ~ r^{-1/3}) is clamped by the Dirichlet condition at radii the
+    # Gaussian weight cannot see, which moves W_h by 0.2 at r_max.
     prof = reference_profile(3, 7.0)
     state = init_flow(prof, FlowConfig(bc=BC_DIRICHLET, n_points=1600,
                                        conv_tol=0.0))
@@ -195,10 +197,9 @@ def test_kappa_plus_ground_state_blows_up_monotonically():
 
 
 def test_perturbed_shooting_run_diagnostics():
-    # blow-up at the origin with bounded outer half.  The minimum of
-    # dtau w, -0.0425, is read at tau = 0 at r ~ 8.30: the shot profile's
-    # jump where its tail takes over at r_cut, which the flow grid sees as a
-    # residual of size jump / h^2, not the continuum zero
+    # blow-up at the axis cell (r = h/2) with bounded outer half.  The run
+    # starts at the flow's steady state W_h plus 0.05 f, and grows along f
+    # from the start: the minimum of dtau w is a rounding-level -4.8e-11
     from selfsim.spectrum import first_eigenfunction
     prof = reference_profile(3, 7.0)
     _, f, _ = first_eigenfunction(prof, resolution=4000)
@@ -212,7 +213,30 @@ def test_perturbed_shooting_run_diagnostics():
     outer = rep.r >= 0.5 * rep.r[-1]
     assert np.abs(rep.final_w[outer]).max() < 1.0    # compact blow-up region
     assert rep.type1_indicator is not None and rep.type1_indicator < 10.0
-    assert rep.min_dtau_w > -0.05          # the profile's jump at r_cut
+    assert rep.min_dtau_w > -0.05
+
+
+def test_perturbed_profile_runs_agree_across_grids():
+    # from W_h + s f the runs read the perturbation, not the grid's
+    # truncation error: tau_1 of w + 0.05 f is 0.007295, 0.007245, 0.007183
+    # and 0.007162 at 400 to 3200 cells, and w - 0.05 f reaches tau = 20
+    # without blow-up on each grid
+    prof = reference_profile(3, 7.0)
+    _, f, _ = first_eigenfunction(prof, resolution=4000)
+    peak = float(np.abs(f(np.linspace(0, 20, 4001))).max())
+    tau1 = []
+    for n_points in (400, 800, 1600, 3200):
+        for s in (0.05, -0.05):
+            state = init_flow(prof, FlowConfig(n_points=n_points),
+                              eigenfunction=lambda r: f(r) / peak,
+                              amplitude=s)
+            rep = run(state, tau_max=20.0)
+            assert (rep.outcome == OUTCOME_BLEWUP) == (s > 0), (n_points, s)
+            if s > 0:
+                tau1.append(rep.tau1)
+            else:
+                assert rep.tau_end == 20.0
+    assert max(tau1) <= 1.025 * min(tau1), tau1
 
 
 def test_perturbation_experiment_entropy_drop_and_blowup():
@@ -348,14 +372,24 @@ def test_energy_is_the_lyapunov_functional_of_the_scheme(n_points, bc, params):
     assert rate == pytest.approx(-np.dot(mach["quad_w"], F * F), rel=1e-8)
 
 
+def rhs(state):
+    """The flow's right-hand side F at state.w."""
+    p = state.params.p
+    return flow._rhs(state.machinery, state.w,
+                     np.abs(state.w) ** (p - 1.0), p)
+
+
 @pytest.mark.parametrize("bc", [BC_NOFLUX, BC_DIRICHLET])
 def test_rhs_is_the_energys_descent_direction(bc):
     # dE(w + eps v)/deps = -sum quad_w F v at eps = 0 for every direction v:
     # F is minus the energy's gradient in the quad_w inner product (measured
     # worst 9.6e-8 relative)
-    state = init_flow(reference_profile(3, 7.0),
-                      FlowConfig(bc=bc, n_points=800))
-    F, w = flow._rhs(state), state.w
+    # at the sampled profile, not at the run's start W_h, where F is at
+    # rounding level and the direction v = F measures rounding
+    prof = reference_profile(3, 7.0)
+    state = init_flow(prof, FlowConfig(bc=bc, n_points=800))
+    state.w = prof.value(state.r)
+    F, w = rhs(state), state.w
     quad_w, eps = state.machinery["quad_w"], 1e-6
     for v in (F, np.cos(state.r),
               np.random.default_rng(5).normal(size=w.size)):
@@ -364,20 +398,80 @@ def test_rhs_is_the_energys_descent_direction(bc):
         assert rate == pytest.approx(-np.dot(quad_w, F * v), rel=1e-6)
 
 
-def test_shot_profile_is_a_steady_state_of_the_flow_to_second_order():
-    # the (3,7) profile's residual on the Dirichlet flow grid, in the rho
-    # norm, falls at second order (measured 0.0520, 0.0133, 0.00334 at 800,
-    # 1600, 3200 points); max |F| is not bounded: past 3200 points the
-    # profile's jump at r_cut sets it
+def linearization(state, w):
+    """The flow's linearization D + diag(p |w|^{p-1} - 1/(p-1)) at the grid
+    function w, symmetrized under the cell weights: (diagonal, off-diagonal)
+    of a symmetric tridiagonal matrix."""
+    mach, p = state.machinery, state.params.p
+    d = np.abs(w) ** (p - 1.0) * p - 1.0 / (p - 1.0) \
+        - mach["faces_out"] / mach["mbar"]
+    return d, mach["low"] / np.sqrt(mach["mbar"][:-1] * mach["mbar"][1:])
+
+
+def test_profile_runs_start_at_the_flows_own_steady_state():
+    # init_flow solves F(W) = 0 from the sampled (3,7) profile: its residual
+    # is at rounding level, the grid's shift max |W_h - w| falls with every
+    # doubling (measured 2.05e-2, 8.1e-3, 2.8e-3), and the linearization's
+    # top eigenvalue at W_h approaches -lambda_1 = 241.8438 with its error
+    # falling at least 3x per doubling (measured 0.50, 0.15, 0.041).  The
+    # sample itself is no steady state: its residual falls only at order
+    # 1.5, from the axis cell, whose midpoint weight is not its volume.
+    # Dirichlet clamps the tail, which moves W_h by 0.2 at r_max, so there
+    # the shift is read on the inner half.
     prof = reference_profile(3, 7.0)
-    norms = []
-    for n_points in (800, 1600, 3200):
-        state = init_flow(prof, FlowConfig(bc=BC_DIRICHLET, n_points=n_points))
-        F = flow._rhs(state)
-        norms.append(math.sqrt(np.dot(state.machinery["quad_w"], F * F)))
-    assert norms[0] < 0.06
-    for coarse, fine in zip(norms, norms[1:]):
-        assert coarse / fine >= 3.5, norms
+    for bc in (BC_NOFLUX, BC_DIRICHLET):
+        shifts, errors = [], []
+        for n_points in (800, 1600, 3200):
+            state = init_flow(prof, FlowConfig(bc=bc, n_points=n_points))
+            steady = state.steady
+            F = rhs(state)
+            assert steady.residual == math.sqrt(
+                np.dot(state.machinery["quad_w"], F * F)) <= flow.NEWTON_TOL
+            assert 0 < steady.newton_steps <= flow.NEWTON_STEPS
+            shift = np.abs(state.w - prof.value(state.r))
+            if bc == BC_NOFLUX:
+                assert steady.shift == shift.max()
+            shifts.append(shift[state.r <= 10.0].max())
+            top = eigh_tridiagonal(*linearization(state, state.w),
+                                   eigvals_only=True, select="i",
+                                   select_range=(n_points - 1, n_points - 1))
+            errors.append(abs(top[0] - 241.8438))
+        assert shifts[0] < 2.1e-2 and shifts[0] > shifts[1] > shifts[2], shifts
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine >= 3.0, errors
+
+
+@pytest.mark.parametrize("n_points", [800, 1600])
+def test_flows_linearization_is_the_spectrums_sector_matrix(n_points):
+    # one discretization: at the sampled (3,7) profile the flow's
+    # linearization is minus build_sector's l = 0 matrix on the same cells
+    prof = reference_profile(3, 7.0)
+    state = init_flow(prof, FlowConfig(n_points=n_points))
+    op = build_sector(prof, 0, resolution=n_points)
+    assert state.r.tobytes() == op.r.tobytes()
+    d, e = linearization(state, prof.value(state.r))
+    assert (-e).tobytes() == op.e_sym.tobytes()
+    assert np.abs(d + op.d_sym).max() <= 1e-14 * np.abs(op.d_sym).max()
+
+
+def test_a_steady_state_solve_that_does_not_converge_is_an_error(
+        monkeypatch):
+    monkeypatch.setattr(flow, "NEWTON_STEPS", 1)
+    with pytest.raises(SelfsimError, match="1 Newton steps"):
+        init_flow(reference_profile(3, 7.0))
+
+
+def test_constant_and_generic_data_never_enter_the_steady_state_solve():
+    grid = np.linspace(1e-6, 20.0, 400)
+    vals = 0.5 * P33.kappa * np.exp(-((grid - 3.0) / 1.5) ** 2) + 0.2
+    generic = tabulated_profile(P33, grid, vals,
+                                np.gradient(vals, grid, edge_order=2))
+    for prof in (generic, constant_profile(P33, "+"),
+                 constant_profile(P37, "0")):
+        state = init_flow(prof)
+        assert state.steady is None
+        assert state.w.tobytes() == prof.value(state.r).tobytes()
+    assert run(init_flow(generic), tau_max=0.01).steady is None
 
 
 @pytest.mark.parametrize("p,level,tau_max", [(3.0, 1.0, 10.0),
@@ -493,12 +587,22 @@ def test_rebound_state_runs_like_fresh_data():
 
 @pytest.mark.parametrize("kwargs", [
     {"r_max": -5.0}, {"r_max": 0.0}, {"r_max": math.nan}, {"r_max": math.inf},
-    {"n_points": 800.5}, {"n_points": 1}, {"dt_max": math.inf},
-    {"dt_max": 0.0}, {"dt_max": math.nan}, {"dt_max": 1e-20}],
+    {"n_points": 800.5}, {"n_points": 1}, {"n_points": 2},
+    {"dt_max": math.inf},
+    {"dt_max": 0.0}, {"dt_max": math.nan}, {"dt_max": 1e-20},
+    {"bc": "bogus"}],
     ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()))
 def test_flow_config_refuses_a_grid_or_step_it_cannot_run(kwargs):
     with pytest.raises(ParameterError):
         FlowConfig(**kwargs)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_cell_weights_beyond_the_float_range_are_refused(n):
+    # r^(n-1) underflows in the axis cell (n = 200) or overflows at r_max
+    # (n = 400)
+    with pytest.raises(ParameterError, match=f"n={n} with 800 cells"):
+        init_flow(constant_profile(make_params(n, 3.0), "+"))
 
 
 @pytest.mark.parametrize("tau_max", [math.nan, -1.0])
@@ -579,7 +683,7 @@ def cn_matrix(mach, dt, bc):
 def test_cn_factors_solve_like_scipy_solve_banded(n_points, bc):
     mach = init_flow(constant_profile(P33, "+"),
                      FlowConfig(bc=bc, n_points=n_points)).machinery
-    rhs = np.random.default_rng(3).normal(size=n_points + 1)
+    rhs = np.random.default_rng(3).normal(size=n_points)
     factored = {}
     # a dt seen before reuses its factors; a new dt factors its own matrix
     for dt in (0.01, 0.01, 0.005, 0.0025, 1e-6, 1e-6, 0.01, 0.005):
@@ -588,29 +692,6 @@ def test_cn_factors_solve_like_scipy_solve_banded(n_points, bc):
         expected = solve_banded((1, 1), cn_matrix(mach, dt, bc), rhs)
         assert flow.solve_banded(lu, rhs.copy()).tobytes() == expected.tobytes()
     assert len(mach["cn"]) == len(factored) == 4
-
-
-@pytest.mark.parametrize("n,p,n_points,bc", [(3, 3.0, 800, BC_NOFLUX),
-                                             (5, 3.0, 800, BC_NOFLUX),
-                                             (3, 3.0, 1600, BC_NOFLUX),
-                                             (3, 7.0, 800, BC_DIRICHLET),
-                                             (1, 3.0, 800, BC_NOFLUX),
-                                             (12, 3.0, 800, BC_NOFLUX)])
-def test_cell_volumes_are_exact(n, p, n_points, bc):
-    # every cell's int r^{n-1} e^{-r^2/4} dr against 30-digit mpmath;
-    # measured worst 6.4e-13 relative (n = 3, 1600 points)
-    cfg = FlowConfig(bc=bc, n_points=n_points)
-    mach = init_flow(constant_profile(make_params(n, p), "+"), cfg).machinery
-    h = cfg.r_max / n_points
-    faces = np.concatenate([[0.0], (np.arange(n_points) + 0.5) * h,
-                            [cfg.r_max]])
-    with mp.workdps(30):
-        a = mp.mpf(n) / 2
-        scale = mp.mpf(2) ** (n - 1) * mp.gamma(a)
-        s = [mp.mpf(float(x)) ** 2 / 4 for x in faces]
-        exact = np.array([float(scale * mp.gammainc(a, lo, hi, regularized=True))
-                          for lo, hi in zip(s[:-1], s[1:])])
-    assert (np.abs(mach["mbar"] * h - exact) <= 2e-12 * exact).all()
 
 
 def decaying_constant_state():

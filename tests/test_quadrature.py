@@ -5,11 +5,12 @@ import pytest
 from scipy.special import roots_jacobi
 
 from selfsim import quadrature
-from selfsim.core import constant_profile, make_params, singular_profile
+from selfsim.core import (ParameterError, constant_profile, make_params,
+                          singular_profile)
 from selfsim.functionals import energy
-from selfsim.quadrature import (QuadratureError, composite_rule,
-                                offset_integral_many, radial_rule,
-                                weighted_integral)
+from selfsim.quadrature import (QuadratureError, QuadratureRule,
+                                composite_rule, offset_integral_many,
+                                radial_rule, weighted_integral)
 from selfsim.variations import first_variation, gaussian_bump
 
 
@@ -110,6 +111,24 @@ def test_weighted_integral_rejects_nonfinite():
         with np.errstate(divide="ignore"):
             weighted_integral(rule, lambda r: 1.0 / (r - rule.nodes[3]))
     assert "node" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rule_refuses_non_finite_nodes_and_weights(bad):
+    nodes, weights = np.array([0.5, 1.0, 2.0]), np.array([0.2, 0.5, 0.3])
+    for i in range(3):
+        with pytest.raises(QuadratureError, match="finite"):
+            QuadratureRule(nodes, np.where(np.arange(3) == i, bad, weights))
+    with pytest.raises(QuadratureError, match="finite"):
+        QuadratureRule(np.array([0.5, 1.0, bad]), weights)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_composite_rule_refuses_weights_beyond_the_float_range(n):
+    # r^n overflows at r = 60 (n = 200), and so does the sphere area's
+    # Gamma(n/2) (n = 400)
+    with pytest.raises(ParameterError, match=f"n={n}"):
+        composite_rule(n)
 
 
 def test_offset_total_mass_is_one():

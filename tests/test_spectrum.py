@@ -205,3 +205,15 @@ def test_first_eigenfunction_solves_each_operator_once(wshoot, monkeypatch):
 def test_singular_profile_rejected():
     with pytest.raises(ParameterError):
         build_sector(singular_profile(make_params(7, 3.0)), 0)
+
+
+@pytest.mark.parametrize("n,ell,resolution", [(3, 33, 6000), (3, 60, 400),
+                                              (300, 0, 100)])
+def test_sector_weights_beyond_the_float_range_are_refused(n, ell,
+                                                           resolution):
+    # the centre weights' product underflows in the symmetrization (l = 33,
+    # 60), or r^(n-1) overflows at r_max (n = 300)
+    prof = constant_profile(make_params(n, 3.0), "+")
+    with pytest.raises(ParameterError,
+                       match=f"n={n}, l={ell}, resolution={resolution}"):
+        build_sector(prof, ell, resolution=resolution)
