@@ -5,8 +5,6 @@ linearized spectra, closed-form singular energies, and the rescaled flow."""
 from .core import (ParameterError, Parameters, RadialProfile, SelfsimError,
                    constant_profile, default_grid, make_params,
                    singular_profile, tabulated_profile)
-from .quadrature import (QuadratureRule, composite_rule, offset_integral_many,
-                         radial_rule, weighted_integral)
 from .shooting import (OdeTrajectory, find_brackets, integrate_radial,
                        ode_residual, scan_initial_values, shoot)
 from .functionals import (EntropyResult, FunctionalReport, density, energy,

@@ -19,8 +19,7 @@ from .fixtures import SUBCRITICAL_SCAN, reference_profile
 from .flow import (FlowConfig, OUTCOME_BLEWUP, init_flow, run,
                    entropy_perturbation_experiment)
 from .functionals import _f_values, energy, entropy, identities
-from .quadrature import (_sums, default_composite_rule, radial_rule,
-                         weighted_integral)
+from .quadrature import _rho_rule, _sums
 from .shooting import SIGN_CHANGING, _brackets, scan_initial_values
 from .spectrum import (apply_L, build_sector, eigen_smallest,
                        first_eigenfunction, rayleigh_quotient)
@@ -66,9 +65,9 @@ def check_gaussian_normalization():
     def body():
         worst_mass, worst_moment = 0.0, 0.0
         for n in range(3, 11):
-            rule = radial_rule(n, 64)
-            mass = weighted_integral(rule, np.ones_like)
-            mom = weighted_integral(rule, np.square)
+            # rho is the recentering kernel at (0, -1)
+            r, weights = _rho_rule(n)
+            mass, mom = _sums(r, weights, (np.ones_like(r), r * r))
             worst_mass = max(worst_mass, abs(mass - 1.0))
             worst_moment = max(worst_moment, abs(mom - 2.0 * n))
         ok = worst_mass <= 1e-12 and worst_moment <= 1e-10
@@ -205,10 +204,9 @@ def check_eigen_relations():
         def omega_residual(prof, fun, target, ell, grid):
             """rho-norm of L fun - target on grid, taken as 0 off grid."""
             _, Lv = apply_L(prof, fun, ell=ell, grid=grid)
-            rule = default_composite_rule(prof.params.n)
-            rc = np.interp(rule.nodes, grid, Lv - target(grid), left=0.0,
-                           right=0.0)
-            (norm2,) = _sums(rule.nodes, rule.weights, (rc ** 2,)).tolist()
+            r, weights = _rho_rule(prof.params.n, prof.grid[-1])
+            rc = np.interp(r, grid, Lv - target(grid), left=0.0, right=0.0)
+            (norm2,) = _sums(r, weights, (rc ** 2,)).tolist()
             return norm2 ** 0.5
 
         wshoot = reference_profile(3, 7.0)

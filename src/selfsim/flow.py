@@ -69,7 +69,7 @@ ERROR_FLOOR = 1e-14       # local error per step relative to w: rounding
 ERROR_SAFETY = 0.8        # margin on the size the error estimate proposes
 MAX_STEPS = 200000        # step budget of one run
 NEWTON_STEPS = 6          # steps of the steady-state solve
-NEWTON_TOL = 1e-11        # its rho-norm residual
+NEWTON_TOL = 1e-11        # its rho-norm residual, or the rounding floor
 
 
 @dataclass
@@ -288,20 +288,35 @@ def init_flow(initial: RadialProfile, cfg: Optional[FlowConfig] = None,
 def _steady_state(mach: dict, w: np.ndarray, p: float) -> tuple:
     """(W_h, its SteadyState) by Newton on F(W) = 0 from the samples w, whose
     own residual (largest in the axis cell) would grow at the rate -lambda_1
-    and decide the run.  A residual above NEWTON_TOL is a SelfsimError."""
+    and decide the run.  A residual above both NEWTON_TOL and the rounding
+    floor of F(W) (_rounding_floor) is a SelfsimError."""
     W = w
     for steps in range(NEWTON_STEPS + 1):
         power = np.abs(W) ** (p - 1.0)
         F = _rhs(mach, W, power, p)
         residual = _norm(mach, F)
-        if residual <= NEWTON_TOL:
+        tol = max(NEWTON_TOL, _rounding_floor(mach, W))
+        if residual <= tol:
             return W, SteadyState(newton_steps=steps, residual=residual,
                                   shift=float(np.abs(W - w).max()))
         if steps < NEWTON_STEPS:
             W = W + solve_banded(
                 _factor(mach, 1.0 / (p - 1.0) - p * power, 1.0), F)
     raise SelfsimError(f"the flow's steady state has residual {residual:.3g} "
-                       f"> {NEWTON_TOL:g} after {NEWTON_STEPS} Newton steps")
+                       f"> {tol:.3g} after {NEWTON_STEPS} Newton steps")
+
+
+def _rounding_floor(mach: dict, w: np.ndarray) -> float:
+    """eps ||D| |w||_rho, |D| the diffusion matrix with its entries' absolute
+    values: the size of the rounding in D w, which grows like 1/h^2 and
+    bounds how far Newton can push F(w) down (on the (3,7) profile Newton
+    stalls at about an eighth of it, N = 400 to 25,600)."""
+    aw = np.abs(w)
+    out = mach["faces_out"] * aw
+    out[:-1] += mach["low"] * aw[1:]
+    out[1:] += mach["low"] * aw[:-1]
+    out /= mach["mbar"]
+    return np.finfo(float).eps * _norm(mach, out)
 
 
 def _require_finite(w: np.ndarray, energy: float, what: str) -> None:

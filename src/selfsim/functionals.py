@@ -21,8 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import KIND_SINGULAR, ParameterError, RadialProfile
-from .quadrature import (OFFSET_GL, OFFSET_PANELS, _offset_rules, _sums,
-                         default_composite_rule, offset_integral_many)
+from .quadrature import RULE_NODES, _rho_rule, _rules, _sums
 
 # relative disagreement of the two energy forms flagged on a solution
 CONSISTENCY_TOL = 1e-4
@@ -80,13 +79,11 @@ def _core_terms(r: np.ndarray, w: np.ndarray, dw: np.ndarray, p: float,
 
 
 def _core_integrals(profile: RadialProfile, moments: bool = False) -> tuple:
-    """Weighted integrals of _core_terms on the composite log rule, which
-    resolves singular tails and sharp shooting cores; one sample of w and
-    w' serves all."""
-    rule = default_composite_rule(profile.params.n)
-    r = rule.nodes
+    """rho-weighted integrals of _core_terms on _rho_rule, F's rule at
+    (0, -1); one sample of w and w' serves all."""
+    r, weights = _rho_rule(profile.params.n, profile.grid[-1])
     terms = _core_terms(r, *profile.sample(r), profile.params.p, moments)
-    return tuple(_sums(r, rule.weights, terms).tolist())
+    return tuple(_sums(r, weights, terms).tolist())
 
 
 def _f_value(p: float, a: float, grad2: float, mass: float,
@@ -136,12 +133,9 @@ def _integrands(profile: RadialProfile):
 
 
 def f_functional(profile: RadialProfile, x0_norm: float, t0: float) -> float:
-    """Recentered functional F_{x0,t0}(w) at one point, t0 < 0; x0 = 0
-    integrates on the default composite rule.  _f_values gives many points
-    at once, with the same values."""
-    sums = offset_integral_many(_integrands(profile), x0_norm, t0,
-                                profile.params.n)
-    return _f_point(profile.params.p, x0_norm, t0, sums)
+    """Recentered functional F_{x0,t0}(w) at one point, t0 < 0: _f_values
+    of that one point.  At (0, -1) it is the energy, bit for bit."""
+    return float(_f_values(profile, [x0_norm], [t0])[0])
 
 
 def _f_point(p: float, x0_norm: float, t0: float, sums) -> float:
@@ -160,31 +154,26 @@ def _f_point(p: float, x0_norm: float, t0: float, sums) -> float:
 
 
 def _f_values(profile: RadialProfile, x0s, t0s) -> np.ndarray:
-    """F at each recentering point (x0s[k], t0s[k]), equal bit for bit to
-    f_functional there.
+    """F at each recentering point (x0s[k], t0s[k]) on the quadrature
+    rule's rows, with an edge at the profile's last knot.
 
-    The points at the origin and those off it go apart, each in chunks of
-    as many rules as _CHUNK_NODES nodes hold (at least one): per chunk one
-    rule build, one profile sample on all its nodes and one pass of
-    _core_terms, then each point's sums on its row."""
+    The points go in chunks of as many rows as _CHUNK_NODES nodes hold (at
+    least one): per chunk one rule build, one profile sample on all its
+    nodes, one pass of _core_terms and one _sums.  A row does not depend on
+    its chunk, so neither does F."""
     x0s = np.asarray(x0s, dtype=float).ravel()
     t0s = np.asarray(t0s, dtype=float).ravel()
     n, p = profile.params.n, profile.params.p
     integrands = _integrands(profile)
     out = np.empty(len(x0s))
-    # a nan x0 goes off the origin, where its rule build names it
-    for group, size in ((x0s == 0.0, len(default_composite_rule(n).nodes)),
-                        (x0s != 0.0, OFFSET_PANELS * OFFSET_GL)):
-        points = np.flatnonzero(group)
-        rows = max(1, _CHUNK_NODES // size)
-        for start in range(0, len(points), rows):
-            chunk = points[start:start + rows]
-            nodes, weights = _offset_rules(x0s[chunk], t0s[chunk], n)
-            terms = integrands(nodes)
-            for row, k in enumerate(chunk.tolist()):
-                sums = _sums(nodes[row], weights[row],
-                             [term[row] for term in terms])
-                out[k] = _f_point(p, float(x0s[k]), float(t0s[k]), sums)
+    rows = max(1, _CHUNK_NODES // RULE_NODES)
+    for start in range(0, len(x0s), rows):
+        stop = min(start + rows, len(x0s))
+        nodes, weights = _rules(x0s[start:stop], t0s[start:stop], n,
+                                profile.grid[-1])
+        sums = _sums(nodes, weights, integrands(nodes)).T.tolist()
+        for k, point_sums in enumerate(sums, start):
+            out[k] = _f_point(p, float(x0s[k]), float(t0s[k]), point_sums)
     return out
 
 

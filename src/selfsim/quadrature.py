@@ -1,21 +1,30 @@
-"""Gaussian-weighted quadrature in radial and offset geometries.
+"""One quadrature rule for every Gaussian-weighted integral of a profile.
 
-All integrals are against the normalized Gaussian weight
-rho = (4 pi)^{-n/2} exp(-|y|^2/4), reduced to one radial dimension:
+Every integral is against the recentering kernel
+G(y, t) = (-4 pi t)^{-n/2} exp(|y|^2/(4t)) about a point x0:
 
-    int f(|y|) rho dy = (1/Gamma(n/2)) int_0^inf f(2 sqrt(s)) s^{n/2-1} e^{-s} ds.
+    int f(|y|) G(y - x0, t0) dy,
 
-Two radial rule families are provided.  The Gauss rule (generalized
-Gauss-Laguerre after s = r^2/4) is exact for even monomials and suited to
-smooth integrands.  The composite rule trapezoids in log r, which resolves
-both algebraic singularities at r = 0 (singular profiles) and sharp cores
-of shooting profiles.
-
-Offset integrals int f(|y|) G(y - x0, t0) dy against the recentering kernel
-G(y, t) = (-4 pi t)^{-n/2} exp(|y|^2/(4t)) reduce the angular direction
-exactly, in closed form for n = 1 and n = 3 and through a scaled modified
-Bessel function otherwise, and integrate radially on Gauss-Legendre panels
-around the kernel peak.
+which at (x0, t0) = (0, -1) is the normalized Gaussian weight
+rho = (4 pi)^{-n/2} exp(-|y|^2/4), so the energy, the identities and the
+variations use the same rule as the recentered functional F.  The angular
+direction is reduced exactly, in closed form for n = 1 and n = 3 and
+through a scaled modified Bessel function otherwise (S(0) in closed form, so
+x0 = 0 needs no case of its own).  The radial direction is integrated on
+Gauss-Legendre panels: WINDOW_PANELS uniform panels on the kernel's window
+[max(b - h, 0), b + h], b = |x0|, a = -t0 and h = (WINDOW + sqrt(2(n-1)))
+sqrt(a), which reaches WINDOW sqrt(a) past the peak of the weight
+r^{n-1} e^{-r^2/(4a)}; AXIS_PANELS geometric panels from AXIS_R_MIN to
+AXIS_R_MAX toward the axis, where profiles have their core and singular
+profiles their power law; and an edge at the profile's last knot r_cut,
+where a sampled profile meets its tail.  Edges outside the window are
+clipped to it, which leaves zero-width panels of zero weight.  A row's
+first panel, [0, AXIS_R_MIN] whenever the window reaches the axis, has its
+nodes graded toward its lower edge, r = AXIS_R_MIN s^AXIS_GRADING: that
+turns a singular profile's r^g dr, g > -1, into a multiple of the smoother
+s^{AXIS_GRADING (g+1) - 1} ds, and keeps every node off r = 0.  Every row
+has the same number of nodes, so the rules of many points are one array,
+and each rule's weights must sum to the kernel's unit mass.
 
 Every sum against a rule samples its integrands once on the nodes and goes
 through one helper, _sums, which checks that each sample is finite.
@@ -24,20 +33,35 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.special import ive, roots_genlaguerre
+from scipy.special import exprel, ive
 
 from .core import ParameterError, SelfsimError
 
-# radial range of the composite rule
-COMPOSITE_R_MIN = 1e-16
-COMPOSITE_R_MAX = 60.0
-# an offset rule off the origin: Gauss-Legendre panels, and nodes per panel
-OFFSET_PANELS = 16
-OFFSET_GL = 24
+# the kernel's window reaches WINDOW sqrt(-t0) past the weight's peak, in
+# WINDOW_PANELS uniform panels
+WINDOW = 16.0
+WINDOW_PANELS = 12
+# geometric panels from AXIS_R_MIN to AXIS_R_MAX, below them one panel to
+# the axis; the last is about as wide as a window panel at t0 = -1
+AXIS_PANELS = 10
+AXIS_R_MIN = 1e-6
+AXIS_R_MAX = 2.0
+# the first panel's nodes sit at r = e0 + (e1 - e0) s^AXIS_GRADING for
+# Gauss-Legendre s; its lowest node is AXIS_R_MIN * 1e-19 at the axis
+AXIS_GRADING = 8
+# Gauss-Legendre nodes per panel
+PANEL_NODES = 18
+# largest departure of a rule's total weight from the kernel's unit mass
+MASS_TOL = 1e-10
+# panels of every rule: the window's, the axis panels, the panel below them
+# and the one that the edge at r_cut splits
+RULE_PANELS = WINDOW_PANELS + AXIS_PANELS + 2
+RULE_NODES = RULE_PANELS * PANEL_NODES
+
+_AXIS_EDGES = np.geomspace(AXIS_R_MIN, AXIS_R_MAX, AXIS_PANELS + 1)
+_WINDOW_FRACTIONS = np.linspace(0.0, 1.0, WINDOW_PANELS + 1)
 
 
 class QuadratureError(SelfsimError, ValueError):
@@ -49,89 +73,33 @@ class RecenteringError(QuadratureError, ParameterError):
     a bad request, so the command line exits 2 on it."""
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes/weights for one reduced direction."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if not (np.isfinite(self.nodes).all()
-                and np.isfinite(self.weights).all()):
-            raise QuadratureError("rule nodes and weights must be finite")
-        if np.any(np.diff(self.nodes) <= 0):
-            raise QuadratureError("rule nodes must be strictly increasing")
-        if np.any(self.weights <= 0):
-            raise QuadratureError("rule weights must be strictly positive")
-
-
 def _sphere_area(n: int) -> float:
     """Surface area of the unit sphere in R^n."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def radial_rule(n: int, N: int) -> QuadratureRule:
-    """Gauss rule for int f(|y|) rho dy, exact for f = r^k with k even <= 4N-2."""
-    if n < 1 or N < 2:
-        raise QuadratureError("radial_rule needs n >= 1 and N >= 2")
-    s, ws = roots_genlaguerre(N, n / 2.0 - 1.0)
-    nodes = 2.0 * np.sqrt(s)
-    weights = ws / math.gamma(n / 2.0)
-    return QuadratureRule(nodes, weights)
-
-
-def composite_rule(n: int, N: int = 1600) -> QuadratureRule:
-    """Log-spaced trapezoid rule for int f(|y|) rho dy.
-
-    Handles integrands f ~ r^g with g > -(n-1) near the origin (fractional
-    powers included) and anything with structure at small radii.  Accuracy is
-    limited by the truncated mass below COMPOSITE_R_MIN; for tail exponents
-    g + n - 1 >= 0.5 this is below 1e-9 relative.
-    """
-    if n < 1 or N < 16:
-        raise QuadratureError("composite_rule needs n >= 1 and N >= 16")
-    x = np.linspace(math.log(COMPOSITE_R_MIN), math.log(COMPOSITE_R_MAX), N)
-    h = x[1] - x[0]
-    r = np.exp(x)
-    try:
-        coef = (4.0 * math.pi) ** (-n / 2.0) * _sphere_area(n)
-    except OverflowError:
-        coef = math.nan
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        w = coef * r**n * np.exp(-r * r / 4.0) * h
-    if not np.isfinite(w).all():
-        raise ParameterError(f"the composite rule's weights r^n e^(-r^2/4) "
-                             f"leave the float range at n={n}")
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    # the trapezoid endpoint weights underflow harmlessly; keep them positive
-    w = np.maximum(w, 1e-300)
-    return QuadratureRule(r, w)
-
-
 def _sums(nodes: np.ndarray, weights: np.ndarray, rows) -> np.ndarray:
-    """Quadrature sums of each sampled integrand row against the weights.
+    """Quadrature sums of sampled integrands against the weights: rows
+    stacks integrands shaped like the weights, (m,) for one point or (k, m)
+    for k, and each sum runs along the last axis, so the result has shape
+    (len(rows),) + weights.shape[:-1] and a point's sums do not depend on
+    its batch.
 
-    The one place a rho-weighted sum is taken: a non-finite sample is a
+    The one place a weighted sum is taken: a non-finite sample is a
     QuadratureError naming its node.  A sum with a non-finite sample is
-    itself non-finite, so only such a sum has its row searched."""
-    out = np.empty(len(rows))
-    for k, row in enumerate(rows):
-        out[k] = np.dot(weights, row)
-        if not math.isfinite(out[k]):
-            bad = ~np.isfinite(row)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise QuadratureError(f"integrand is not finite at node "
-                                      f"r={float(nodes[i])!r} (index {i})")
+    itself non-finite, so only such a sum has its row searched (an infinite
+    sample makes a nan sum where its weight is 0, at coinciding edges)."""
+    rows = np.asarray(rows, dtype=float)
+    with np.errstate(invalid="ignore"):
+        out = (rows * weights).sum(axis=-1)
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(rows) & ~np.isfinite(out)[..., None]
+        if bad.any():
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            node = np.broadcast_to(nodes, rows.shape)[at]
+            raise QuadratureError(f"integrand is not finite at node "
+                                  f"r={float(node)!r} (index {at[-1]})")
     return out
-
-
-def weighted_integral(rule: QuadratureRule, f: Callable) -> float:
-    """Quadrature sum of a radial function against the rule's weight."""
-    vals = np.broadcast_to(np.asarray(f(rule.nodes), dtype=float), rule.nodes.shape)
-    return float(_sums(rule.nodes, rule.weights, (vals,))[0])
 
 
 def _sphere_average(c: np.ndarray, n: int) -> np.ndarray:
@@ -142,9 +110,8 @@ def _sphere_average(c: np.ndarray, n: int) -> np.ndarray:
     if n == 1:
         return 1.0 + np.exp(-2.0 * c)
     if n == 3:
-        # S(0) = 2 is the limit of the closed form at c = 0
-        return np.divide(-np.expm1(-2.0 * c), c, out=np.full_like(c, 2.0),
-                         where=c > 0.0)
+        # exprel(x) = (e^x - 1)/x, 1 at x = 0: S(0) = 2 needs no case
+        return 2.0 * exprel(-2.0 * c)
     return _bessel_sphere_average(c, n)
 
 
@@ -161,11 +128,11 @@ def _bessel_sphere_average(c: np.ndarray, n: int) -> np.ndarray:
 
 def _kernel_norm(b: float, t0: float, n: int) -> float:
     """(4 pi a)^{-n/2}, a = -t0, times the area of the unit sphere of R^{n-1}:
-    the scalar factor of the offset weights at |x0| = b > 0, as a python
-    float.  A point where it is not a positive finite float is a
-    RecenteringError naming t0."""
-    coef = _sphere_area(n - 1) if n > 1 else 1.0
+    the scalar factor of the weights at |x0| = b, as a python float.  A
+    point where it is not a positive finite float is a RecenteringError
+    naming t0."""
     try:
+        coef = _sphere_area(n - 1) if n > 1 else 1.0
         norm = (4.0 * math.pi * -t0) ** (-n / 2.0) * coef
     except OverflowError:
         norm = math.inf
@@ -182,26 +149,27 @@ def _offset_weights(nodes: np.ndarray, gw: np.ndarray, b: np.ndarray,
     one row per point: the kernel normalisation times r^{n-1} times the
     Gaussian in |y| - b times the angular average S(c) of _sphere_average,
     c = r b / (2a)."""
-    return (norm * gw * nodes ** (n - 1)
-            * np.exp(-(nodes - b) ** 2 / (4.0 * a))
-            * _sphere_average(nodes * b / (2.0 * a), n))
+    d = nodes - b
+    return (norm * gw * nodes ** (n - 1) * np.exp(d * d * (-0.25 / a))
+            * _sphere_average(nodes * (0.5 * b / a), n))
 
 
-def _offset_rules(x0s, t0s, n: int, n_panel: int = OFFSET_PANELS,
-                  n_gl: int = OFFSET_GL, rule: QuadratureRule | None = None):
-    """Nodes and weights of int f(|y|) G(y - x0, t0) dy at many recentering
-    points of one kind, all at the origin or all off it: (k, m) arrays whose
-    row k is point k's rule.
+def _rules(x0s, t0s, n: int, r_cut: float = math.inf, shared: bool = False):
+    """Nodes and weights of int f(|y|) G(y - x0, t0) dy at each recentering
+    point (x0s[k], t0s[k]): (k, m) arrays whose row k is point k's rule, the
+    panels of the module docstring with an edge at r_cut (the profile's
+    last knot).  Each row equals a one-point call's bit for bit.  With
+    shared, the nodes are one row, on the union of the points' windows, that
+    every point's weights use, so differences of the integrals keep no
+    node-placement error.
 
-    The kernel concentrates at |y| ~ x0_norm with width sqrt(-t0); off the
-    origin a row is n_panel Gauss-Legendre panels of n_gl nodes on that
-    window, and at x0_norm = 0 it is the radial rule (default: the composite
-    rule) at radius scaled by sqrt(-t0), all rows sharing its weights.  Each
-    row equals a one-point call's bit for bit.  Every point needs a finite
-    x0_norm >= 0 and a finite t0 < 0, or it is a RecenteringError naming the
-    value."""
-    xs = np.asarray(x0s, dtype=float).tolist()
-    ts = np.asarray(t0s, dtype=float).tolist()
+    Every point needs a finite x0_norm >= 0 and a finite t0 < 0, or it is a
+    RecenteringError naming the value.  A rule whose weights miss the
+    kernel's unit mass by more than MASS_TOL (r^{n-1} beyond the float range,
+    or shared points too far apart for one node set) is a ParameterError
+    naming n."""
+    xs = np.asarray(x0s, dtype=float).ravel().tolist()
+    ts = np.asarray(t0s, dtype=float).ravel().tolist()
     for x, t in zip(xs, ts):
         if not 0.0 <= x < math.inf:
             raise RecenteringError(f"a recentering point needs a finite "
@@ -209,65 +177,58 @@ def _offset_rules(x0s, t0s, n: int, n_panel: int = OFFSET_PANELS,
         if not -math.inf < t < 0.0:
             raise RecenteringError(f"a recentering point needs a finite "
                                    f"t0 < 0, got {t!r}")
-    if not any(xs):
-        rule = rule if rule is not None else default_composite_rule(n)
-        return (np.sqrt(-np.array(ts))[:, None] * rule.nodes,
-                np.broadcast_to(rule.weights, (len(ts), len(rule.weights))))
-    if not all(xs):
-        raise QuadratureError("an offset rule batch takes points all at the "
-                              "origin or all off it")
     b, a, norm = np.array([(x, -t, _kernel_norm(x, t, n))
                            for x, t in zip(xs, ts)]).T[:, :, None]
-    lo, hi = np.maximum(b - 16.0 * np.sqrt(a), 0.0), b + 16.0 * np.sqrt(a)
-    # np.linspace(lo, hi, n_panel + 1) per point, in its operation order
-    # (calling np.linspace made these rule builds 27 % slower)
-    edges = np.arange(n_panel + 1.0) * ((hi - lo) / n_panel) + lo
-    edges[:, -1:] = hi
-    nodes, gw = _gl_panels(edges, n_gl)
-    return nodes, _offset_weights(nodes, gw, b, a, norm, n)
+    half = (WINDOW + math.sqrt(2.0 * (n - 1))) * np.sqrt(a)
+    lo, hi = np.maximum(b - half, 0.0), b + half
+    if shared:
+        lo, hi = lo.min(keepdims=True), hi.max(keepdims=True)
+    # minimum/maximum, not np.clip and np.append: on these few edges their
+    # per-call overhead shows in every one-point F
+    edges = np.sort(np.concatenate(
+        [lo + (hi - lo) * _WINDOW_FRACTIONS,
+         np.minimum(np.maximum(_AXIS_EDGES, lo), hi),
+         np.minimum(np.maximum(r_cut, lo), hi)], axis=-1), axis=-1)
+    nodes, gw = _gl_panels(edges, PANEL_NODES)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        weights = _offset_weights(nodes, gw, b, a, norm, n)
+    miss = np.abs(weights.sum(axis=-1) - 1.0).max()
+    if not miss <= MASS_TOL:
+        raise ParameterError(f"the quadrature weights miss the kernel's unit "
+                             f"mass by {miss:.3g} at n={n}")
+    return nodes, weights
 
 
-def offset_integral_many(f: Callable, x0_norm: float, t0: float,
-                         n: int, rule_r: QuadratureRule | None = None,
-                         n_panel: int = OFFSET_PANELS,
-                         n_gl: int = OFFSET_GL) -> np.ndarray:
-    """Batched int f_k(|y|) G(y-x0, t0) dy for radial integrands f_k.
-
-    f(r) returns the rows f_k(r), so integrands that share work (one
-    profile evaluation) are evaluated once per node array.  The rule is
-    _offset_rules' for the one point; x0_norm = 0 integrates on rule_r
-    (default: the composite rule) with rescaled radius.
-    """
-    nodes, weights = _offset_rules([x0_norm], [t0], n, n_panel, n_gl, rule_r)
-    return _sums(nodes[0], weights[0], f(nodes[0]))
+@functools.lru_cache(maxsize=64)
+def _rho_rule(n: int, r_cut: float = math.inf) -> tuple:
+    """Read-only nodes and weights of int f(|y|) rho dy for a profile of
+    dimension n and last knot r_cut: the rule at (x0, t0) = (0, -1), where
+    the recentering kernel is rho, built once and shared by the energy, the
+    identities and the variations."""
+    (nodes,), (weights,) = _rules([0.0], [-1.0], n, r_cut)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @functools.lru_cache(maxsize=None)
-def default_composite_rule(n: int) -> QuadratureRule:
-    """composite_rule(n) with read-only arrays, built once per n and shared
-    by every caller that takes the default rule."""
-    rule = composite_rule(n)
-    rule.nodes.flags.writeable = rule.weights.flags.writeable = False
-    return rule
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(n_gl: int):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once."""
+def _panel_fractions(panels: int, n_gl: int):
+    """Read-only (panels, n_gl) Gauss-Legendre nodes and weights on [0, 1],
+    built once, the first row graded toward 0 by s -> s^AXIS_GRADING."""
     gx, gw = np.polynomial.legendre.leggauss(n_gl)
-    gx.flags.writeable = gw.flags.writeable = False
-    return gx, gw
+    gx, gw = 0.5 * (gx + 1.0), 0.5 * gw
+    fx, fw = np.tile(gx, (panels, 1)), np.tile(gw, (panels, 1))
+    k = AXIS_GRADING
+    fx[0], fw[0] = gx ** k, k * gx ** (k - 1) * gw
+    fx.flags.writeable = fw.flags.writeable = False
+    return fx, fw
 
 
 def _gl_panels(edges: np.ndarray, n_gl: int):
     """Gauss-Legendre nodes and weights on the panels between consecutive
-    edges along the last axis, flattened along it."""
-    gx, gw = _gauss_legendre(n_gl)
-    edges = np.asarray(edges, dtype=float)
-    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
-    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    edges along the last axis, flattened along it, the first panel's graded
+    toward its lower edge as the module docstring says."""
+    fx, fw = _panel_fractions(edges.shape[-1] - 1, n_gl)
+    width = (edges[..., 1:] - edges[..., :-1])[..., None]
     shape = edges.shape[:-1] + (-1,)
-    nodes = (mid[..., None] + half[..., None] * gx).reshape(shape)
-    weights = (half[..., None] * gw).reshape(shape)
-    return nodes, weights
-
+    return ((edges[..., :-1, None] + width * fx).reshape(shape),
+            (width * fw).reshape(shape))

@@ -15,15 +15,13 @@ scaling field; the y0 pairings reduce through the first angular moment
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import ParameterError, RadialProfile
-from .quadrature import (_gl_panels, _kernel_norm, _offset_weights, _sums,
-                         default_composite_rule)
+from .quadrature import _rho_rule, _rules, _sums
 from .functionals import _core_terms, _f_value
 from .shooting import ode_residual
 
@@ -84,11 +82,11 @@ def lambda_field(profile: RadialProfile):
 
 
 def _samples(profile: RadialProfile, var: Variation) -> tuple:
-    """The default composite rule, then w, w', phi and phi' on its nodes,
-    w and w' from one sample."""
-    rule = default_composite_rule(profile.params.n)
-    r = rule.nodes
-    return (rule, *profile.sample(r), var.phi(r), var.dphi(r))
+    """The nodes and weights of the profile's rho rule (F's rule at
+    (0, -1)), then w, w', phi and phi' on its nodes, w and w' from one
+    sample."""
+    r, weights = _rho_rule(profile.params.n, profile.grid[-1])
+    return (r, weights, *profile.sample(r), var.phi(r), var.dphi(r))
 
 
 def first_variation(profile: RadialProfile, var: Variation) -> float:
@@ -96,11 +94,10 @@ def first_variation(profile: RadialProfile, var: Variation) -> float:
     params = profile.params
     n, p = params.n, params.p
     h = var.h
-    rule, w, dw, phi, dphi = _samples(profile, var)
+    r, weights, w, dw, phi, dphi = _samples(profile, var)
     (grad2, mass, pot, y2grad2, y2mass, y2pot,
      cross_grad, cross_pot, cross_mass) = _sums(
-        rule.nodes, rule.weights,
-        _core_terms(rule.nodes, w, dw, p, moments=True)
+        r, weights, _core_terms(r, w, dw, p, moments=True)
         + (dw * dphi, np.abs(w) ** (p - 1.0) * w * phi, w * phi)).tolist()
     # moment kernel nh/2 + (y.y0)/2 - h|y|^2/4; odd part drops on radial pairs
     mom = lambda total, moment: h * (0.5 * n * total - 0.25 * moment)
@@ -131,10 +128,10 @@ def _second_variation(profile: RadialProfile, var: Variation) -> tuple:
             f"(residual {res:.2e}, solution status {profile.is_solution})")
     params = profile.params
     n, p = params.n, params.p
-    rule, w, dw, phi, dphi = _samples(profile, var)
-    lam = params.scaling_field(rule.nodes, w, dw)
+    r, weights, w, dw, phi, dphi = _samples(profile, var)
+    lam = params.scaling_field(r, w, dw)
     dphi2, phi2, pot_phi2, cross_scale, lam2, grad2 = _sums(
-        rule.nodes, rule.weights,
+        r, weights,
         (dphi ** 2, phi ** 2, np.abs(w) ** (p - 1.0) * phi ** 2, lam * phi,
          lam ** 2, dw ** 2)).tolist()
     q_form = dphi2 + phi2 / (p - 1.0) - p * pot_phi2
@@ -151,8 +148,9 @@ def general_second_variation_fd(profile: RadialProfile, var: Variation,
 
     Path: |x(s)| = |s y0 + s^2 y02 / 2|, t(s) = -1 + s h + s^2 h2 / 2.
     Serves as the model-free oracle for the closed-form second variation.
-    All three evaluations share one radial node set so that quadrature error
-    cancels in the difference instead of being amplified by 1/delta^2.
+    All three evaluations share one node set, the quadrature rule's on the
+    window that covers the three points, so that quadrature error cancels in
+    the difference instead of being amplified by 1/delta^2.
     """
     if not 1e-5 <= delta <= 1e-2:
         raise ParameterError("delta outside the supported window [1e-5, 1e-2]")
@@ -167,26 +165,16 @@ def general_second_variation_fd(profile: RadialProfile, var: Variation,
     def t_of(s):
         return -1.0 + s * var.h + 0.5 * s * s * var.h2
 
-    svals = (-delta, 0.0, delta)
-    a_max = max(-t_of(s) for s in svals)
-    b_max = max(b_of(s) for s in svals)
-    r_hi = b_max + 18.0 * math.sqrt(a_max)
-    # graded panels: fine near the axis (profile core), uniform outside
-    edges = np.concatenate([[0.0], np.geomspace(0.01, 1.0, 12),
-                            np.linspace(1.0, r_hi, 28)[1:]])
-    nodes, gw = _gl_panels(edges, 24)
-    wv, dwv = profile.sample(nodes)
-    ph, dph = var.phi(nodes), var.dphi(nodes)
-
-    def F(s: float) -> float:
-        b, a = b_of(s), -t_of(s)
-        base = _offset_weights(nodes, gw, b, a, _kernel_norm(b, -a, n), n)
-        W, DW = wv + s * ph, dwv + s * dph
-        grad2, pot, mass = _sums(nodes, base, (DW**2, np.abs(W) ** (p + 1.0),
-                                               W**2)).tolist()
-        return _f_value(p, a, grad2, mass, pot)
-
-    return (F(delta) - 2.0 * F(0.0) + F(-delta)) / delta**2
+    svals = np.array([-delta, 0.0, delta])
+    ts = [t_of(s) for s in svals]
+    (r,), weights = _rules([b_of(s) for s in svals], ts, n, profile.grid[-1],
+                           shared=True)
+    wv, dwv = profile.sample(r)
+    W = wv + svals[:, None] * var.phi(r)
+    DW = dwv + svals[:, None] * var.dphi(r)
+    grad2, pot, mass = _sums(r, weights, (DW**2, np.abs(W) ** (p + 1.0), W**2))
+    F = [_f_value(p, -t, g, m, u) for t, g, m, u in zip(ts, grad2, mass, pot)]
+    return (F[2] - 2.0 * F[1] + F[0]) / delta**2
 
 
 @dataclass

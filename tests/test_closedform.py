@@ -58,7 +58,10 @@ def test_gap_values_and_consistency():
 
 
 def test_singular_energy_quadrature_cross_check():
-    for (n, p) in [(7, 3.0), (6, 5.0), (10, 3.0)]:
+    # (3,7), (4,3.5) and (5,2.5) have energy integrands r^g, g in (-1, 0),
+    # at the axis
+    for (n, p) in [(7, 3.0), (6, 5.0), (10, 3.0), (3, 7.0), (4, 3.5),
+                   (5, 2.5)]:
         params = make_params(n, p)
         rep = energy(singular_profile(params))
         assert rep.energy == pytest.approx(singular_energy(params), rel=1e-8)

@@ -461,6 +461,20 @@ def test_a_steady_state_solve_that_does_not_converge_is_an_error(
         init_flow(reference_profile(3, 7.0))
 
 
+def test_steady_state_solve_stops_at_the_rounding_floor_on_fine_grids():
+    # the rounding floor of F_h grows like 1/h^2 and passes NEWTON_TOL near
+    # N = 9,600; Newton stops at the larger of the two, so every grid
+    # converges, in the step counts of a fixed 1e-11 where that was reached
+    prof = reference_profile(3, 7.0)
+    steps = {}
+    for n_points in (400, 800, 1600, 3200, 6400, 9600):
+        state = init_flow(prof, FlowConfig(n_points=n_points))
+        steps[n_points] = state.steady.newton_steps
+        floor = flow._rounding_floor(state.machinery, state.w)
+        assert state.steady.residual <= max(flow.NEWTON_TOL, floor)
+    assert steps == {400: 3, 800: 3, 1600: 3, 3200: 2, 6400: 2, 9600: 2}
+
+
 def test_constant_and_generic_data_never_enter_the_steady_state_solve():
     grid = np.linspace(1e-6, 20.0, 400)
     vals = 0.5 * P33.kappa * np.exp(-((grid - 3.0) / 1.5) ** 2) + 0.2

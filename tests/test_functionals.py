@@ -4,14 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from selfsim import functionals
+from selfsim import functionals, quadrature
 from selfsim.core import (KIND_TABULATED, ParameterError, RadialProfile,
                           constant_profile, make_params, singular_profile)
 from selfsim.fixtures import reference_profile
 from selfsim.functionals import (constant_f_closed_form, density, energy,
                                  entropy, f_functional, identities)
-from selfsim.quadrature import (QuadratureError, default_composite_rule,
-                                offset_integral_many, weighted_integral)
+from selfsim.quadrature import RULE_NODES, QuadratureError, _rules, _sums
 from selfsim.spectrum import first_eigenfunction
 
 P33 = make_params(3, 3.0)
@@ -74,8 +73,8 @@ def test_f_equals_energy_at_origin():
 
 
 def test_energy_is_f_at_the_canonical_point_bit_for_bit(wshoot):
-    # both integrate the same three terms on the default composite rule
-    # (x0 = 0, t0 = -1 leaves its nodes unscaled) and share one formula
+    # both integrate the same three terms on the rule at (0, -1) and share
+    # one formula
     for prof in (constant_profile(P33, "+"), constant_profile(P37, "+"),
                  constant_profile(P37, "-"), constant_profile(P37, "0"),
                  wshoot):
@@ -277,12 +276,14 @@ def test_entropy_of_constants_is_the_closed_form(params, sign):
         assert res.lam >= f_functional(prof, b, -math.exp(la)) - 1e-12
 
 
-def separate_integrands_f(profile, x0_norm, t0, rule):
-    """F from one offset integral per integrand, each evaluating the profile."""
+def separate_integrands_f(profile, x0_norm, t0):
+    """F from one kernel integral per integrand, each evaluating the
+    profile."""
     p, a = profile.params.p, -t0
+    (r,), (weights,) = _rules([x0_norm], [t0], profile.params.n,
+                              profile.grid[-1])
     grad2, pot, mass = (
-        offset_integral_many(lambda r, g=g: [g(r)], x0_norm, t0,
-                             profile.params.n, rule_r=rule)[0]
+        _sums(r, weights, (g(r),))[0]
         for g in (lambda r: profile.deriv(r) ** 2,
                   lambda r: np.abs(profile.value(r)) ** (p + 1.0),
                   lambda r: profile.value(r) ** 2))
@@ -294,12 +295,11 @@ def separate_integrands_f(profile, x0_norm, t0, rule):
 
 def test_f_evaluates_the_profile_once_and_matches_bit_for_bit(wshoot,
                                                              monkeypatch):
-    rule = default_composite_rule(wshoot.params.n)
     rng = np.random.default_rng(3)
     for x0 in [0.0] * 5 + list(rng.uniform(0.05, 5.0, 15)):
         t0 = -math.exp(rng.uniform(-2.0, 2.0))
         assert f_functional(wshoot, float(x0), t0) \
-            == separate_integrands_f(wshoot, float(x0), t0, rule)
+            == separate_integrands_f(wshoot, float(x0), t0)
     calls = []
     sample = wshoot.sample
     monkeypatch.setattr(wshoot, "sample",
@@ -312,8 +312,8 @@ def test_f_evaluates_the_profile_once_and_matches_bit_for_bit(wshoot,
 @pytest.mark.parametrize("x0,t0", [(2.0, -1.0), (0.0, -4.0)],
                          ids=["offset-window", "rescaled-rule"])
 def test_f_names_the_node_of_a_nonfinite_sample(x0, t0, monkeypatch):
-    # a band of infinite values around r = 2 lies in the panels around the
-    # offset x0 = 2, and at x0 = 0 on the rule's nodes scaled by sqrt(-t0)
+    # a band of infinite values around r = 2 lies in the window's panels
+    # around the offset x0 = 2, and in the window [0, 36] at x0 = 0, t0 = -4
     prof = constant_profile(P37, "+")
     monkeypatch.setattr(prof, "sample", lambda r: (np.where(
         np.abs(r - 2.0) < 0.05, np.inf, P37.kappa), np.zeros_like(r)))
@@ -326,10 +326,11 @@ def test_f_names_the_node_of_a_nonfinite_sample(x0, t0, monkeypatch):
 def separate_integrand_reports(profile):
     """energy and identities figures from one weighted integral per
     integrand, each evaluating the profile."""
-    rule = default_composite_rule(profile.params.n)
+    (r,), (weights,) = _rules([0.0], [-1.0], profile.params.n,
+                              profile.grid[-1])
     n, p = profile.params.n, profile.params.p
     grad2, mass, pot, y2grad2, y2mass, y2pot = (
-        weighted_integral(rule, g) for g in (
+        _sums(r, weights, (g(r),))[0] for g in (
             lambda r: profile.deriv(r) ** 2,
             lambda r: profile.value(r) ** 2,
             lambda r: np.abs(profile.value(r)) ** (p + 1.0),
@@ -338,7 +339,8 @@ def separate_integrand_reports(profile):
             lambda r: r**2 * np.abs(profile.value(r)) ** (p + 1.0)))
     scale = max(grad2, mass, pot, y2grad2, y2mass, y2pot, 1e-300)
     return {
-        "energy": 0.5 * grad2 + mass / (2.0 * (p - 1.0)) - pot / (p + 1.0),
+        # the library's order of terms, so that the sums round alike
+        "energy": 0.5 * grad2 - pot / (p + 1.0) + mass / (2.0 * (p - 1.0)),
         "energy_shortcut": (0.5 - 1.0 / (p + 1.0)) * pot,
         "pohozaev_residual": ((n / (p + 1.0) + (2.0 - n) / 2.0) * grad2
                               + 0.5 * (0.5 - 1.0 / (p + 1.0)) * y2grad2) / scale,
@@ -400,8 +402,10 @@ def test_batched_f_equals_f_functional_bit_for_bit(wshoot, name):
                          ids=["one-point", "one-origin-rule", "default"])
 def test_batched_f_does_not_depend_on_the_chunk_bound(wshoot, monkeypatch,
                                                       chunk):
-    # 1600 nodes hold exactly one composite rule, the x0 = 0 points' rule
-    assert len(default_composite_rule(3).nodes) == 1600
+    # 1600 nodes, the size of the former origin rule, hold several rows,
+    # and the coarse grid's last chunk is short
+    rows = 1600 // RULE_NODES
+    assert rows > 1 and 169 % rows
     x0s, t0s = coarse_grid()
     want = [f_functional(wshoot, float(b), float(t)) for b, t in zip(x0s, t0s)]
     monkeypatch.setattr(functionals, "_CHUNK_NODES", chunk)
@@ -426,8 +430,8 @@ def test_entropy_samples_no_more_nodes_at_once_than_the_chunk_bound(
                         lambda r: sizes.append(np.size(r)) or sample(r))
     entropy(wshoot)
     assert max(sizes) <= functionals._CHUNK_NODES
-    # the coarse grid alone is 13 origin rules and 156 windows of panels
-    assert sum(sizes) > 13 * 1600 + 156 * 16 * 24
+    # the coarse grid alone is 169 rows
+    assert sum(sizes) > 169 * RULE_NODES
 
 
 def test_entropy_evaluates_each_point_once(wshoot, monkeypatch):
@@ -458,3 +462,52 @@ def test_f_rejects_a_bad_recentering_point_naming_it(wshoot, x0, t0, named):
             f_functional(prof, x0, t0)
         with pytest.raises(ParameterError, match=re.escape(named)):
             functionals._f_values(prof, [0.5, x0], [-1.0, t0])
+
+
+@pytest.mark.parametrize("t0", [-1.0, -20.0, -400.0])
+def test_f_is_continuous_at_the_axis(wshoot, t0):
+    # one rule for every point: x0 = 0 is no special case
+    at_axis, off = functionals._f_values(wshoot, [0.0, 1e-12], [t0, t0])
+    assert abs(off - at_axis) <= 1e-13 * abs(at_axis)
+
+
+def reference_f(profile, b, t0):
+    """F on Gauss-Legendre panels with an edge at every knot of the profile
+    inside the kernel's window, 256 uniform panels on the window and
+    geometric ones down to r = 1e-12: each panel holds one polynomial piece
+    of the interpolant, so only the weight's smoothness limits it."""
+    n, p, a = profile.params.n, profile.params.p, -t0
+    half = (quadrature.WINDOW + math.sqrt(2.0 * (n - 1))) * math.sqrt(a)
+    lo, hi = max(b - half, 0.0), b + half
+    extra = np.concatenate([profile.grid, np.geomspace(1e-12, 1.0, 25)])
+    edges = np.unique(np.concatenate([np.linspace(lo, hi, 257),
+                                      extra[(extra > lo) & (extra < hi)]]))
+    nodes, gw = quadrature._gl_panels(edges, 16)
+    norm = (4.0 * math.pi * a) ** (-n / 2.0) * quadrature._sphere_area(n - 1)
+    weights = quadrature._offset_weights(nodes, gw, b, a, norm, n)
+    w, dw = profile.sample(nodes)
+    grad2, mass, pot = _sums(nodes, weights, (dw**2, w**2,
+                                              np.abs(w) ** (p + 1.0)))
+    return functionals._f_value(p, a, grad2, mass, pot)
+
+
+@pytest.mark.parametrize("name,bound", [("shooting", 1e-11),
+                                        ("perturbed", 5e-4),
+                                        ("tabulated", 5e-6)])
+def test_f_matches_a_knot_resolved_reference(wshoot, perturbed, name, bound):
+    # the (3,7) profile's quintic is C^2 and close to smooth, so the rule
+    # meets 1e-11; w + 0.05 f and the tabulated cubic are cubic Hermite
+    # interpolants, C^1 with a jump of w'' at every knot, which a rule
+    # without an edge at each knot integrates only to about h^4 (F's
+    # prefactors a^{(p+1)/(p-1)} amplify it at large -t0).  Their bounds
+    # pin today's level (1.4e-4 and 9.3e-7), not the 1e-11 the rule should
+    # reach on them (ROADMAP item 19)
+    prof = {"shooting": wshoot, "perturbed": perturbed[0.05],
+            "tabulated": batched_f_profiles(wshoot)["tabulated"]}[name]
+    rng = np.random.default_rng(19)
+    x0s = np.concatenate([[0.0, 0.0, 1e-12, 5.0], rng.uniform(0.0, 10.0, 50)])
+    t0s = np.concatenate([[-1.0, -400.0, -20.0, -20.0],
+                          -np.exp(rng.uniform(-6.0, 6.0, 50))])
+    got = functionals._f_values(prof, x0s, t0s)
+    want = np.array([reference_f(prof, b, t) for b, t in zip(x0s, t0s)])
+    assert np.abs(got / want - 1.0).max() <= bound

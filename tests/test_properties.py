@@ -1,5 +1,5 @@
-"""Property tests of quadrature, the sphere average of offset integrals, the
-constant-profile functional and the quintic interpolant."""
+"""Property tests of the quadrature rule, the sphere average of offset
+integrals, the constant-profile functional and the quintic interpolant."""
 import math
 
 import mpmath as mp
@@ -10,21 +10,28 @@ from scipy.interpolate import BPoly, PPoly
 from selfsim.core import constant_profile, make_params
 from selfsim.fixtures import reference_profile
 from selfsim.functionals import constant_f_closed_form, f_functional
-from selfsim.quadrature import (_bessel_sphere_average, _sphere_average,
-                                radial_rule, weighted_integral)
+from selfsim.quadrature import _bessel_sphere_average, _sphere_average
 
-from test_quadrature import gaussian_even_moment
+from test_quadrature import kernel_integral
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 10), N=st.integers(2, 30), data=st.data())
-def test_radial_rule_is_exact_up_to_even_degree_4N_minus_2(n, N, data):
-    k = data.draw(st.integers(0, 2 * N - 1)) * 2
-    val = weighted_integral(radial_rule(n, N), lambda r: r**k)
-    assert val == pytest.approx(gaussian_even_moment(n, k // 2), rel=1e-12)
+@given(n=st.integers(1, 10), b=st.floats(0.0, 10.0),
+       log_a=st.floats(-6.0, 6.0))
+def test_rule_integrates_the_kernels_moments(n, b, log_a):
+    # the kernel is the law of N(x0, 2a I): E|X|^2 = b^2 + n s2 and
+    # E|X|^4 = (b^2 + n s2)^2 + 2 n s2^2 + 4 s2 b^2, s2 = 2a
+    s2 = 2.0 * math.exp(log_a)
+    t0 = -math.exp(log_a)
+    second = b * b + n * s2
+    fourth = second**2 + 2.0 * n * s2**2 + 4.0 * s2 * b * b
+    assert kernel_integral(np.ones_like, b, t0, n) == pytest.approx(1.0, rel=1e-13)
+    assert kernel_integral(np.square, b, t0, n) == pytest.approx(second, rel=1e-12)
+    assert kernel_integral(lambda r: r**4, b, t0, n) == pytest.approx(
+        fourth, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,9 +4,10 @@ import pytest
 from selfsim.core import (ParameterError, constant_profile, make_params,
                          singular_profile)
 from selfsim.fixtures import reference_profile
-from selfsim.quadrature import composite_rule, weighted_integral
 from selfsim.spectrum import (apply_L, build_sector, eigen_smallest,
                               first_eigenfunction, rayleigh_quotient)
+
+from test_quadrature import rho_integral
 
 P33 = make_params(3, 3.0)
 P37 = make_params(3, 7.0, require_supercritical=True)
@@ -54,14 +55,13 @@ def test_eigenfunctions_orthonormal(wshoot):
     # weight (sector functions u = r^l v, not v, are normalized); the Gram
     # matrix of the shot profile's sectors checks the weighted symmetry of
     # the discretization on a nonconstant potential
-    rho = composite_rule(P33.n)
     for prof in (constant_profile(P33, "+"), wshoot):
         for ell in (0, 1):
             op = build_sector(prof, ell, resolution=2000)
             res = eigen_smallest(op, 4, refine=True, profile=prof)
             G = res.samples @ (op.measure[None, :] * res.samples).T
             assert np.max(np.abs(G - np.eye(4))) < 1e-8
-            norms = [weighted_integral(rho, lambda r, f=f: f(r) ** 2)
+            norms = [rho_integral(lambda r, f=f: f(r) ** 2, P33.n)
                      for f in res.funcs]
             assert np.allclose(norms, 1.0, atol=1e-6)
 
@@ -117,12 +117,11 @@ def test_apply_L_scaling_field_eigenrelation(wshoot):
     grid = wshoot.grid
     _, Lv = apply_L(wshoot, lam_fun, ell=0, grid=grid)
     resid = Lv - lam_fun(grid)
-    rule = composite_rule(params.n)
     lam_c = lambda r: np.interp(r, grid, lam_fun(grid),
                                 left=lam_fun(grid[:1])[0], right=0.0)
     res_c = lambda r: np.interp(r, grid, resid, left=0.0, right=0.0)
-    num = weighted_integral(rule, lambda r: res_c(r) ** 2) ** 0.5
-    den = weighted_integral(rule, lambda r: lam_c(r) ** 2) ** 0.5
+    num = rho_integral(lambda r: res_c(r) ** 2, params.n) ** 0.5
+    den = rho_integral(lambda r: lam_c(r) ** 2, params.n) ** 0.5
     assert num <= 1e-5 and num / den <= 1e-5
 
 
@@ -131,11 +130,10 @@ def test_apply_L_translation_mode(wshoot):
     grid = wshoot.grid[4:-4]
     _, Lv = apply_L(wshoot, lambda r: wshoot.deriv(r), ell=1, grid=grid)
     resid = Lv - 0.5 * wshoot.deriv(grid)
-    rule = composite_rule(wshoot.params.n)
     res_c = lambda r: np.interp(r, grid, resid, left=0.0, right=0.0)
     dw_c = lambda r: np.interp(r, grid, wshoot.deriv(grid), left=0.0, right=0.0)
-    num = weighted_integral(rule, lambda r: res_c(r) ** 2) ** 0.5
-    den = weighted_integral(rule, lambda r: dw_c(r) ** 2) ** 0.5
+    num = rho_integral(lambda r: res_c(r) ** 2, wshoot.params.n) ** 0.5
+    den = rho_integral(lambda r: dw_c(r) ** 2, wshoot.params.n) ** 0.5
     assert num <= 1e-5 and num / den <= 1e-4
 
 

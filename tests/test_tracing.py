@@ -29,10 +29,9 @@ m = tracing.layer_metrics(tr)
 assert m["core.eval_calls"] == 2 and m["core.eval_points"] == 100, m
 assert m["functionals.f_evals"] == 2, m
 assert m["core.interpolant_builds"] == 1 and m["core.interpolant_knots"] == 50, m
-assert m["quadrature.offset_calls"] == 2, m
-assert m["quadrature.offset_nodes"] == 1600 + 16 * 24, m
-# the x0 = 0 offset integral and the energy share one default rule for n = 3
-assert m["quadrature.composite_rule_builds"] == 1, m
+# the energy and both F values are timed by name
+assert m["functionals.energy_calls"] == 1, m
+assert m["functionals.energy_s"] > 0.0 and m["functionals.f_s"] > 0.0, m
 # a flow run: one energy per accepted step, plus the rebound initial data's,
 # and three solves per attempt (one whole step and two half steps)
 p3 = core.make_params(3, 3.0)

@@ -5,11 +5,12 @@ import pytest
 
 from selfsim.core import constant_profile, make_params, singular_profile
 from selfsim.fixtures import reference_profile
-from selfsim.quadrature import default_composite_rule, weighted_integral
 from selfsim.variations import (MARGINAL_TOL, Variation, first_variation,
                                 gaussian_bump, general_second_variation_fd,
                                 lambda_field, random_variations,
                                 second_variation, stability_report)
+
+from test_quadrature import rho_integral
 
 P33 = make_params(3, 3.0)
 P37 = make_params(3, 7.0, require_supercritical=True)
@@ -64,11 +65,10 @@ def test_first_variation_matches_fd_on_non_solution():
 def separate_integrand_variations(profile, var):
     """First and second variation from one weighted integral per integrand,
     each evaluating the profile and the test function."""
-    rule = default_composite_rule(profile.params.n)
     n, p, h = profile.params.n, profile.params.p, var.h
     w, dw, phi, dphi = profile.value, profile.deriv, var.phi, var.dphi
     lam = lambda r: 2.0 * w(r) / (p - 1.0) + r * dw(r)
-    integral = lambda g: weighted_integral(rule, g)
+    integral = lambda g: rho_integral(g, n, profile.grid[-1])
     grad2 = integral(lambda r: dw(r) ** 2)
     mass = integral(lambda r: w(r) ** 2)
     pot = integral(lambda r: np.abs(w(r)) ** (p + 1.0))
@@ -201,8 +201,8 @@ def test_stability_report_orthogonality_certificates(wshoot):
     # the certificate is the second variation's own <Lam(w), f> pairing
     f, p = e0.funcs[0], wshoot.params.p
     lam = lambda r: 2.0 * wshoot.value(r) / (p - 1.0) + r * wshoot.deriv(r)
-    assert rep.orthogonality_scale == weighted_integral(
-        default_composite_rule(3), lambda r: f(r) * lam(r))
+    assert rep.orthogonality_scale == rho_integral(
+        lambda r: f(r) * lam(r), 3, wshoot.grid[-1])
     assert rep.second_variation_value == second_variation(
         wshoot, Variation(phi=f, dphi=f.derivative(), h=0.3, y0=0.7))
     assert rep.verdict == "unstable"
