@@ -21,8 +21,7 @@ from .flow import (FlowConfig, OUTCOME_BLEWUP, init_flow, run,
 from .functionals import _f_values, energy, entropy, identities
 from .quadrature import _rho_rule, _sums
 from .shooting import SIGN_CHANGING, _brackets, scan_initial_values
-from .spectrum import (apply_L, build_sector, eigen_smallest,
-                       first_eigenfunction, rayleigh_quotient)
+from .spectrum import apply_L, build_sector, eigen_smallest, rayleigh_quotient
 from .variations import (Variation, first_variation,
                          general_second_variation_fd, lambda_field,
                          random_variations, second_variation)
@@ -137,9 +136,9 @@ def check_spectra_at_kappa():
         res1 = eigen_smallest(op1, 2, refine=True, profile=prof)
         err0 = np.abs(res0.lambdas - np.array([-1.0, 0.0, 1.0])).max()
         err1 = np.abs(res1.lambdas - np.array([-0.5, 0.5])).max()
-        raw0 = eigen_smallest(op0, 1, refine=False)
-        rq = rayleigh_quotient(op0, raw0.samples[0])
-        rq_err = abs(rq - raw0.lambdas[0])
+        # op0's own ground state, which res0 solved before refining
+        rq = rayleigh_quotient(op0, res0.samples[0])
+        rq_err = abs(rq - res0.meta["unrefined"][0])
         ok = err0 <= 1e-6 and err1 <= 1e-6 and rq_err <= 1e-8
         return ok, {"radial_levels": list(res0.lambdas),
                     "first_sector_levels": list(res1.lambdas),
@@ -336,12 +335,13 @@ def check_energy_ordering():
         e_k = kappa_energy(params)
         details["energy_margin"] = e_w - e_k
         ok &= e_w > e_k
-        lam1, f, cert = first_eigenfunction(wshoot, resolution=4000)
+        # lambda_1 of the ground state the entropy drop perturbs along
+        pert = entropy_perturbation_experiment(
+            wshoot, s_values=(0.01, -0.01, 0.05, -0.05), run_flow_for=0.05)
+        lam1 = pert.lambda_1
         details["lambda_1"] = lam1
         details["lambda_1_margin"] = -(lam1 + 1.0)
         ok &= lam1 < -1.0
-        pert = entropy_perturbation_experiment(
-            wshoot, s_values=(0.01, -0.01, 0.05, -0.05), run_flow_for=0.05)
         details["entropy_drop_margins"] = dict(pert.margins)
         ok &= all(m > 0.0 for m in pert.margins.values())
         details["perturbed_flow_outcome"] = pert.flow_outcome

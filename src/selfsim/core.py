@@ -119,10 +119,14 @@ KIND_SHOOTING = "shooting"
 KIND_TABULATED = "tabulated"
 
 
-# the Gaussian weight makes r > 20 numerically negligible for the
-# dimensions handled here (n <= 12)
+# the truncation radius of every radial grid (the profiles' default grid,
+# the sectors' and the flow's cells): the Gaussian weight makes r > 20
+# numerically negligible for the dimensions handled here (n <= 12)
 GRID_R_MAX = 20.0
 GRID_POINTS = 800
+# most cells of a sector's or the flow's grid on [0, GRID_R_MAX], about 80
+# times the largest in use (12,000: a 6,000-cell sector doubled by Richardson)
+GRID_CELLS_MAX = 10**6
 
 
 def default_grid(r_min: float = 1e-6) -> np.ndarray:

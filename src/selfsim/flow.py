@@ -34,10 +34,10 @@ the semi-discrete right-hand side F(w) = D w - w/(p-1) + |w|^{p-1} w in
 every cell at each accepted state, which the energy falls along at the rate
 sum quad_w F^2.
 
-The cells are the l = 0 sector's of spectrum._radial_cells, so F's
-linearization is minus build_sector's matrix, and the energy's gradient
-term is D's quadratic form in the cell-weight inner product: the energy is
-the scheme's own Lyapunov functional.
+The cells are the l = 0 sector's of spectrum._radial_cells on [0,
+core.GRID_R_MAX], so F's linearization is minus build_sector's matrix, and
+the energy's gradient term is D's quadratic form in the cell-weight inner
+product: the energy is the scheme's own Lyapunov functional.
 """
 from __future__ import annotations
 
@@ -48,8 +48,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .core import (KIND_SINGULAR, KIND_TABULATED, ParameterError, Parameters,
-                   RadialProfile, SelfsimError, constant_profile)
+from .core import (GRID_R_MAX, KIND_SINGULAR, KIND_TABULATED, ParameterError,
+                   Parameters, RadialProfile, SelfsimError, constant_profile)
 from .functionals import energy, entropy
 from .spectrum import _radial_cells, first_eigenfunction
 
@@ -75,7 +75,6 @@ NEWTON_TOL = 1e-11        # its rho-norm residual, or the rounding floor
 @dataclass
 class FlowConfig:
     n_points: int = 800
-    r_max: float = 20.0
     bc: str = BC_NOFLUX
     dt_max: float = 1.0
     conv_tol: float = 1e-7
@@ -88,9 +87,6 @@ class FlowConfig:
         if not float(self.n_points).is_integer() or self.n_points < 3:
             raise ParameterError(f"n_points must be an integer of at least 3, "
                                  f"got {self.n_points}")
-        if not 0.0 < self.r_max < math.inf:
-            raise ParameterError(f"r_max must be positive and finite, "
-                                 f"got {self.r_max}")
         # no step is taken below DT_MIN
         if not DT_MIN <= self.dt_max < math.inf:
             raise ParameterError(f"dt_max must be finite and at least "
@@ -165,7 +161,7 @@ class FlowReport:
 
 
 def _build_machinery(params: Parameters, cfg: FlowConfig) -> dict:
-    h, r, m_face, mbar = _radial_cells(params.n, cfg.n_points, cfg.r_max)
+    h, r, m_face, mbar = _radial_cells(params.n, cfg.n_points)
     if cfg.bc == BC_NOFLUX:
         m_face[-1] = 0.0
     with np.errstate(all="ignore"):
@@ -188,7 +184,7 @@ def _apply_diffusion(mach: dict, w: np.ndarray) -> np.ndarray:
     out = np.empty_like(w)
     out[0] = flux[0]
     np.subtract(flux[1:], flux[:-1], out=out[1:-1])
-    # Dirichlet: w = 0 at the face r_max; no-flux has outer_flux = 0
+    # Dirichlet: w = 0 at the face GRID_R_MAX; no-flux has outer_flux = 0
     out[-1] = -flux[-1] - mach["outer_flux"] * w[-1] * 2.0
     out /= mach["mbar"]
     return out
@@ -615,6 +611,7 @@ class PerturbationReport:
     entropies: dict
     base_entropy: float
     margins: dict
+    lambda_1: float                # the ground state's eigenvalue
     flow_outcome: Optional[str] = None
     flow_tau1: Optional[float] = None
     energy_plateau: Optional[float] = None
@@ -628,10 +625,11 @@ def entropy_perturbation_experiment(profile: RadialProfile,
                                     ) -> PerturbationReport:
     """Entropy drop along the ground-state direction, plus the blow-up run.
 
-    Computes the entropy of w + s f for each s (f the radial ground state)
-    and records strict-drop margins; for s = run_flow_for > 0 the flow is run
-    from the perturbed data and its outcome recorded together with the final
-    resolved Lyapunov energy against the constant's energy.
+    Computes the entropy of w + s f for each s (f the radial ground state,
+    whose eigenvalue the report keeps as lambda_1) and records strict-drop
+    margins; for s = run_flow_for > 0 the flow is run from the perturbed data
+    and its outcome recorded together with the final resolved Lyapunov
+    energy against the constant's energy.
 
     The direction is rescaled to unit sup norm so s is a direct amplitude
     relative to the profile (the ground state of a strongly unstable profile
@@ -653,12 +651,13 @@ def entropy_perturbation_experiment(profile: RadialProfile,
             raise ParameterError(f"the perturbation amplitude s must be "
                                  f"finite and nonzero, got {s!r}")
     params = profile.params
-    _, f_raw, _ = first_eigenfunction(profile, resolution=4000)
-    scale = float(np.abs(f_raw(np.linspace(0.0, 20.0, 4001))).max())
+    lam1, f_raw, _ = first_eigenfunction(profile, resolution=4000)
+    scale = float(np.abs(f_raw(np.linspace(0.0, GRID_R_MAX, 4001))).max())
     f = lambda r: f_raw(r) / scale
-    grid = np.unique(np.concatenate([np.geomspace(1e-6, 19.9, 1200),
+    r_end = GRID_R_MAX - 0.1
+    grid = np.unique(np.concatenate([np.geomspace(1e-6, r_end, 1200),
                                      profile.grid]))
-    grid = grid[grid <= 19.9]
+    grid = grid[grid <= r_end]
     w, dw = profile.sample(grid)
     fg, dfg = f(grid), f_raw.derivative()(grid) / scale
     perturbed = {}
@@ -683,7 +682,8 @@ def entropy_perturbation_experiment(profile: RadialProfile,
         margins[s] = base.lam - res.lam
         search_flags += [f"s={s}: {msg}" for msg in res.flags]
     report = PerturbationReport(entropies=entropies, base_entropy=base.lam,
-                                margins=margins, flags=search_flags)
+                                margins=margins, lambda_1=lam1,
+                                flags=search_flags)
     report.kappa_energy = energy(constant_profile(params, "+")).energy
     if run_flow_for is not None:
         state = init_flow(profile, eigenfunction=f,

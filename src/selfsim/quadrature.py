@@ -167,7 +167,7 @@ def _rules(x0s, t0s, n: int, r_cut: float = math.inf, shared: bool = False):
     RecenteringError naming the value.  A rule whose weights miss the
     kernel's unit mass by more than MASS_TOL (r^{n-1} beyond the float range,
     or shared points too far apart for one node set) is a ParameterError
-    naming n."""
+    naming n and the worst point's x0_norm and t0."""
     xs = np.asarray(x0s, dtype=float).ravel().tolist()
     ts = np.asarray(t0s, dtype=float).ravel().tolist()
     for x, t in zip(xs, ts):
@@ -192,10 +192,12 @@ def _rules(x0s, t0s, n: int, r_cut: float = math.inf, shared: bool = False):
     nodes, gw = _gl_panels(edges, PANEL_NODES)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         weights = _offset_weights(nodes, gw, b, a, norm, n)
-    miss = np.abs(weights.sum(axis=-1) - 1.0).max()
-    if not miss <= MASS_TOL:
+    misses = np.abs(weights.sum(axis=-1) - 1.0).ravel()
+    worst = int(np.argmax(misses))     # a nan miss is the worst
+    if not misses[worst] <= MASS_TOL:
         raise ParameterError(f"the quadrature weights miss the kernel's unit "
-                             f"mass by {miss:.3g} at n={n}")
+                             f"mass by {misses[worst]:.3g} at n={n}, "
+                             f"x0_norm={xs[worst]!r}, t0={ts[worst]!r}")
     return nodes, weights
 
 

@@ -12,7 +12,8 @@ dimension n + 2l problem with an extra -l/2 shift; the discretization is a
 conservative flux form on cell centers, symmetric under the discrete measure
 r^{n_eff-1} e^{-r^2/4} h, so the matrix is tridiagonal-symmetrizable and the
 solver (bisection + inverse iteration on the symmetrized tridiagonal) is
-deterministic.
+deterministic.  The cells are N uniform cells of [0, core.GRID_R_MAX], the
+one truncation radius, shared with the flow.
 """
 from __future__ import annotations
 
@@ -24,11 +25,10 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 
-from .core import KIND_SINGULAR, ParameterError, RadialProfile, SelfsimError
+from .core import (GRID_CELLS_MAX, GRID_R_MAX, KIND_SINGULAR, ParameterError,
+                   RadialProfile, SelfsimError)
 from .numerics import derivative_on_grid
 from .quadrature import _sphere_area
-
-R_MAX = 20.0    # truncation radius of the sector grids
 
 
 class SpectrumError(SelfsimError, RuntimeError):
@@ -57,12 +57,17 @@ class EigenResult:
     meta: dict = field(default_factory=dict)
 
 
-def _radial_cells(n_eff: int, N: int, r_max: float) -> tuple:
-    """N cells of width h = r_max / N in effective dimension n_eff, shared by
-    the sectors and the flow: (h, centres (i + 1/2) h, m = r^{n_eff-1}
-    e^{-r^2/4} at the faces i h with no flux through the axis, m at the
-    centres).  Callers set the outer face and check the float range."""
-    h = r_max / N
+def _radial_cells(n_eff: int, N: int) -> tuple:
+    """N cells of width h = GRID_R_MAX / N in effective dimension n_eff,
+    shared by the sectors and the flow: (h, centres (i + 1/2) h, m =
+    r^{n_eff-1} e^{-r^2/4} at the faces i h with no flux through the axis, m
+    at the centres).  Callers set the outer face and check the float range;
+    N above GRID_CELLS_MAX is a ParameterError, before anything is
+    allocated."""
+    if N > GRID_CELLS_MAX:
+        raise ParameterError(f"a radial grid takes at most {GRID_CELLS_MAX} "
+                             f"cells, got N={N}")
+    h = GRID_R_MAX / N
     r = (np.arange(N) + 0.5) * h
     faces = np.arange(N + 1) * h
     with np.errstate(all="ignore"):
@@ -72,8 +77,8 @@ def _radial_cells(n_eff: int, N: int, r_max: float) -> tuple:
     return h, r, m_face, m_cell
 
 
-def build_sector(profile: RadialProfile, ell: int, resolution: int = 3000,
-                 r_max: float = R_MAX) -> SectorOperator:
+def build_sector(profile: RadialProfile, ell: int,
+                 resolution: int = 3000) -> SectorOperator:
     """Symmetric tridiagonal discretization of -L restricted to sector l."""
     if profile.kind == KIND_SINGULAR:
         raise ParameterError("singular profiles are outside the eigensolver "
@@ -84,8 +89,8 @@ def build_sector(profile: RadialProfile, ell: int, resolution: int = 3000,
         raise ParameterError(f"resolution must be at least 4, got {resolution}")
     n = profile.params.n
     N = int(resolution)
-    h, r, m_face, m_cell = _radial_cells(n + 2 * ell, N, r_max)
-    m_face[-1] = 0.0  # no flux at the truncation radius (weight ~ e^{-r_max^2/4})
+    h, r, m_face, m_cell = _radial_cells(n + 2 * ell, N)
+    m_face[-1] = 0.0  # no flux at GRID_R_MAX (weight ~ e^{-GRID_R_MAX^2/4})
     V = profile.params.potential(profile.value(r)) - 0.5 * ell
     with np.errstate(all="ignore"):
         lower = m_face[1:-1] / h**2
@@ -102,7 +107,7 @@ def build_sector(profile: RadialProfile, ell: int, resolution: int = 3000,
         * r ** (n - 1) * np.exp(-r**2 / 4.0) * h
     return SectorOperator(ell=ell, r=r, d_sym=d_sym, e_sym=e_sym,
                           sqrt_measure=np.sqrt(m_cell), measure=measure,
-                          meta={"resolution": N, "r_max": r_max})
+                          meta={"resolution": N})
 
 
 def _solve(op: SectorOperator, k: int):
@@ -132,8 +137,7 @@ def eigen_smallest(op: SectorOperator, k: int, refine: bool = True,
     if refine:
         if profile is None:
             raise ParameterError("refine=True needs the profile to rebuild")
-        op2 = build_sector(profile, op.ell, resolution=2 * op.meta["resolution"],
-                           r_max=op.meta["r_max"])
+        op2 = build_sector(profile, op.ell, resolution=2 * op.meta["resolution"])
         vals2, _ = _solve(op2, k)
         cert["doubling_shift"] = np.abs(vals2 - vals).max()
         lam = (4.0 * vals2 - vals) / 3.0   # second-order scheme
@@ -184,28 +188,13 @@ def apply_L(profile: RadialProfile, psi, ell: int = 0,
 
 
 def first_eigenfunction(profile: RadialProfile, resolution: int = 3000):
-    """Ground state of the radial sector: (lambda_1, f, certificates).
+    """Ground state of the radial sector: (lambda_1, f, certificates), from
+    eigen_smallest(refine=True) on build_sector(profile, 0, resolution).
 
-    f is positive with int f^2 rho = 1; the decay certificate records
-    sup (1+r)^{2p/(p-1)} |f| over the outer half of the domain and its
-    stability under extending the domain.
+    lambda_1 is the Richardson-extrapolated eigenvalue, f is positive with
+    int f^2 rho = 1, and the certificates are eigen_smallest's (the
+    resolution-doubling shift).
     """
-    op = build_sector(profile, 0, resolution=resolution)
-    res = eigen_smallest(op, 1, refine=True, profile=profile)
-    lam1 = float(res.lambdas[0])
-    f = res.funcs[0]
-    power = 2.0 * profile.params.p / (profile.params.p - 1.0)
-    tail = op.r >= 0.5 * R_MAX
-    cert = dict(res.certificates)
-    cert["decay_sup"] = float(np.max((1.0 + op.r[tail]) ** power
-                                     * np.abs(res.samples[0][tail])))
-    # domain sensitivity at fixed spacing: same h, r_max scaled by 1.2
-    op_ext = build_sector(profile, 0, resolution=int(resolution * 1.2),
-                          r_max=R_MAX * 1.2)
-    res_ext = eigen_smallest(op_ext, 1, refine=False)
-    tail_ext = op_ext.r >= 0.5 * R_MAX
-    cert["decay_sup_extended"] = float(np.max(
-        (1.0 + op_ext.r[tail_ext]) ** power * np.abs(res_ext.samples[0][tail_ext])))
-    cert["lambda_shift_extended"] = abs(float(res_ext.lambdas[0])
-                                        - float(res.meta["unrefined"][0]))
-    return lam1, f, cert
+    res = eigen_smallest(build_sector(profile, 0, resolution), 1, refine=True,
+                         profile=profile)
+    return float(res.lambdas[0]), res.funcs[0], res.certificates

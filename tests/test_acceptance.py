@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from selfsim import acceptance, shooting
+from selfsim import acceptance, flow, shooting, spectrum
 from selfsim.fixtures import SUBCRITICAL_SCAN
 
 
@@ -58,3 +58,19 @@ def test_energy_ordering_scans_the_subcritical_grid_once(monkeypatch):
     assert sum(subcritical) == len(SUBCRITICAL_SCAN[(3, 2.0)]) == 36
     assert result.details["subcritical_all_sign_changing"] is True
     assert result.details["subcritical_brackets"] == 0
+
+
+def test_energy_ordering_solves_the_ground_state_once(monkeypatch):
+    # lambda_1 comes from the perturbation experiment's own ground state
+    solves, solve = [], spectrum.first_eigenfunction
+
+    def spy(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "first_eigenfunction", spy)
+    monkeypatch.setattr(spectrum, "first_eigenfunction", spy)
+    monkeypatch.setattr(acceptance, "first_eigenfunction", spy, raising=False)
+    result = acceptance.check_energy_ordering()
+    assert len(solves) == 1
+    assert result.details["lambda_1"] < -1.0

@@ -427,7 +427,10 @@ BAD_REQUESTS = [
     ["spectrum", "--ell", "-1"],
     ["spectrum", "--k", "0"],
     ["spectrum", "--resolution", "0"],
+    # above the cell cap: refused before anything is allocated
+    ["spectrum", "--resolution", "100000000000"],
     ["flow", "--n-points", "0"],
+    ["flow", "--n-points", "100000000000"],
     ["flow", "--init", "const:abc"],
     ["flow", "--init", "const:nan"],
     ["flow", "--init", "const:inf"],
@@ -499,6 +502,9 @@ def test_bad_exponent_exits_2_with_one_error_line_naming_p(tmp_path, capsys,
     (["--log-a-max", "800"], "log(-t0) = 800.0"),
     (["--log-a-min", "-700", "--log-a-max", "-690"],
      "t0=-9.85967654375977e-305"),
+    # r^(n-1) overflows on the window of x0_norm = 1e308
+    (["--x0-max", "1e308", "--x0-count", "2", "--t0-count", "1"],
+     "unit mass by nan at n=3, x0_norm=1e+308, t0="),
 ])
 def test_f_scan_names_the_bad_value(tmp_path, capsys, argv, named):
     assert main(["--out", str(tmp_path), "f-scan", *argv]) == 2

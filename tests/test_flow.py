@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
-from selfsim import flow
+from selfsim import flow, spectrum
 from selfsim.core import (KIND_TABULATED, ParameterError, RadialProfile,
                           SelfsimError, constant_profile, make_params,
                           tabulated_profile)
@@ -139,7 +139,9 @@ def test_average_above_kappa_forces_blowup():
         assert report.outcome == OUTCOME_BLEWUP
 
 
-def test_comparison_principle_spot_check():
+def test_comparison_principle_spot_check(monkeypatch):
+    # on 200 cells of [0, 10], h = 0.05
+    monkeypatch.setattr(spectrum, "GRID_R_MAX", 10.0)
     grid = np.linspace(1e-6, 10.0, 200)
     base = 0.4 * np.exp(-((grid - 2.0) / 1.2) ** 2) + 0.1
     upper = base + 0.05
@@ -147,7 +149,7 @@ def test_comparison_principle_spot_check():
     for vals in (base, upper):
         prof = tabulated_profile(P33, grid, vals,
                                  np.gradient(vals, grid, edge_order=2))
-        cfg = FlowConfig(bc=BC_NOFLUX, n_points=200, r_max=10.0, dt_max=1e-3,
+        cfg = FlowConfig(bc=BC_NOFLUX, n_points=200, dt_max=1e-3,
                          conv_tol=0.0)
         state = init_flow(prof, cfg)
         snaps = [state.w.copy()]
@@ -259,7 +261,7 @@ def test_perturbation_experiment_samples_the_profile_once_bit_for_bit(
                                      prof.grid]))
     grid = grid[grid <= 19.9]
     # the oracle: each s samples w, w', f and f' on the grid on its own
-    _, f_raw, _ = first_eigenfunction(prof, resolution=4000)
+    lam1, f_raw, _ = first_eigenfunction(prof, resolution=4000)
     scale = float(np.abs(f_raw(np.linspace(0.0, 20.0, 4001))).max())
     base = entropy(prof).lam
     want = {}
@@ -279,6 +281,7 @@ def test_perturbation_experiment_samples_the_profile_once_bit_for_bit(
     assert rep.base_entropy == base
     assert rep.entropies == want
     assert rep.margins == {s: base - want[s] for s in s_values}
+    assert repr(rep.lambda_1) == repr(lam1)
 
 
 def test_reached_max_time_outcome():
@@ -340,12 +343,14 @@ def potential_energy(state, w):
 @pytest.mark.parametrize("n_points", [512, 800, 1600])
 @pytest.mark.parametrize("bc", [BC_NOFLUX, BC_DIRICHLET])
 @pytest.mark.parametrize("r_max", [20.0, 6.0])   # 6: the Dirichlet term counts
-def test_gradient_term_is_the_diffusion_operators_quadratic_form(n_points, bc,
-                                                                 r_max):
+def test_gradient_term_is_the_diffusion_operators_quadratic_form(
+        monkeypatch, n_points, bc, r_max):
     # summation by parts: the energy's gradient term is -<w, D w> / 2 in the
-    # cell-volume inner product, D the flow's own diffusion operator
+    # cell-volume inner product, D the flow's own diffusion operator; at
+    # r_max = 20 the Dirichlet term is e^{-100} and cannot be seen
+    monkeypatch.setattr(spectrum, "GRID_R_MAX", r_max)
     state = init_flow(constant_profile(P33, "+"),
-                      FlowConfig(bc=bc, n_points=n_points, r_max=r_max))
+                      FlowConfig(bc=bc, n_points=n_points))
     mach = state.machinery
     w = np.random.default_rng(7).normal(size=state.r.size)
     grad = energy_of_state(state, w) - potential_energy(state, w)
@@ -600,7 +605,6 @@ def test_rebound_state_runs_like_fresh_data():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"r_max": -5.0}, {"r_max": 0.0}, {"r_max": math.nan}, {"r_max": math.inf},
     {"n_points": 800.5}, {"n_points": 1}, {"n_points": 2},
     {"dt_max": math.inf},
     {"dt_max": 0.0}, {"dt_max": math.nan}, {"dt_max": 1e-20},

@@ -1,16 +1,21 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
-from selfsim.core import (ParameterError, constant_profile, make_params,
-                         singular_profile)
+from selfsim import spectrum
+from selfsim.core import (GRID_R_MAX, ParameterError, constant_profile,
+                          make_params, singular_profile)
 from selfsim.fixtures import reference_profile
-from selfsim.spectrum import (apply_L, build_sector, eigen_smallest,
-                              first_eigenfunction, rayleigh_quotient)
+from selfsim.flow import FlowConfig
+from selfsim.spectrum import (_radial_cells, apply_L, build_sector,
+                              eigen_smallest, first_eigenfunction,
+                              rayleigh_quotient)
 
 from test_quadrature import rho_integral
 
 P33 = make_params(3, 3.0)
-P37 = make_params(3, 7.0, require_supercritical=True)
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +94,7 @@ def test_sector_monotonicity(wshoot):
 def test_shooting_profile_ground_state_below_minus_one(wshoot):
     lam1, f, cert = first_eigenfunction(wshoot, resolution=4000)
     assert lam1 < -1.0 - 1.0          # enormous margin for this profile
-    assert cert["decay_sup"] < np.inf
+    assert cert["doubling_shift"] < 0.05
     # second radial eigenvalue is the scaling mode at exactly -1
     op = build_sector(wshoot, 0, resolution=4000)
     res = eigen_smallest(op, 2, refine=True, profile=wshoot)
@@ -145,20 +150,42 @@ def test_apply_L_kappa_constant():
     assert np.max(np.abs(Lv - c)) < 1e-10
 
 
-def test_boundary_truncation_insensitivity():
+def ground_state(prof, resolution, monkeypatch, r_max=GRID_R_MAX):
+    """The radial sector's grid and unrefined ground state (lambda, samples)
+    at resolution cells, on a grid truncated at r_max."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectrum, "GRID_R_MAX", r_max)
+        op = build_sector(prof, 0, resolution=resolution)
+    res = eigen_smallest(op, 1, refine=False)
+    return op.r, res.lambdas[0], res.samples[0]
+
+
+def decay_sup(prof, r, f):
+    """sup (1+r)^{2p/(p-1)} |f| over r >= GRID_R_MAX / 2."""
+    p = prof.params.p
+    tail = r >= 0.5 * GRID_R_MAX
+    return np.max((1.0 + r[tail]) ** (2.0 * p / (p - 1.0)) * np.abs(f[tail]))
+
+
+def test_boundary_truncation_insensitivity(monkeypatch):
     # Gaussian weight makes the truncation radius invisible to the lowest
     # modes: extending the domain by 20% at fixed spacing moves lambda_1 by
     # less than 1e-9
-    lam1, f, cert = first_eigenfunction(constant_profile(P33, "+"),
-                                        resolution=2000)
-    assert cert["lambda_shift_extended"] <= 1e-9
+    prof = constant_profile(P33, "+")
+    _, lam, _ = ground_state(prof, 2000, monkeypatch)
+    _, lam_ext, _ = ground_state(prof, 2400, monkeypatch, 1.2 * GRID_R_MAX)
+    assert abs(lam_ext - lam) <= 1e-9
 
 
-def test_decay_certificate_stable_under_extension(wshoot):
-    lam1, f, cert = first_eigenfunction(wshoot, resolution=3000)
-    assert np.isfinite(cert["decay_sup"])
+def test_decay_certificate_stable_under_extension(wshoot, monkeypatch):
+    r, _, f = ground_state(wshoot, 3000, monkeypatch)
+    r_ext, _, f_ext = ground_state(wshoot, 3600, monkeypatch,
+                                   1.2 * GRID_R_MAX)
+    assert r_ext[-1] > r[-1] + 3.9
+    sup = decay_sup(wshoot, r, f)
+    assert np.isfinite(sup)
     # the weighted tail bound must not blow up when the domain grows
-    assert cert["decay_sup_extended"] <= 2.0 * cert["decay_sup"] + 1e-6
+    assert decay_sup(wshoot, r_ext, f_ext) <= 2.0 * sup + 1e-6
 
 
 def test_first_eigenfunction_of_constants():
@@ -173,31 +200,46 @@ def test_first_eigenfunction_of_constants():
 
 
 def test_first_eigenfunction_solves_each_operator_once(wshoot, monkeypatch):
-    # three operators (resolution, doubled, extended domain), one eigensolve
-    # each; the certificates equal those of separate unrefined solves
-    from selfsim import spectrum
-    from selfsim.spectrum import R_MAX
-    solves, original = [], spectrum.eigh_tridiagonal
+    # two operators (resolution and doubled), one eigensolve each: the
+    # refined eigen_smallest's lambda_1 and certificates, bit for bit
+    builds, solves = [], []
+    build, solve = spectrum.build_sector, spectrum.eigh_tridiagonal
 
-    def counted(*args, **kwargs):
+    def counted_build(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
         solves.append(1)
-        return original(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
-    lam1, _, cert = first_eigenfunction(wshoot, resolution=4000)
-    assert len(solves) == 3
-    op = build_sector(wshoot, 0, resolution=4000)
-    raw = eigen_smallest(op, 1, refine=False)
-    refined = eigen_smallest(op, 1, refine=True, profile=wshoot)
-    ext = eigen_smallest(build_sector(wshoot, 0, resolution=4800,
-                                      r_max=1.2 * R_MAX), 1, refine=False)
-    assert lam1 == refined.lambdas[0]
-    assert refined.meta["unrefined"].tobytes() == raw.lambdas.tobytes()
-    assert cert["lambda_shift_extended"] == abs(ext.lambdas[0] - raw.lambdas[0])
-    tail = op.r >= 0.5 * R_MAX
-    power = 2.0 * P37.p / (P37.p - 1.0)
-    assert cert["decay_sup"] == np.max((1.0 + op.r[tail]) ** power
-                                       * np.abs(raw.samples[0][tail]))
+    monkeypatch.setattr(spectrum, "build_sector", counted_build)
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted_solve)
+    lam1, f, cert = first_eigenfunction(wshoot, resolution=4000)
+    assert len(builds) == 2 and len(solves) == 2
+    monkeypatch.undo()
+    refined = eigen_smallest(build_sector(wshoot, 0, resolution=4000), 1,
+                             refine=True, profile=wshoot)
+    assert repr(lam1) == repr(float(refined.lambdas[0]))
+    assert cert == refined.certificates
+    r = np.linspace(0.0, GRID_R_MAX, 4001)
+    assert f(r).tobytes() == refined.funcs[0](r).tobytes()
+
+
+def test_the_truncation_radius_is_no_parameter():
+    # GRID_R_MAX is the one radius of the sectors' and the flow's grids
+    assert list(inspect.signature(build_sector).parameters) == [
+        "profile", "ell", "resolution"]
+    assert list(inspect.signature(_radial_cells).parameters) == ["n_eff", "N"]
+    assert "r_max" not in {fld.name for fld in dataclasses.fields(FlowConfig)}
+    assert not hasattr(spectrum, "R_MAX")
+
+
+def test_a_grid_above_the_cell_cap_is_refused_before_allocation():
+    # 1e11 cells would need 800 GB per array: the refusal names N
+    prof = constant_profile(P33, "+")
+    with pytest.raises(ParameterError, match="N=100000000000"):
+        build_sector(prof, 0, resolution=10**11)
 
 
 def test_singular_profile_rejected():
