@@ -26,8 +26,8 @@ import numpy as np
 from . import acceptance
 from .closedform import (gap_inequality, gap_scan, kappa_energy,
                          singular_energy, sphere_constant)
-from .core import (ParameterError, SelfsimError, constant_profile, make_params,
-                   singular_profile)
+from .core import (SCAN_ROWS_MAX, ParameterError, SelfsimError,
+                   constant_profile, make_params, singular_profile)
 from .fixtures import SHOOTING_BRACKETS, reference_profile
 from .flow import (OUTCOME_BLEWUP, FlowConfig, entropy_perturbation_experiment,
                    init_flow, run as flow_run)
@@ -124,7 +124,8 @@ def _params_from(cfg: dict):
                        require_supercritical=cfg["supercritical"])
 
 
-def _profile_from(choice: str, params):
+def _profile_from(cfg: dict, key: str = "profile"):
+    params, choice = _params_from(cfg), cfg[key]
     if choice in CONSTANTS:
         return constant_profile(params, CONSTANTS[choice])
     if choice == "singular":
@@ -144,8 +145,7 @@ def _profile_from(choice: str, params):
 # ---------------------------------------------------------------------------
 
 def cmd_energy(cfg):
-    params = _params_from(cfg)
-    prof = _profile_from(cfg["profile"], params)
+    prof = _profile_from(cfg)
     rep = energy(prof)
     summary = {
         "quantity": "weighted_energy",
@@ -159,11 +159,17 @@ def cmd_energy(cfg):
     return len(rep.flags) == 0, summary, None
 
 
+def _check_rows(**counts):
+    """Each count >= 1 and their product (the rows) <= SCAN_ROWS_MAX."""
+    if min(counts.values()) < 1 or math.prod(counts.values()) > SCAN_ROWS_MAX:
+        named = " x ".join(f"{k}={v}" for k, v in counts.items())
+        raise ParameterError(f"a scan takes counts of at least 1 and at most "
+                             f"{SCAN_ROWS_MAX} rows, got {named}")
+
+
 def cmd_f_scan(cfg):
-    params = _params_from(cfg)
-    prof = _profile_from(cfg["profile"], params)
-    if cfg["x0_count"] < 1 or cfg["t0_count"] < 1:
-        raise ParameterError("x0_count and t0_count must be at least 1")
+    _check_rows(x0_count=cfg["x0_count"], t0_count=cfg["t0_count"])
+    prof = _profile_from(cfg)
     for key in ("x0_max", "log_a_min", "log_a_max"):
         if not math.isfinite(cfg[key]):
             raise ParameterError(f"{key} must be finite, got {cfg[key]}")
@@ -183,8 +189,7 @@ def cmd_f_scan(cfg):
 
 
 def cmd_entropy(cfg):
-    params = _params_from(cfg)
-    prof = _profile_from(cfg["profile"], params)
+    prof = _profile_from(cfg)
     res = entropy(prof)
     e = energy(prof).energy
     rel = abs(res.lam - e) / max(abs(e), 1e-300)
@@ -236,8 +241,7 @@ def cmd_shoot(cfg):
 
 
 def cmd_spectrum(cfg):
-    params = _params_from(cfg)
-    prof = _profile_from(cfg["profile"], params)
+    prof = _profile_from(cfg)
     ell, k = cfg["ell"], cfg["k"]
     op = build_sector(prof, ell, resolution=cfg["resolution"])
     res = eigen_smallest(op, k, refine=True, profile=prof)
@@ -255,8 +259,7 @@ def cmd_spectrum(cfg):
 
 
 def cmd_stability(cfg):
-    params = _params_from(cfg)
-    prof = _profile_from(cfg["profile"], params)
+    prof = _profile_from(cfg)
     op0 = build_sector(prof, 0, resolution=cfg["resolution"])
     e0 = eigen_smallest(op0, 2, refine=True, profile=prof)
     rep = stability_report(prof, e0)
@@ -284,7 +287,7 @@ def cmd_flow(cfg):
         state = init_flow(constant_profile(params, "0"), fc,
                           eigenfunction=np.ones_like, amplitude=level)
     else:
-        state = init_flow(_profile_from(init, params), fc)
+        state = init_flow(_profile_from(cfg, "init"), fc)
     report = flow_run(state, tau_max=cfg["tau_max"])
     steady = report.steady    # None unless a non-constant solution started
     summary = {
@@ -314,8 +317,7 @@ def cmd_flow(cfg):
 
 
 def cmd_perturb(cfg):
-    params = _params_from(cfg)
-    prof = _profile_from(cfg["profile"], params)
+    prof = _profile_from(cfg)
     s = cfg["s"]
     rep = entropy_perturbation_experiment(
         prof, s_values=(s, -s), run_flow_for=s if s > 0 else None)
@@ -355,6 +357,7 @@ def cmd_gap_scan(cfg):
     except ValueError:
         raise ParameterError(f"n_range must be <lo>:<hi> with integers "
                              f"lo <= hi, got {cfg['n_range']!r}") from None
+    _check_rows(n_count=n_hi - n_lo + 1, p_count=cfg["p_count"])
     rows = gap_scan(range(n_lo, n_hi + 1), p_count=cfg["p_count"])
     valid = [r for r in rows if r.gamma_argument_positive]
     summary = {
@@ -376,8 +379,7 @@ def cmd_gap_scan(cfg):
 
 
 def cmd_identities(cfg):
-    params = _params_from(cfg)
-    prof = _profile_from(cfg["profile"], params)
+    prof = _profile_from(cfg)
     rep = identities(prof)
     summary = {
         "quantity": "stationary_identities",

@@ -127,6 +127,7 @@ GRID_POINTS = 800
 # most cells of a sector's or the flow's grid on [0, GRID_R_MAX], about 80
 # times the largest in use (12,000: a 6,000-cell sector doubled by Richardson)
 GRID_CELLS_MAX = 10**6
+SCAN_ROWS_MAX = 10**6      # most rows an f-scan or a gap-scan builds
 
 
 def default_grid(r_min: float = 1e-6) -> np.ndarray:

@@ -48,9 +48,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+from .closedform import kappa_energy
 from .core import (GRID_R_MAX, KIND_SINGULAR, KIND_TABULATED, ParameterError,
-                   Parameters, RadialProfile, SelfsimError, constant_profile)
-from .functionals import energy, entropy
+                   Parameters, RadialProfile, SelfsimError)
+from .functionals import entropy
 from .spectrum import _radial_cells, first_eigenfunction
 
 OUTCOME_BLEWUP = "blew_up"
@@ -608,15 +609,43 @@ def _extrapolate_blowup_time(cols: dict, p: float) -> Optional[float]:
 
 @dataclass
 class PerturbationReport:
-    entropies: dict
     base_entropy: float
-    margins: dict
     lambda_1: float                # the ground state's eigenvalue
+    kappa_energy: float
+    entropies: dict = field(default_factory=dict)
+    margins: dict = field(default_factory=dict)
     flow_outcome: Optional[str] = None
     flow_tau1: Optional[float] = None
     energy_plateau: Optional[float] = None
-    kappa_energy: float = math.nan
     flags: list = field(default_factory=list)
+
+
+def _perturbed_profiles(profile: RadialProfile, s_values) -> tuple:
+    """(lambda_1, f, {s: w + s f}), f the radial ground state at unit sup
+    norm, so s is an amplitude relative to the profile (a sharply peaked
+    unit-L2 f can leave the small-perturbation regime).  Each w + s f is the
+    profile's knot data plus s (f, f', f''), the profile's own kind of
+    interpolant, and its tail past the last knot (f there: 1e-23 on (3,7))."""
+    lam1, f_raw, _ = first_eigenfunction(profile, resolution=4000)
+    scale = float(np.abs(f_raw(np.linspace(0.0, GRID_R_MAX, 4001))).max())
+    stored = (profile.values, profile.derivs, profile.second_derivs)
+    fk = [f_raw.derivative(k)(profile.grid) / scale for k in range(3)]
+    perturbed = {}
+    for s in s_values:
+        with np.errstate(over="ignore"):
+            data = [d if d is None else d + s * dk
+                    for d, dk in zip(stored, fk)]
+            data.append(np.abs(data[0]) ** (profile.params.p + 1.0))
+        if not all(np.isfinite(d).all() for d in data if d is not None):
+            raise ParameterError(f"the perturbation amplitude s={s!r} "
+                                 f"overflows the perturbed data w + s f "
+                                 f"or its |w + s f|^(p+1)")
+        perturbed[s] = RadialProfile(
+            kind=KIND_TABULATED, params=profile.params, grid=profile.grid,
+            values=data[0], derivs=data[1], second_derivs=data[2],
+            decay_coeff=profile.decay_coeff,
+            meta={"axis_value": float(data[0][0])})
+    return lam1, (lambda r: f_raw(r) / scale), perturbed
 
 
 def entropy_perturbation_experiment(profile: RadialProfile,
@@ -625,16 +654,11 @@ def entropy_perturbation_experiment(profile: RadialProfile,
                                     ) -> PerturbationReport:
     """Entropy drop along the ground-state direction, plus the blow-up run.
 
-    Computes the entropy of w + s f for each s (f the radial ground state,
-    whose eigenvalue the report keeps as lambda_1) and records strict-drop
-    margins; for s = run_flow_for > 0 the flow is run from the perturbed data
-    and its outcome recorded together with the final resolved Lyapunov
-    energy against the constant's energy.
-
-    The direction is rescaled to unit sup norm so s is a direct amplitude
-    relative to the profile (the ground state of a strongly unstable profile
-    is sharply concentrated, so unit-L2 perturbations at finite s can leave
-    the small-perturbation regime entirely).
+    Computes the entropy of w + s f for each s (_perturbed_profiles: f the
+    radial ground state, whose eigenvalue the report keeps as lambda_1) and
+    records strict-drop margins; for s = run_flow_for > 0 the flow is run
+    from the perturbed data and its outcome recorded together with the final
+    resolved Lyapunov energy against the constant's energy.
 
     A constant profile, or an s that is zero or not finite, is a
     ParameterError: its margins would be 0 in exact arithmetic and rounding
@@ -650,41 +674,14 @@ def entropy_perturbation_experiment(profile: RadialProfile,
         if not (math.isfinite(s) and s != 0.0):
             raise ParameterError(f"the perturbation amplitude s must be "
                                  f"finite and nonzero, got {s!r}")
-    params = profile.params
-    lam1, f_raw, _ = first_eigenfunction(profile, resolution=4000)
-    scale = float(np.abs(f_raw(np.linspace(0.0, GRID_R_MAX, 4001))).max())
-    f = lambda r: f_raw(r) / scale
-    r_end = GRID_R_MAX - 0.1
-    grid = np.unique(np.concatenate([np.geomspace(1e-6, r_end, 1200),
-                                     profile.grid]))
-    grid = grid[grid <= r_end]
-    w, dw = profile.sample(grid)
-    fg, dfg = f(grid), f_raw.derivative()(grid) / scale
-    perturbed = {}
-    for s in s_values:
-        with np.errstate(over="ignore"):
-            vals, ders = w + s * fg, dw + s * dfg
-            power = np.abs(vals) ** (params.p + 1.0)
-        if not (np.isfinite(power).all() and np.isfinite(ders).all()):
-            raise ParameterError(f"the perturbation amplitude s={s!r} "
-                                 f"overflows the perturbed data w + s f "
-                                 f"or its |w + s f|^(p+1)")
-        perturbed[s] = vals, ders
-    base = entropy(profile)
-    entropies, margins, search_flags = {}, {}, []
-    for s, (vals, ders) in perturbed.items():
-        pert = RadialProfile(kind=KIND_TABULATED, params=params, grid=grid,
-                             values=vals, derivs=ders,
-                             decay_coeff=profile.decay_coeff,
-                             meta={"axis_value": float(vals[0])})
+    lam1, f, perturbed = _perturbed_profiles(profile, s_values)
+    base = entropy(profile).lam
+    report = PerturbationReport(base_entropy=base, lambda_1=lam1,
+                                kappa_energy=kappa_energy(profile.params))
+    for s, pert in perturbed.items():
         res = entropy(pert)
-        entropies[s] = res.lam
-        margins[s] = base.lam - res.lam
-        search_flags += [f"s={s}: {msg}" for msg in res.flags]
-    report = PerturbationReport(entropies=entropies, base_entropy=base.lam,
-                                margins=margins, lambda_1=lam1,
-                                flags=search_flags)
-    report.kappa_energy = energy(constant_profile(params, "+")).energy
+        report.entropies[s], report.margins[s] = res.lam, base - res.lam
+        report.flags += [f"s={s}: {msg}" for msg in res.flags]
     if run_flow_for is not None:
         state = init_flow(profile, eigenfunction=f,
                           amplitude=float(run_flow_for))

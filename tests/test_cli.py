@@ -511,6 +511,31 @@ def test_f_scan_names_the_bad_value(tmp_path, capsys, argv, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["gap-scan", "--p-count", "1000000000000"],
+     "n_count=7 x p_count=1000000000000"),
+    (["gap-scan", "--n-range", "4:100000000"],
+     "n_count=99999997 x p_count=40"),
+    (["f-scan", "--x0-count", "1000000000000", "--t0-count", "1"],
+     "x0_count=1000000000000 x t0_count=1"),
+    (["f-scan", "--x0-count", "100000", "--t0-count", "100000"],
+     "x0_count=100000 x t0_count=100000"),
+])
+def test_oversized_scan_is_refused_before_anything_is_allocated(
+        tmp_path, capsys, monkeypatch, argv, named):
+    # the rows are built after the profile (f-scan) or by gap_scan, neither
+    # of which may run
+    def never(*args, **kwargs):
+        raise AssertionError("a refused scan reached its work")
+    monkeypatch.setattr(cli, "_profile_from", never)
+    monkeypatch.setattr(cli, "gap_scan", never)
+    assert main(["--out", str(tmp_path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"at most {cli.SCAN_ROWS_MAX} rows, got {named}" in err
+    assert not list(tmp_path.glob("*.json"))
+
+
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 def test_every_table_key_is_a_flag_and_a_config_key(tmp_path, capsys,
                                                     command):

@@ -253,35 +253,50 @@ def test_perturbation_experiment_entropy_drop_and_blowup():
     assert rep.energy_plateau < rep.base_entropy + 1e-6
 
 
-def test_perturbation_experiment_samples_the_profile_once_bit_for_bit(
+def test_perturbation_experiment_builds_w_plus_s_f_from_the_knot_data(
         monkeypatch):
     prof = reference_profile(3, 7.0)
     s_values = (0.01, -0.01, 0.05, -0.05)
-    grid = np.unique(np.concatenate([np.geomspace(1e-6, 19.9, 1200),
-                                     prof.grid]))
-    grid = grid[grid <= 19.9]
-    # the oracle: each s samples w, w', f and f' on the grid on its own
-    lam1, f_raw, _ = first_eigenfunction(prof, resolution=4000)
-    scale = float(np.abs(f_raw(np.linspace(0.0, 20.0, 4001))).max())
-    base = entropy(prof).lam
-    want = {}
-    for s in s_values:
-        vals = prof.value(grid) + s * (f_raw(grid) / scale)
-        ders = prof.deriv(grid) + s * (f_raw.derivative()(grid) / scale)
-        want[s] = entropy(RadialProfile(
-            kind=KIND_TABULATED, params=P37, grid=grid, values=vals,
-            derivs=ders, decay_coeff=prof.decay_coeff,
-            meta={"axis_value": float(vals[0])})).lam
+    # the oracle: w + s f on the profile's knots, its stored value, w' and
+    # w'' plus s times f's, f at unit sup norm
     radii = []
     sample = prof.sample
     monkeypatch.setattr(prof, "sample",
                         lambda r: radii.append(np.asarray(r)) or sample(r))
+    lam1, f_raw, _ = first_eigenfunction(prof, resolution=4000)
+    base = entropy(prof).lam
+    oracle_radii, radii[:] = radii[:], []
+    scale = float(np.abs(f_raw(np.linspace(0.0, 20.0, 4001))).max())
+    fk = [f_raw.derivative(k)(prof.grid) / scale for k in range(3)]
+    want = {}
+    for s in s_values:
+        vals = prof.values + s * fk[0]
+        want[s] = entropy(RadialProfile(
+            kind=KIND_TABULATED, params=P37, grid=prof.grid, values=vals,
+            derivs=prof.derivs + s * fk[1],
+            second_derivs=prof.second_derivs + s * fk[2],
+            decay_coeff=prof.decay_coeff,
+            meta={"axis_value": float(vals[0])})).lam
     rep = entropy_perturbation_experiment(prof, s_values, run_flow_for=None)
-    assert sum(np.array_equal(r, grid) for r in radii) == 1
+    # the profile is sampled only by the ground-state solve and the base
+    # entropy, never on a grid of the experiment's own
+    assert len(radii) == len(oracle_radii)
+    assert all(map(np.array_equal, radii, oracle_radii))
     assert rep.base_entropy == base
     assert rep.entropies == want
     assert rep.margins == {s: base - want[s] for s in s_values}
     assert repr(rep.lambda_1) == repr(lam1)
+
+
+def test_ground_state_vanishes_past_the_profiles_last_knot():
+    # so w + s f can carry f on the profile's knots only: past the last knot
+    # both follow the profile's tail
+    prof = reference_profile(3, 7.0)
+    _, f_raw, _ = first_eigenfunction(prof, resolution=4000)
+    sup = float(np.abs(f_raw(np.linspace(0.0, 20.0, 4001))).max())
+    r = np.linspace(prof.grid[-1], 20.0, 4001)
+    assert np.abs(f_raw(r)).max() <= 1e-20 * sup
+    assert np.abs(f_raw.derivative()(r)).max() <= 1e-20 * sup
 
 
 def test_reached_max_time_outcome():
