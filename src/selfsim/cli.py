@@ -261,7 +261,7 @@ def cmd_spectrum(cfg):
 def cmd_stability(cfg):
     prof = _profile_from(cfg)
     op0 = build_sector(prof, 0, resolution=cfg["resolution"])
-    e0 = eigen_smallest(op0, 2, refine=True, profile=prof)
+    e0 = eigen_smallest(op0, 1, refine=True, profile=prof)
     rep = stability_report(prof, e0)
     summary = {
         "quantity": "stability_verdict",

@@ -34,10 +34,10 @@ the semi-discrete right-hand side F(w) = D w - w/(p-1) + |w|^{p-1} w in
 every cell at each accepted state, which the energy falls along at the rate
 sum quad_w F^2.
 
-The cells are the l = 0 sector's of spectrum._radial_cells on [0,
-core.GRID_R_MAX], so F's linearization is minus build_sector's matrix, and
-the energy's gradient term is D's quadratic form in the cell-weight inner
-product: the energy is the scheme's own Lyapunov functional.
+D's cells, couplings and diagonal are the l = 0 sector's from
+spectrum._radial_cells, so F's linearization is minus build_sector's matrix
+bit for bit, and the energy's gradient term is D's quadratic form in the
+cell-weight inner product: the energy is the scheme's own Lyapunov functional.
 """
 from __future__ import annotations
 
@@ -162,13 +162,10 @@ class FlowReport:
 
 
 def _build_machinery(params: Parameters, cfg: FlowConfig) -> dict:
-    h, r, m_face, mbar = _radial_cells(params.n, cfg.n_points)
-    if cfg.bc == BC_NOFLUX:
-        m_face[-1] = 0.0
+    r, mbar, low, faces_out, outer = _radial_cells(params.n, cfg.n_points)
+    outer_flux = outer if cfg.bc == BC_DIRICHLET else 0.0
     with np.errstate(all="ignore"):
-        low, outer_flux = m_face[1:-1] / h**2, m_face[-1] / h**2
-        faces_out = np.append(low, 2.0 * outer_flux)    # -mbar D's diagonal
-        faces_out[1:] += low
+        faces_out[-1] += 2.0 * outer_flux               # -mbar D's diagonal
         quad_w = mbar / mbar.sum()
         finite = np.isfinite(faces_out / mbar).all() and \
             np.isfinite(quad_w).all()
@@ -625,7 +622,7 @@ def _perturbed_profiles(profile: RadialProfile, s_values) -> tuple:
     norm, so s is an amplitude relative to the profile (a sharply peaked
     unit-L2 f can leave the small-perturbation regime).  Each w + s f is the
     profile's knot data plus s (f, f', f''), the profile's own kind of
-    interpolant, and its tail past the last knot (f there: 1e-23 on (3,7))."""
+    interpolant, and its tail past the last knot (f there: 4e-24 on (3,7))."""
     lam1, f_raw, _ = first_eigenfunction(profile, resolution=4000)
     scale = float(np.abs(f_raw(np.linspace(0.0, GRID_R_MAX, 4001))).max())
     stored = (profile.values, profile.derivs, profile.second_derivs)

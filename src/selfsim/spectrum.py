@@ -12,8 +12,9 @@ dimension n + 2l problem with an extra -l/2 shift; the discretization is a
 conservative flux form on cell centers, symmetric under the discrete measure
 r^{n_eff-1} e^{-r^2/4} h, so the matrix is tridiagonal-symmetrizable and the
 solver (bisection + inverse iteration on the symmetrized tridiagonal) is
-deterministic.  The cells are N uniform cells of [0, core.GRID_R_MAX], the
-one truncation radius, shared with the flow.
+deterministic.  _radial_cells assembles the flux form, N uniform cells of
+[0, core.GRID_R_MAX] (the one truncation radius) with their couplings and
+diagonal, once for the sectors and the flow alike.
 """
 from __future__ import annotations
 
@@ -58,23 +59,26 @@ class EigenResult:
 
 
 def _radial_cells(n_eff: int, N: int) -> tuple:
-    """N cells of width h = GRID_R_MAX / N in effective dimension n_eff,
-    shared by the sectors and the flow: (h, centres (i + 1/2) h, m =
-    r^{n_eff-1} e^{-r^2/4} at the faces i h with no flux through the axis, m
-    at the centres).  Callers set the outer face and check the float range;
-    N above GRID_CELLS_MAX is a ParameterError, before anything is
-    allocated."""
+    """The flux form of D = (1/m)(m v')', m = r^{n_eff-1} e^{-r^2/4}, on N
+    cells of width h = GRID_R_MAX / N, as the sectors and the flow take it:
+    (centres (i + 1/2) h, m there, cond = m/h^2 at the N - 1 inner faces,
+    diag = each cell's sum of its cond, outer = m(GRID_R_MAX)/h^2).  m D has
+    cond off the diagonal and -diag on it: no flux through the axis or
+    GRID_R_MAX, where a Dirichlet face adds 2 outer to the last diag.  Callers
+    check the float range; N above GRID_CELLS_MAX is refused unallocated."""
     if N > GRID_CELLS_MAX:
         raise ParameterError(f"a radial grid takes at most {GRID_CELLS_MAX} "
                              f"cells, got N={N}")
     h = GRID_R_MAX / N
     r = (np.arange(N) + 0.5) * h
-    faces = np.arange(N + 1) * h
+    faces = np.arange(1, N + 1) * h
     with np.errstate(all="ignore"):
-        m_face = faces ** (n_eff - 1) * np.exp(-faces**2 / 4.0)
-        m_cell = r ** (n_eff - 1) * np.exp(-r**2 / 4.0)
-    m_face[0] = 0.0
-    return h, r, m_face, m_cell
+        weight = r ** (n_eff - 1) * np.exp(-r**2 / 4.0)
+        coupling = faces ** (n_eff - 1) * np.exp(-faces**2 / 4.0) / h**2
+        cond = coupling[:-1]
+        diag = np.append(cond, 0.0)
+        diag[1:] += cond
+    return r, weight, cond, diag, coupling[-1]
 
 
 def build_sector(profile: RadialProfile, ell: int,
@@ -83,20 +87,18 @@ def build_sector(profile: RadialProfile, ell: int,
     if profile.kind == KIND_SINGULAR:
         raise ParameterError("singular profiles are outside the eigensolver "
                              "scope (potential ~ r^-2)")
-    if ell < 0:
-        raise ParameterError(f"sector index must be nonnegative, got {ell}")
-    if resolution < 4:
-        raise ParameterError(f"resolution must be at least 4, got {resolution}")
+    if not float(ell).is_integer() or ell < 0:
+        raise ParameterError(f"sector index must be an integer >= 0, got {ell}")
+    if not float(resolution).is_integer() or resolution < 4:
+        raise ParameterError(f"resolution must be an integer of at least 4, "
+                             f"got {resolution}")
     n = profile.params.n
     N = int(resolution)
-    h, r, m_face, m_cell = _radial_cells(n + 2 * ell, N)
-    m_face[-1] = 0.0  # no flux at GRID_R_MAX (weight ~ e^{-GRID_R_MAX^2/4})
+    r, weight, cond, diag, _ = _radial_cells(n + 2 * ell, N)
     V = profile.params.potential(profile.value(r)) - 0.5 * ell
     with np.errstate(all="ignore"):
-        lower = m_face[1:-1] / h**2
-        diag_flux = -(m_face[:-1] + m_face[1:]) / h**2
-        d_sym = -(diag_flux / m_cell + V)
-        e_sym = -lower / np.sqrt(m_cell[:-1] * m_cell[1:])
+        d_sym = diag / weight - V
+        e_sym = -cond / np.sqrt(weight[:-1] * weight[1:])
     if not (np.isfinite(d_sym).all() and np.isfinite(e_sym).all()):
         raise ParameterError(f"the sector weights r^(n+2l-1) e^(-r^2/4) leave "
                              f"the float range at n={n}, l={ell}, "
@@ -104,9 +106,9 @@ def build_sector(profile: RadialProfile, ell: int,
     # rho-weighted cell measure in the original dimension n: it weighs the
     # sector function u = r^l v, so it lacks the r^{2l} of the n_eff weight
     measure = (4.0 * math.pi) ** (-n / 2.0) * _sphere_area(n) \
-        * r ** (n - 1) * np.exp(-r**2 / 4.0) * h
+        * r ** (n - 1) * np.exp(-r**2 / 4.0) * (GRID_R_MAX / N)
     return SectorOperator(ell=ell, r=r, d_sym=d_sym, e_sym=e_sym,
-                          sqrt_measure=np.sqrt(m_cell), measure=measure,
+                          sqrt_measure=np.sqrt(weight), measure=measure,
                           meta={"resolution": N})
 
 
@@ -114,7 +116,7 @@ def _solve(op: SectorOperator, k: int):
     try:
         vals, vecs = eigh_tridiagonal(op.d_sym, op.e_sym, select="i",
                                       select_range=(0, k - 1))
-    except Exception as err:  # pragma: no cover - LAPACK failure is exotic
+    except np.linalg.LinAlgError as err:  # pragma: no cover - exotic
         raise SpectrumError(f"tridiagonal eigensolver failed: {err}") from err
     return vals, vecs
 
@@ -128,9 +130,10 @@ def eigen_smallest(op: SectorOperator, k: int, refine: bool = True,
     resolution-doubling shift is recorded as the convergence certificate.
     meta["unrefined"] holds the eigenvalues of op itself either way.
     """
-    if not 1 <= k <= op.meta["resolution"] // 4:
-        raise ParameterError(f"k must be between 1 and resolution/4 = "
-                             f"{op.meta['resolution'] // 4}, got {k}")
+    if not float(k).is_integer() or not 1 <= k <= op.meta["resolution"] // 4:
+        raise ParameterError(f"k must be an integer from 1 to resolution/4 "
+                             f"= {op.meta['resolution'] // 4}, got {k}")
+    k = int(k)
     vals, vecs = _solve(op, k)
     lam = vals.copy()
     cert = {}

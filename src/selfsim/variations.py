@@ -172,7 +172,7 @@ def general_second_variation_fd(profile: RadialProfile, var: Variation,
     wv, dwv = profile.sample(r)
     W = wv + svals[:, None] * var.phi(r)
     DW = dwv + svals[:, None] * var.dphi(r)
-    grad2, pot, mass = _sums(r, weights, (DW**2, np.abs(W) ** (p + 1.0), W**2))
+    grad2, mass, pot = _sums(r, weights, _core_terms(r, W, DW, p))
     F = [_f_value(p, -t, g, m, u) for t, g, m, u in zip(ts, grad2, mass, pot)]
     return (F[2] - 2.0 * F[1] + F[0]) / delta**2
 

@@ -10,6 +10,8 @@ import pytest
 
 from selfsim import cli, fixtures, flow
 from selfsim.cli import HELP, SUBCOMMANDS, _resolve, build_parser, main
+from selfsim.core import constant_profile, make_params
+from selfsim.spectrum import first_eigenfunction
 
 
 def _not_json(name):
@@ -337,6 +339,17 @@ def test_stability_verdicts(tmp_path, capsys):
     assert len(runs) == 2
     for run in runs:
         assert "lambda_1" in strict_loads(run.split("\n", 1)[1])
+
+
+def test_stability_lambda_1_is_first_eigenfunctions(tmp_path):
+    # one eigenpair at the default resolution: the value perturb and the
+    # acceptance suite read, bit for bit
+    rc = main(["--out", str(tmp_path), "stability", "--n", "3", "--p", "7",
+               "--profile", "kappa"])
+    assert rc == 0
+    data = read_json(tmp_path, "stability")
+    prof = constant_profile(make_params(3, 7.0), "+")
+    assert data["lambda_1"] == first_eigenfunction(prof, 4000)[0]
 
 
 def test_shoot_uses_recorded_bracket(tmp_path):

@@ -247,6 +247,34 @@ def test_singular_profile_rejected():
         build_sector(singular_profile(make_params(7, 3.0)), 0)
 
 
+@pytest.mark.parametrize("ell,resolution,match", [
+    (1.5, 100, "sector index"), (-1, 100, "sector index"),
+    (0, 4.7, "resolution"), (0, 3, "resolution"),
+    (0, float("nan"), "resolution")])
+def test_a_sector_request_out_of_range_or_not_integral_is_refused(
+        ell, resolution, match):
+    prof = constant_profile(P33, "+")
+    with pytest.raises(ParameterError, match=match):
+        build_sector(prof, ell, resolution=resolution)
+
+
+@pytest.mark.parametrize("k", [1.5, 0, 26, float("nan")])
+def test_an_eigenpair_count_out_of_range_or_not_integral_is_refused(k):
+    # a parameter error, not the eigensolver's numerical failure
+    op = build_sector(constant_profile(P33, "+"), 0, resolution=100)
+    with pytest.raises(ParameterError, match="k must be an integer"):
+        eigen_smallest(op, k, refine=False)
+
+
+def test_integral_floats_are_accepted_as_integers():
+    prof = constant_profile(P33, "+")
+    op = build_sector(prof, 1.0, resolution=100.0)
+    assert op.meta["resolution"] == 100
+    res = eigen_smallest(op, 2.0, refine=False)
+    exact = eigen_smallest(build_sector(prof, 1, 100), 2, refine=False)
+    assert res.lambdas.tolist() == exact.lambdas.tolist()
+
+
 @pytest.mark.parametrize("n,ell,resolution", [(3, 33, 6000), (3, 60, 400),
                                               (300, 0, 100)])
 def test_sector_weights_beyond_the_float_range_are_refused(n, ell,
